@@ -30,6 +30,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -50,8 +51,8 @@ from .generators import (
     Convexity,
     Generator,
     Monotonicity,
-    ScanOutcome,
-    collision_gap,
+    bisect_root,
+    collision_candidates,
     composite,
     identity,
 )
@@ -184,25 +185,6 @@ def is_disjunctive(af: AggregationFunction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_monotone(fn, lo: float, hi: float, target: float, iters: int = 200) -> float:
-    """Solve fn(x) = target by bisection for continuous monotone fn."""
-    flo, fhi = float(fn(lo)), float(fn(hi))
-    increasing = fhi >= flo
-    a, b = lo, hi
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        fm = float(fn(m))
-        if fm == target:
-            return m
-        if (fm < target) == increasing:
-            a = m
-        else:
-            b = m
-        if b - a <= 1e-18 * max(1.0, abs(b)):
-            break
-    return 0.5 * (a + b)
-
-
 def nilpotent_witness(t: Generator, s: Generator) -> tuple[Interval, Interval]:
     """Two distinct intervals equal under both the t-norm of ``t`` and the
     t-conorm of ``s``, for a pair with at least one nilpotent generator.
@@ -218,25 +200,25 @@ def nilpotent_witness(t: Generator, s: Generator) -> tuple[Interval, Interval]:
 
     if t_nil and not s_nil:
         # T saturates to 0 below m_t; match the s-sums there.
-        m = _bisect_monotone(t.fn, 0.0, 1.0, 0.5 * t.at_zero)
+        m = bisect_root(t.fn, 0.0, 1.0, 0.5 * t.at_zero).mid
         return _low_region_witness(s, m)
     if s_nil and not t_nil:
         # S saturates to 1 above l_s; match the t-sums there.
-        ls = _bisect_monotone(s.fn, 0.0, 1.0, 0.5 * s.at_one)
+        ls = bisect_root(s.fn, 0.0, 1.0, 0.5 * s.at_one).mid
         u = 0.5 * (ls + 1.0)
         d1 = float(t.fn(u))
         d2 = float(t.fn(ls)) - float(t.fn(u))
         if abs(d1 - d2) <= 1e-14 * max(1.0, d1, d2):
             return Interval(u, u), Interval(ls, 1.0)
         if d1 < d2:
-            x1 = _bisect_monotone(t.fn, ls, u, 2.0 * float(t.fn(u)))
+            x1 = bisect_root(t.fn, ls, u, 2.0 * float(t.fn(u))).mid
             return Interval(u, u), Interval(x1, 1.0)
-        x2 = _bisect_monotone(t.fn, u, 1.0, float(t.fn(u)) - d2)
+        x2 = bisect_root(t.fn, u, 1.0, float(t.fn(u)) - d2).mid
         return Interval(u, u), Interval(ls, x2)
 
     # both nilpotent: stay below both saturation thresholds
-    m_t = _bisect_monotone(t.fn, 0.0, 1.0, 0.5 * t.at_zero)
-    m_s = _bisect_monotone(s.fn, 0.0, 1.0, 0.5 * s.at_one)
+    m_t = bisect_root(t.fn, 0.0, 1.0, 0.5 * t.at_zero).mid
+    m_s = bisect_root(s.fn, 0.0, 1.0, 0.5 * s.at_one).mid
     return _low_region_witness(s, min(m_t, m_s))
 
 
@@ -247,9 +229,9 @@ def _low_region_witness(s: Generator, m: float) -> tuple[Interval, Interval]:
     if abs(d1 - d2) <= 1e-14 * max(1.0, d1, d2):
         return Interval(u, u), Interval(0.0, m)
     if d1 < d2:
-        x2 = _bisect_monotone(s.fn, u, m, float(s.fn(u)) + d1)
+        x2 = bisect_root(s.fn, u, m, float(s.fn(u)) + d1).mid
         return Interval(u, u), Interval(0.0, x2)
-    x1 = _bisect_monotone(s.fn, 0.0, u, float(s.fn(u)) - d2)
+    x1 = bisect_root(s.fn, 0.0, u, float(s.fn(u)) - d2).mid
     return Interval(u, u), Interval(x1, m)
 
 
@@ -274,98 +256,22 @@ def _collision_witness(f: Generator, g: Generator, w1: float, w2: float,
                        resolution: int = 33, margin: float = 0.02) -> Witness | None:
     """Search the collision gap of the composite for a verified witness.
 
-    Scans endpoint pairs (widest first, so witnesses are well separated) of a
-    bounded window of f's value range, bisects any zero or sign change of the
-    gap, decodes it back to intervals, and validates against the actual
-    aggregation functions.
+    The endpoint pairs are those of f's image of a bounded window of (0,1),
+    widest first so witnesses are well separated.  Each candidate zero of
+    the gap from :func:`collision_candidates` is decoded back to intervals
+    and validated against the actual aggregation functions; the first that
+    passes is returned.
     """
-    comp = composite(f, g)
-    h = comp.fn
+    h = composite(f, g).fn
     v1 = w1 if f.increasing else 1.0 - w1
     v2 = w2 if f.increasing else 1.0 - w2
-
     with np.errstate(all="ignore"):
         ts = np.sort(np.asarray(f.fn(np.linspace(margin, 1.0 - margin, resolution)), float))
-    pairs = [
-        (float(ts[i]), float(ts[j]))
-        for i in range(len(ts) - 1)
-        for j in range(i + 1, len(ts))
-    ]
-    pairs.sort(key=lambda p: (-(p[1] - p[0]), p[0]))
-
-    zero_tol = 1e-12
-    u_signs: list[tuple[float, float, float]] = []
-    for t1, t2 in pairs:
-        xs = np.linspace(0.0, t2 - t1, 49)[1:]
-        a_vals = np.asarray([float(h(t1 + v1 * xx)) for xx in xs])
-        b_vals = np.asarray([float(h(t2 - (1.0 - v1) * xx)) for xx in xs])
-        gs = (1.0 - v2) * (a_vals - float(h(t1))) + v2 * (b_vals - float(h(t2)))
-        if not np.all(np.isfinite(gs)):
-            continue
-        if np.all(np.abs(gs) < zero_tol):
-            x0 = float(xs[len(xs) // 2])
-        else:
-            pos = gs > zero_tol
-            neg = gs < -zero_tol
-            if np.any(pos) and np.any(neg):
-                flips = np.nonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))[0]
-                if flips.size == 0:
-                    continue
-                k = int(flips[0])
-
-                def gap_at(xx: float) -> float:
-                    return collision_gap(xx, t1, t2, v1, v2, h)
-
-                xa, xb = float(xs[k]), float(xs[k + 1])
-                ga = float(gs[k])
-                for _ in range(200):
-                    xm = 0.5 * (xa + xb)
-                    gm = gap_at(xm)
-                    if gm == 0.0:
-                        xa = xb = xm
-                        break
-                    if (gm > 0) == (ga > 0):
-                        xa, ga = xm, gm
-                    else:
-                        xb = xm
-                x0 = 0.5 * (xa + xb)
-            else:
-                u_signs.append((t1, t2, float(gs[-1])))
-                continue
-        u_int, x_int = _decode_vspace(f, v1, x0, t1, t2)
-        w = make_witness(a, b, u_int, x_int)
+    pairs = sorted(combinations(map(float, ts), 2), key=lambda p: (-(p[1] - p[0]), p[0]))
+    for x0, t1, t2 in collision_candidates(h, pairs, v1, v2, 48):
+        w = make_witness(a, b, *_decode_vspace(f, v1, x0, t1, t2))
         if w is not None:
             return w
-
-    # No zero inside any single endpoint pair; chase a sign change of the
-    # full-deformation gap across pairs along the connecting segment.
-    pos = [p for p in u_signs if p[2] > zero_tol]
-    neg = [p for p in u_signs if p[2] < -zero_tol]
-    if pos and neg:
-        (a1, a2, ua) = pos[0]
-        (b1, b2, _) = neg[0]
-
-        def u_along(lmb: float):
-            t1 = (1.0 - lmb) * a1 + lmb * b1
-            t2 = (1.0 - lmb) * a2 + lmb * b2
-            if t2 <= t1:
-                return t1, t2, math.nan
-            return t1, t2, collision_gap(t2 - t1, t1, t2, v1, v2, h)
-
-        la, lb = 0.0, 1.0
-        for _ in range(200):
-            lm = 0.5 * (la + lb)
-            t1m, t2m, um = u_along(lm)
-            if not math.isfinite(um) or um == 0.0:
-                break
-            if (um > 0) == (ua > 0):
-                la = lm
-            else:
-                lb = lm
-        t1m, t2m, um = u_along(0.5 * (la + lb))
-        if math.isfinite(um) and t2m > t1m:
-            u_int, x_int = _decode_vspace(f, v1, t2m - t1m, t1m, t2m)
-            return make_witness(a, b, u_int, x_int)
     return None
 
 
@@ -397,10 +303,6 @@ def rule_quasi_endpoint_exclusion(f: Generator, w1: float, g: Generator,
     return _saturation_verdict(a, b)
 
 
-def _shape_or_numeric(f: Generator, g: Generator):
-    return composite(f, g).shape
-
-
 def rule_quasi_equal_weights(f: Generator, g: Generator, w: float,
                              a: AggregationFunction | None = None,
                              b: AggregationFunction | None = None) -> Verdict | None:
@@ -412,7 +314,7 @@ def rule_quasi_equal_weights(f: Generator, g: Generator, w: float,
     sat = _saturation_verdict(a, b)
     if sat is not None:
         return sat
-    shape = _shape_or_numeric(f, g)
+    shape = composite(f, g).shape
     if shape.convexity.is_strict:
         return Verdict(Outcome.ADMISSIBLE, "equal-weights-shape")
     witness = _collision_witness(f, g, w, w, a, b)
@@ -457,7 +359,7 @@ def rule_quasi_unequal_weights(f: Generator, g: Generator, w1: float, w2: float,
     sat = _saturation_verdict(a, b)
     if sat is not None:
         return sat
-    shape = _shape_or_numeric(f, g)
+    shape = composite(f, g).shape
     if _weight_row_matches(shape, f.increasing, w1, w2):
         return Verdict(Outcome.ADMISSIBLE, "weight-order-shape")
     witness = _collision_witness(f, g, w1, w2, a, b)
@@ -520,7 +422,7 @@ def rule_tnorm_tconorm(t_af: AggregationFunction, s_af: AggregationFunction) -> 
         u, x = nilpotent_witness(td.generator, sd.generator)
         w = make_witness(t_af, s_af, u, x, tol=1e-12)
         return Verdict(Outcome.NOT_ADMISSIBLE, "nilpotent-collision", witness=w)
-    shape = _shape_or_numeric(td.generator, sd.generator)
+    shape = composite(td.generator, sd.generator).shape
     if shape.convexity.is_strict:
         return Verdict(Outcome.ADMISSIBLE, "strict-archimedean-shape")
     witness = _collision_witness(td.generator, sd.generator, 0.5, 0.5, t_af, s_af)
@@ -544,7 +446,7 @@ def rule_schur_pair(f: Generator, g: Generator,
     concave."""
     a = a if a is not None else schur_pair_mean(f)
     b = b if b is not None else schur_pair_mean(g)
-    shape = _shape_or_numeric(f, g)
+    shape = composite(f, g).shape
     if shape.convexity.is_strict:
         return Verdict(Outcome.ADMISSIBLE, "pair-mean-shape")
     witness = _collision_witness(f, g, 0.5, 0.5, a, b)
@@ -683,8 +585,7 @@ def _solve_second_endpoint_vec(a: AggregationFunction, x1s: np.ndarray,
 
 
 def _refine_candidate(a: AggregationFunction, b: AggregationFunction,
-                      u: Interval, x: Interval, window: float,
-                      tol: float) -> Interval | None:
+                      u: Interval, x: Interval, window: float) -> Interval | None:
     """Bisection refinement along the A-level curve through x.
 
     The level curve A([x1, x2]) = A(u) is traced over a dense local window of
@@ -758,8 +659,8 @@ def _refine_candidate(a: AggregationFunction, b: AggregationFunction,
 
 def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
                   resolution: int = 200, tol: float = WITNESS_TOL,
-                  quantum: float = ORACLE_QUANTUM, threads: int = 1,
-                  max_candidates: int = 10000) -> tuple[Interval, Interval] | None:
+                  quantum: float = ORACLE_QUANTUM,
+                  threads: int = 1) -> tuple[Interval, Interval] | None:
     """Exhaustive quantized scan for a simultaneous collision of A and B.
 
     All grid intervals are bucketed by their (A, B) values rounded to
@@ -804,11 +705,7 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
     candidates.sort(key=lex_key)
     window = 2.5 / resolution
 
-    seen = 0
     for m, n in candidates:
-        if seen >= max_candidates:
-            break
-        seen += 1
         u = Interval(float(lo[m]), float(hi[m]))
         x = Interval(float(lo[n]), float(hi[n]))
         if (u.lo, u.hi) > (x.lo, x.hi):
@@ -820,7 +717,7 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
             continue
         if gap >= WITNESS_GAP and ra <= ORACLE_CONFIRM and rb <= ORACLE_CONFIRM:
             return u, x
-        refined = _refine_candidate(a, b, u, x, window, tol)
+        refined = _refine_candidate(a, b, u, x, window)
         if refined is not None:
             return u, refined
     return None
@@ -846,7 +743,7 @@ def admissible_for_all_weight_orders(f: Generator, g: Generator,
         return False
     if math.isinf(f.at_one) and math.isinf(g.at_one):
         return False
-    shape = _shape_or_numeric(f, g)
+    shape = composite(f, g).shape
     if shape.convexity in (Convexity.UNKNOWN,):
         return None
     if shape.convexity is Convexity.MIXED:

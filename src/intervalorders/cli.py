@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: check-pair, rank, find-counterexample, coincide, battery.
-Configuration is a single JSON document (--config); --resolution, --tol,
---threads and --seed override config values.  Exit codes: 0 success, 1
+Configuration is a single JSON document (--config); --resolution, --tol
+and --threads override config values.  Exit codes: 0 success, 1
 configuration error, 2 input/output error.  Identical config and input give
 byte-identical output regardless of thread count.
 """
@@ -37,7 +37,6 @@ class RunConfig:
     resolution: int = 200
     tol: float = 1e-9
     threads: int = 1
-    seed: int = 42
     cross_check: bool = False
 
     def validate(self) -> None:
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resolution", metavar="N", type=int, default=None)
         p.add_argument("--tol", metavar="X", type=float, default=None)
         p.add_argument("--threads", metavar="N", type=int, default=None)
-        p.add_argument("--seed", metavar="N", type=int, default=None)
         if name == "battery":
             p.add_argument("--cross-check", action="store_true")
     return parser
@@ -210,7 +208,6 @@ def main(argv: list[str] | None = None) -> int:
             resolution=args.resolution or int(cfg.get("resolution", 200)),
             tol=args.tol or float(cfg.get("tol", 1e-9)),
             threads=args.threads or int(cfg.get("threads", 1)),
-            seed=args.seed if args.seed is not None else int(cfg.get("seed", 42)),
             cross_check=bool(getattr(args, "cross_check", False)),
         )
         rc.validate()

@@ -24,7 +24,7 @@ from .aggregators import (
     k_mean,
     schur_pair_mean,
 )
-from .generators import Convexity, Generator, generator_shape
+from .generators import Convexity, Generator, bisect_root, generator_shape
 from .intervals import Interval, interval_grid
 from .orders import (
     AlphaBetaOrder,
@@ -395,17 +395,13 @@ def _convex_disagreement(f: Generator, alpha: float) -> tuple[Interval, Interval
     def budget(t: float) -> float:
         return float(f.fn(u1 + t)) + float(f.fn(u2)) - target
 
-    lo_t, hi_t = 0.0, u2 - u1
+    hi_t = u2 - u1
     if budget(hi_t) < 0:
         t_star = hi_t
     else:
-        for _ in range(200):
-            mid = 0.5 * (lo_t + hi_t)
-            if budget(mid) < 0:
-                lo_t = mid
-            else:
-                hi_t = mid
-        t_star = lo_t
+        # bisect the sign of the budget, which is never exactly 0, so a
+        # budget of 0 counts as spent and the lower end keeps budget < 0
+        t_star = bisect_root(lambda t: -1.0 if budget(t) < 0 else 1.0, 0.0, hi_t).lo
     u_hat = Interval(u1 + 0.5 * t_star, u2)
     x = Interval(x1, x2)
 

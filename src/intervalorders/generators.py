@@ -35,8 +35,12 @@ the form s1 = t1 + v1*x, s2 = t2 - (1-v1)*x for some deformation x in
     G(x, t1, t2) = (1-v2)*(h(t1 + v1*x) - h(t1)) + v2*(h(t2 - (1-v1)*x) - h(t2)),
 
 vanishes at some x > 0 exactly when two distinct pairs collide in both
-weighted means at once.  ``collision_scan`` looks for such zeros on a grid;
-``find_collision`` refines one to near machine precision.
+weighted means at once.  One engine, ``collision_candidates``, looks for such
+zeros: over a caller-ordered list of endpoint pairs it yields each bisected
+sign change of G inside a pair, then one zero of the full-deformation gap
+chased across pairs.  ``find_collision`` takes its first candidate and the
+admissibility rules validate its candidates as witnesses; ``collision_scan``
+shares the in-pair search and reports whether G keeps one sign instead.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit, logit as _logit_fn
@@ -543,6 +548,50 @@ def composite(f: Generator, g: Generator, n: int = 2001) -> Composite:
 
 
 # ---------------------------------------------------------------------------
+# Bisection
+# ---------------------------------------------------------------------------
+
+
+class Bracket(NamedTuple):
+    """Final bracket of :func:`bisect_root`; ``lo`` stays on the side of the
+    start point."""
+
+    lo: float
+    hi: float
+
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+
+def bisect_root(fn, lo: float, hi: float, target: float = 0.0) -> Bracket:
+    """Bisect [lo, hi] for fn(x) = target, fn continuous with fn(lo) and
+    fn(hi) on opposite sides of ``target``.
+
+    The bracket's ``lo`` end keeps the side of fn(lo) and its ``hi`` end
+    the other side, so a caller that needs a point strictly on one side
+    takes that end instead of ``mid``.  A midpoint where fn meets the target
+    exactly, or is not finite, ends the search at once with both ends at
+    that midpoint.  Otherwise the search runs until no float lies strictly
+    inside the bracket, for at most 200 halvings.
+    """
+    start_above = float(fn(lo)) > target
+    a, b = lo, hi
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        v = float(fn(m))
+        if v == target or not math.isfinite(v):
+            return Bracket(m, m)
+        if (v > target) == start_above:
+            a = m
+        else:
+            b = m
+    return Bracket(a, b)
+
+
+# ---------------------------------------------------------------------------
 # Collision gap and scans
 # ---------------------------------------------------------------------------
 
@@ -595,20 +644,67 @@ def _domain_samples(domain: tuple[float, float], n: int) -> np.ndarray:
     return sample_open_interval(lo, hi, n)
 
 
-def _bisect_gap_zero(h, v1, v2, t1, t2, xa, xb, ga, gb, iters: int = 200) -> float:
-    """Bisect a bracketed sign change of the gap along the x axis."""
-    for _ in range(iters):
-        xm = 0.5 * (xa + xb)
-        gm = collision_gap(xm, t1, t2, v1, v2, h)
-        if gm == 0.0:
-            return xm
-        if (gm > 0) == (ga > 0):
-            xa, ga = xm, gm
-        else:
-            xb, gb = xm, gm
-        if xb - xa <= 1e-17 * max(1.0, abs(xb)):
-            break
-    return 0.5 * (xa + xb)
+def _in_pair_zero(h, t1: float, t2: float, v1: float, v2: float,
+                  n_x: int) -> tuple[np.ndarray, float | None]:
+    """Gap samples at n_x deformations in (0, t2-t1] and the zero they show.
+
+    The zero is the middle deformation when every sample is below
+    ``ZERO_TOL`` (a flat gap), else the bisected first strict sign change
+    between adjacent samples; None when a sample is not finite or the
+    samples show neither.
+    """
+    xs = np.linspace(0.0, t2 - t1, n_x + 1)[1:]
+    gs = _gap_values(xs, t1, t2, v1, v2, h)
+    if not np.all(np.isfinite(gs)):
+        return gs, None
+    if np.all(np.abs(gs) < ScanResult.ZERO_TOL):
+        return gs, float(xs[len(xs) // 2])
+    pos = gs > ScanResult.ZERO_TOL
+    neg = gs < -ScanResult.ZERO_TOL
+    flips = np.nonzero(pos[:-1] & neg[1:] | neg[:-1] & pos[1:])[0]
+    if not flips.size:
+        return gs, None
+    k = int(flips[0])
+    return gs, bisect_root(lambda x: collision_gap(x, t1, t2, v1, v2, h),
+                           float(xs[k]), float(xs[k + 1])).mid
+
+
+def collision_candidates(h, pairs, v1: float, v2: float, n_x: int):
+    """Yield deformations (x, t1, t2) at which the collision gap vanishes.
+
+    First the in-pair zeros, one per endpoint pair that shows one, in the
+    order of ``pairs``.  Then one zero of the full-deformation gap
+    U(t1, t2) = G(t2-t1, t1, t2) across pairs: among the pairs whose gap
+    kept one sign, U is bisected along the straight path from the first
+    pair with U > 0 to the first with U < 0, which settles the case where
+    every single pair keeps one sign.  The caller validates each candidate
+    and stops at the first that serves.
+    """
+    one_signed: list[tuple[float, float, float]] = []
+    for t1, t2 in pairs:
+        gs, x0 = _in_pair_zero(h, t1, t2, v1, v2, n_x)
+        if x0 is not None:
+            yield x0, t1, t2
+        elif np.all(np.isfinite(gs)) and not (
+            np.any(gs > ScanResult.ZERO_TOL) and np.any(gs < -ScanResult.ZERO_TOL)
+        ):
+            one_signed.append((t1, t2, float(gs[-1])))
+    start = next((p for p in one_signed if p[2] > ScanResult.ZERO_TOL), None)
+    end = next((p for p in one_signed if p[2] < -ScanResult.ZERO_TOL), None)
+    if start is None or end is None:
+        return
+    (a1, a2, _), (b1, b2, _) = start, end
+
+    def along(lmb: float) -> tuple[float, float, float]:
+        t1 = (1.0 - lmb) * a1 + lmb * b1
+        t2 = (1.0 - lmb) * a2 + lmb * b2
+        if t2 <= t1:
+            return t1, t2, math.nan
+        return t1, t2, collision_gap(t2 - t1, t1, t2, v1, v2, h)
+
+    t1, t2, u = along(bisect_root(lambda lmb: along(lmb)[2], 0.0, 1.0).mid)
+    if math.isfinite(u) and t2 > t1:
+        yield t2 - t1, t1, t2
 
 
 def collision_scan(h, domain: tuple[float, float], v1: float, v2: float,
@@ -616,56 +712,37 @@ def collision_scan(h, domain: tuple[float, float], v1: float, v2: float,
     """Grid search for zeros of the collision gap over endpoint pairs in
     ``domain`` and deformations x in (0, t2-t1].
 
-    CLEAR requires |gap| >= 1e-9 with one constant sign across all samples;
-    COLLISION is reported on a sign change (refined by bisection) or when the
-    gap sits below 1e-12 with a corroborating pattern (flanking opposite
-    signs, or an entire flat line as with an affine h at equal weights).
+    CLEAR requires |gap| >= 1e-9 with one constant sign across all samples.
+    COLLISION is reported on a strict sign change between adjacent samples
+    (refined by bisection) or when the gap of one pair sits entirely below
+    1e-12, as with an affine h at equal weights.  Anything else, including
+    a sign change through grazing samples, is INCONCLUSIVE.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     ts = _domain_samples(domain, resolution)
-    n_x = min(64, max(16, resolution))
+    n_x = min(64, resolution)
     signs_seen: set[int] = set()
     min_abs = math.inf
     suspicious = False
-    for i in range(len(ts) - 1):
-        for j in range(i + 1, len(ts)):
-            t1, t2 = float(ts[i]), float(ts[j])
-            xs = np.linspace(0.0, t2 - t1, n_x + 1)[1:]
-            gs = _gap_values(xs, t1, t2, v1, v2, h)
-            if not np.all(np.isfinite(gs)):
-                suspicious = True
-                continue
-            tiny = np.abs(gs) < ScanResult.ZERO_TOL
-            if np.all(tiny):
-                x_mid = float(xs[len(xs) // 2])
-                return ScanResult(ScanOutcome.COLLISION, (x_mid, t1, t2), 0)
-            pos = gs > ScanResult.ZERO_TOL
-            neg = gs < -ScanResult.ZERO_TOL
-            if np.any(pos) and np.any(neg):
-                k = int(np.argmax(pos[:-1] != pos[1:]))
-                xa, xb = float(xs[k]), float(xs[k + 1])
-                ga, gb = float(gs[k]), float(gs[k + 1])
-                if (ga > 0) == (gb > 0):
-                    # the flip happens further along; locate it directly
-                    flip = np.nonzero(pos[:-1] & neg[1:] | neg[:-1] & pos[1:])[0]
-                    if flip.size:
-                        k = int(flip[0])
-                        xa, xb = float(xs[k]), float(xs[k + 1])
-                        ga, gb = float(gs[k]), float(gs[k + 1])
-                x0 = _bisect_gap_zero(h, v1, v2, t1, t2, xa, xb, ga, gb)
-                return ScanResult(ScanOutcome.COLLISION, (x0, t1, t2), 0)
-            if np.any(tiny):
-                # isolated grazing values: cannot certify either way
-                suspicious = True
-            if np.any(pos):
-                signs_seen.add(1)
-            elif np.any(neg):
-                signs_seen.add(-1)
-            min_abs = min(min_abs, float(np.min(np.abs(gs))))
+    for t1, t2 in combinations(map(float, ts), 2):
+        gs, x0 = _in_pair_zero(h, t1, t2, v1, v2, n_x)
+        if x0 is not None:
+            return ScanResult(ScanOutcome.COLLISION, (x0, t1, t2), 0)
+        if not np.all(np.isfinite(gs)):
+            suspicious = True
+            continue
+        if np.any(np.abs(gs) < ScanResult.ZERO_TOL):
+            # isolated grazing values: cannot certify either way
+            suspicious = True
+        if np.any(gs > ScanResult.ZERO_TOL):
+            signs_seen.add(1)
+        elif np.any(gs < -ScanResult.ZERO_TOL):
+            signs_seen.add(-1)
+        min_abs = min(min_abs, float(np.min(np.abs(gs))))
     if len(signs_seen) == 2:
         # opposite signs on different endpoint pairs: a zero exists along a
-        # continuous path between them (located by the caller if needed)
+        # continuous path between them (located by find_collision)
         return ScanResult(ScanOutcome.INCONCLUSIVE)
     if not suspicious and min_abs >= ScanResult.CLEAR_TOL and len(signs_seen) == 1:
         return ScanResult(ScanOutcome.CLEAR, sign=signs_seen.pop())
@@ -676,49 +753,10 @@ def find_collision(h, domain: tuple[float, float], v1: float, v2: float,
                    resolution: int = 48) -> tuple[float, float, float] | None:
     """Locate (x, t1, t2) with a near-zero collision gap, or None.
 
-    Unlike :func:`collision_scan` this also chases sign changes *across*
-    endpoint pairs by bisecting along the straight path connecting them,
-    which settles the case where every single pair keeps one sign.
+    The first candidate of :func:`collision_candidates` over all pairs of
+    ``resolution`` domain samples; unlike :func:`collision_scan` this also
+    finds zeros that lie across endpoint pairs.
     """
-    res = collision_scan(h, domain, v1, v2, max(16, resolution))
-    if res.outcome is ScanOutcome.COLLISION:
-        return res.location
-
-    # Full-deformation gap U(t1,t2) = gap(t2-t1, t1, t2); a sign change of U
-    # between two endpoint pairs yields a zero along the connecting path.
-    ts = _domain_samples(domain, resolution)
-    pairs = []
-    for i in range(len(ts) - 1):
-        for j in range(i + 1, len(ts)):
-            t1, t2 = float(ts[i]), float(ts[j])
-            u = collision_gap(t2 - t1, t1, t2, v1, v2, h)
-            if math.isfinite(u):
-                pairs.append((t1, t2, u))
-    pos = [p for p in pairs if p[2] > ScanResult.ZERO_TOL]
-    neg = [p for p in pairs if p[2] < -ScanResult.ZERO_TOL]
-    if not pos or not neg:
-        return None
-    (a1, a2, ua) = pos[0]
-    (b1, b2, ub) = neg[0]
-
-    def u_along(lmb: float) -> tuple[float, float, float]:
-        t1 = (1.0 - lmb) * a1 + lmb * b1
-        t2 = (1.0 - lmb) * a2 + lmb * b2
-        if t2 - t1 <= 0:
-            return t1, t2, math.nan
-        return t1, t2, collision_gap(t2 - t1, t1, t2, v1, v2, h)
-
-    la, lb = 0.0, 1.0
-    for _ in range(200):
-        lm = 0.5 * (la + lb)
-        t1, t2, um = u_along(lm)
-        if not math.isfinite(um) or um == 0.0:
-            break
-        if (um > 0) == (ua > 0):
-            la = lm
-        else:
-            lb = lm
-    t1, t2, um = u_along(0.5 * (la + lb))
-    if math.isfinite(um) and t2 > t1:
-        return (t2 - t1, t1, t2)
-    return None
+    n = max(16, resolution)
+    pairs = combinations(map(float, _domain_samples(domain, n)), 2)
+    return next(collision_candidates(h, pairs, v1, v2, min(64, n)), None)

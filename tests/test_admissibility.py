@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from intervalorders import (
     Interval,
     Outcome,
     admissible_for_all_weight_orders,
+    build_battery,
     check_pair,
     exponential,
     exponential_mean,
@@ -272,6 +274,39 @@ class TestCheckPair:
         assert d["outcome"] == "not_admissible"
         assert d["witness"] is not None
         assert set(d["witness"]) == {"u", "x", "residual_a", "residual_b"}
+
+
+@pytest.fixture(scope="module")
+def battery_verdicts():
+    return [
+        (check_pair(case.a, case.b, use_oracle=False), check_pair(case.b, case.a, use_oracle=False))
+        for case in build_battery()
+    ]
+
+
+class TestBatteryRules:
+    """Which rule decides each battery case, collision searches included."""
+
+    RULES = {
+        "weight-order-shape": 58,
+        "conjunctive-saturation": 40,
+        "equal-weights-shape": 36,
+        "equal-weights-collision": 30,
+        "projection-pair": 6,
+        "nilpotent-collision": 6,
+        "pair-mean-shape": 6,
+        "strict-archimedean-shape": 2,
+        "disjunctive-saturation": 2,
+        "pair-mean-collision": 2,
+    }
+
+    def test_rule_histogram(self, battery_verdicts):
+        rules = Counter(v.rule for pair in battery_verdicts for v in pair)
+        assert rules == self.RULES
+
+    def test_both_orientations_name_the_same_rule(self, battery_verdicts):
+        for ab, ba in battery_verdicts:
+            assert ab.rule == ba.rule
 
 
 class TestOracle:

@@ -27,6 +27,7 @@ from intervalorders import (
     registry_composite_shape,
     validate_generator,
 )
+from intervalorders.generators import bisect_root
 
 ALL_BUILTINS = [
     power(2.0), power(0.5), power(-1.0), exponential(1.0), exponential(-1.0),
@@ -332,6 +333,35 @@ class TestCollisionScan:
         assert loc is not None
         x0, t1, t2 = loc
         assert abs(collision_gap(x0, t1, t2, 0.45, 0.5, math.sqrt)) < 1e-10
+
+
+class TestBisectRoot:
+    def test_exact_zero_ends_at_once(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x - 0.5
+
+        assert bisect_root(fn, 0.0, 1.0) == (0.5, 0.5)
+        assert calls == [0.0, 0.5]
+
+    def test_decreasing_function_to_a_target(self):
+        root = math.sqrt(0.5)
+        br = bisect_root(lambda x: 1.0 - x * x, 0.0, 1.0, target=0.5)
+        assert br.lo <= root <= br.hi
+        assert np.nextafter(br.lo, 1.0) == br.hi
+        assert br.mid in (br.lo, br.hi)
+
+    def test_lower_end_keeps_the_side_of_the_start(self):
+        for start in (-1.0, 1.0):
+            br = bisect_root(lambda t, s=start: s if t < 0.3 else -s, 0.0, 1.0)
+            assert br.lo < 0.3 <= br.hi
+            assert np.nextafter(br.lo, 1.0) == br.hi
+
+    def test_non_finite_value_ends_at_once(self):
+        br = bisect_root(lambda x: -1.0 if x < 0.5 else math.nan, 0.0, 1.0)
+        assert br == (0.5, 0.5)
 
 
 class TestScanShapeDispatch:

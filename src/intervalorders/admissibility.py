@@ -16,9 +16,12 @@ The decision engine layers three kinds of evidence, strongest first:
     closed-form registry.  Failed shape criteria are converted back into
     witnesses by locating a zero of the collision gap.
 3.  The oracle.  A quantized exhaustive scan over a triangular grid of
-    intervals, with bisection refinement along level curves.  A confirmed
-    witness proves non-admissibility outright; an empty scan is evidence,
-    not proof, and is labelled as such.
+    intervals.  Candidate pairs come from sorted (A, B) value buckets and
+    are refined along A's level curves, which every builtin family gives in
+    closed form through its generator's inverse (``solve_hi`` on the
+    descriptor; bisection is the fallback).  A confirmed witness proves
+    non-admissibility outright; an empty scan is evidence, not proof, and
+    is labelled as such.
 
 Verdicts from (A, B) and (B, A) always agree in outcome because the defining
 condition is symmetric in the two components.
@@ -27,7 +30,6 @@ condition is symmetric in the two components.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -513,7 +515,7 @@ def check_pair(a: AggregationFunction, b: AggregationFunction, *,
     if v is not None:
         return v
     if use_oracle:
-        found = oracle_search(a, b, resolution=resolution, tol=tol)
+        found = oracle_search(a, b, resolution=resolution)
         if found is not None:
             u, x = found
             w = make_witness(a, b, u, x, tol=tol)
@@ -531,42 +533,10 @@ def check_pair(a: AggregationFunction, b: AggregationFunction, *,
 # ---------------------------------------------------------------------------
 
 
-def _grid_values(af: AggregationFunction, lo: np.ndarray, hi: np.ndarray,
-                 threads: int) -> np.ndarray:
-    if threads <= 1 or lo.size < 4096:
-        return af.values(lo, hi)
-    chunks = np.array_split(np.arange(lo.size), threads)
-    out = np.empty(lo.size)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [(idx, pool.submit(af.values, lo[idx], hi[idx])) for idx in chunks]
-        for idx, fut in futs:
-            out[idx] = fut.result()
-    return out
-
-
-def _solve_second_endpoint(a: AggregationFunction, x1: float, target: float,
-                           iters: int = 60) -> float | None:
-    """Bisect x2 in [x1, 1] with A([x1, x2]) = target; None if not bracketed."""
-    lo_val = a(Interval(x1, x1))
-    hi_val = a(Interval(x1, 1.0))
-    if not (min(lo_val, hi_val) - 1e-13 <= target <= max(lo_val, hi_val) + 1e-13):
-        return None
-    increasing = hi_val >= lo_val
-    lo_x, hi_x = x1, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo_x + hi_x)
-        v = a(Interval(x1, mid))
-        if (v < target) == increasing:
-            lo_x = mid
-        else:
-            hi_x = mid
-    return 0.5 * (lo_x + hi_x)
-
-
-def _solve_second_endpoint_vec(a: AggregationFunction, x1s: np.ndarray,
-                               target: float, iters: int = 60
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized x2 solve of A([x1, x2]) = target; returns (x2s, bracketed)."""
+def _bisect_hi(a: AggregationFunction, x1s: np.ndarray, target: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Vector bisection of A([x1, x2]) = target over x2 in [x1, 1]; returns
+    (x2s, bracketed).  The fallback of :func:`_level_hi` and its reference."""
     lo_val = a.values(x1s, x1s)
     hi_val = a.values(x1s, np.ones_like(x1s))
     lo_b = np.minimum(lo_val, hi_val) - 1e-13
@@ -575,7 +545,7 @@ def _solve_second_endpoint_vec(a: AggregationFunction, x1s: np.ndarray,
     increasing = hi_val >= lo_val
     lo_x = x1s.copy()
     hi_x = np.ones_like(x1s)
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo_x + hi_x)
         v = a.values(x1s, mid)
         go_up = (v < target) == increasing
@@ -584,50 +554,65 @@ def _solve_second_endpoint_vec(a: AggregationFunction, x1s: np.ndarray,
     return 0.5 * (lo_x + hi_x), ok
 
 
-def _refine_candidate(a: AggregationFunction, b: AggregationFunction,
-                      u: Interval, x: Interval, window: float) -> Interval | None:
-    """Bisection refinement along the A-level curve through x.
+def _level_hi(a: AggregationFunction, x1s: np.ndarray, target: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The A-level curve A([x1, x2]) = target; returns (x2s, bracketed).
 
-    The level curve A([x1, x2]) = A(u) is traced over a dense local window of
-    x1 values (vectorized bisection in x2); sign changes of the B-residual
-    along the curve locate potential simultaneous collisions.  Brackets whose
-    root would land within the distinctness floor of u (the trivial solution
-    x = u) are discarded cheaply; surviving roots are polished by scalar
-    bisection and confirmed to ~1e-10 in both residuals.
+    x2 is the descriptor's closed-form ``solve_hi`` clipped to [x1, 1], and
+    x1 itself where A([x1, x1]) >= target: on a flat level set that is the
+    lowest solution, the one :func:`_bisect_hi` converges to.  Bracketed
+    rows whose closed form is not finite, and every row of a descriptor
+    without ``solve_hi``, are bisected instead.  x2 means nothing on rows
+    that are not bracketed.
     """
-    target_a = a(u)
-    target_b = b(u)
+    lo_val = a.values(x1s, x1s)
+    hi_val = a.values(x1s, np.ones_like(x1s))
+    ok = ((np.minimum(lo_val, hi_val) - 1e-13 <= target)
+          & (target <= np.maximum(lo_val, hi_val) + 1e-13))
+    solve = getattr(a.descriptor, "solve_hi", None)
+    x2s = np.full_like(x1s, np.nan) if solve is None else solve(x1s, target)
+    x2s = np.where(lo_val >= target, x1s, np.clip(x2s, x1s, 1.0))
+    redo = ok & np.isnan(x2s)
+    if redo.any():
+        x2s[redo] = _bisect_hi(a, x1s[redo], target)[0]
+    return x2s, ok
 
+
+def _refine_candidate(a: AggregationFunction, b: AggregationFunction,
+                      u: Interval, x: Interval, window: float,
+                      target_a: float, target_b: float) -> Interval | None:
+    """Refinement along the A-level curve through u, whose values A(u) and
+    B(u) are ``target_a`` and ``target_b``.
+
+    The level curve A([x1, x2]) = A(u) is taken in closed form
+    (:func:`_level_hi`) at 201 x1 values in a window around x.lo; sign
+    changes of the B-residual along the curve locate potential simultaneous
+    collisions.  Brackets whose root would land within the distinctness
+    floor of u (the trivial solution x = u) are discarded cheaply; each
+    surviving root is polished by :func:`bisect_root` on the B-residual
+    along the curve and confirmed to ~1e-10 in both residuals.
+    """
     lo_w = max(0.0, x.lo - window)
     hi_w = min(1.0, x.lo + window)
     x1s = np.linspace(lo_w, hi_w, 201)
-    x2s, ok = _solve_second_endpoint_vec(a, x1s, target_a)
-    valid = ok & (x2s >= x1s - 1e-12)
-    if not np.any(valid):
+    x2s, ok = _level_hi(a, x1s, target_a)
+    if not np.any(ok):
         return None
-    x1s, x2s = x1s[valid], np.maximum(x2s[valid], x1s[valid])
+    x1s, x2s = x1s[ok], x2s[ok]
     res = b.values(x1s, x2s) - target_b
 
-    def polish(x1a: float, x1b: float, ra: float) -> Interval | None:
-        lo_x, hi_x = x1a, x1b
-        for _ in range(60):
-            mid = 0.5 * (lo_x + hi_x)
-            x2m = _solve_second_endpoint(a, mid, target_a)
-            if x2m is None:
-                return None
-            rm = b(Interval(mid, x2m)) - target_b
-            if rm == 0.0:
-                lo_x = hi_x = mid
-                break
-            if (rm > 0) == (ra > 0):
-                lo_x = mid
-            else:
-                hi_x = mid
-        x1r = 0.5 * (lo_x + hi_x)
-        x2r = _solve_second_endpoint(a, x1r, target_a)
-        if x2r is None:
+    def on_curve(x1: float) -> Interval | None:
+        x2, ok1 = _level_hi(a, np.array([x1]), target_a)
+        return Interval(x1, float(x2[0])) if ok1[0] else None
+
+    def residual(x1: float) -> float:
+        cand = on_curve(x1)
+        return math.nan if cand is None else b(cand) - target_b
+
+    def polish(x1a: float, x1b: float) -> Interval | None:
+        cand = on_curve(bisect_root(residual, x1a, x1b).mid)
+        if cand is None:
             return None
-        cand = Interval(x1r, max(x1r, x2r))
         gap = max(abs(cand.lo - u.lo), abs(cand.hi - u.hi))
         if gap < WITNESS_GAP:
             return None
@@ -644,7 +629,7 @@ def _refine_candidate(a: AggregationFunction, b: AggregationFunction,
         gap_est = max(abs(root_est - u.lo), abs(x2_est - u.hi))
         if gap_est < 0.5 * WITNESS_GAP:
             continue
-        cand = polish(x1a, x1b, float(res[k]))
+        cand = polish(x1a, x1b)
         if cand is not None:
             return cand
     # exact-on-grid roots
@@ -657,67 +642,79 @@ def _refine_candidate(a: AggregationFunction, b: AggregationFunction,
     return None
 
 
+_NEIGHBOURS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _candidate_pairs(va: np.ndarray, vb: np.ndarray, quantum: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (m, n), m < n, of grid intervals whose (A, B) values fall
+    in the same or adjacent ``quantum`` buckets and differ by at most 1.5
+    quanta in both, ordered by (m, n).
+
+    Buckets are keyed by one int64 per interval and found by sorting; each
+    interval is paired with the members after it in its own bucket and with
+    all members of the canonical half (``_NEIGHBOURS``) of its
+    8-neighbourhood, so every pair at key distance at most one per
+    coordinate comes out exactly once.
+    """
+    ka = np.floor(va / quantum).astype(np.int64)
+    kb = np.floor(vb / quantum).astype(np.int64)
+    kb -= kb.min()
+    row = int(kb.max()) + 2  # the empty last column keeps offsets of -1..1 in their row
+    key = ka * row + kb
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    pos = np.arange(skey.size)
+    bounds = [(pos + 1, np.searchsorted(skey, skey, "right"))]
+    for di, dj in _NEIGHBOURS:
+        nb = skey + di * row + dj
+        bounds.append((np.searchsorted(skey, nb, "left"), np.searchsorted(skey, nb, "right")))
+    ms, ns = [], []
+    limit = quantum * 1.5
+    for first, last in bounds:
+        count = last - first
+        rows = np.repeat(pos, count)
+        cols = np.repeat(first - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
+        m, n = order[rows], order[cols]
+        keep = ~((np.abs(va[m] - va[n]) > limit) | (np.abs(vb[m] - vb[n]) > limit))
+        ms.append(np.minimum(m[keep], n[keep]))
+        ns.append(np.maximum(m[keep], n[keep]))
+    m, n = np.concatenate(ms), np.concatenate(ns)
+    idx = np.lexsort((n, m))
+    return m[idx], n[idx]
+
+
 def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
-                  resolution: int = 200, tol: float = WITNESS_TOL,
-                  quantum: float = ORACLE_QUANTUM,
+                  resolution: int = 200, quantum: float = ORACLE_QUANTUM,
                   threads: int = 1) -> tuple[Interval, Interval] | None:
     """Exhaustive quantized scan for a simultaneous collision of A and B.
 
     All grid intervals are bucketed by their (A, B) values rounded to
-    ``quantum``; colliding (and adjacent) buckets produce candidate pairs,
-    which are confirmed by bisection refinement along the A-level curve to
-    ~1e-10 before being accepted.  Returns the lexicographically smallest
-    confirmed pair, or None.  An empty result is evidence at this
-    resolution, not a proof of admissibility.
+    ``quantum``; pairs in the same or adjacent buckets whose values differ
+    by at most 1.5 quanta are candidates.  Each is confirmed by refinement
+    along the closed-form A-level curve to ~1e-10 before being accepted.
+    Returns the lexicographically smallest confirmed pair, or None.  An
+    empty result is evidence at this resolution, not a proof of
+    admissibility.  ``threads`` is accepted and ignored: the grid is
+    evaluated in two vector calls.
     """
     if resolution < 50:
         raise ValueError("oracle resolution must be at least 50")
     lo, hi = interval_grid(resolution)
-    va = _grid_values(a, lo, hi, threads)
-    vb = _grid_values(b, lo, hi, threads)
-    ka = np.floor(va / quantum).astype(np.int64)
-    kb = np.floor(vb / quantum).astype(np.int64)
-
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx in range(lo.size):
-        buckets.setdefault((int(ka[idx]), int(kb[idx])), []).append(idx)
-
-    # canonical half of the 8-neighborhood: every pair with key distance at
-    # most one in each coordinate is generated exactly once
-    candidates: list[tuple[int, int]] = []
-    for (i, j), members in buckets.items():
-        candidates.extend(
-            (m, n) for ki, m in enumerate(members) for n in members[ki + 1:]
-        )
-        for off_i, off_j in ((0, 1), (1, -1), (1, 0), (1, 1)):
-            other = buckets.get((i + off_i, j + off_j))
-            if other is not None:
-                candidates.extend((m, n) for m in members for n in other)
-
-    def lex_key(pair: tuple[int, int]) -> tuple:
-        m, n = pair
-        um = (lo[m], hi[m])
-        xn = (lo[n], hi[n])
-        if xn < um:
-            um, xn = xn, um
-        return um + xn
-
-    candidates.sort(key=lex_key)
+    va = a.values(lo, hi)
+    vb = b.values(lo, hi)
     window = 2.5 / resolution
-
-    for m, n in candidates:
+    # interval_grid is in lexicographic order of (lo, hi), so the index
+    # order of the candidates is the lexicographic order of (u, x)
+    ms, ns = _candidate_pairs(va, vb, quantum)
+    for m, n in zip(ms.tolist(), ns.tolist()):
         u = Interval(float(lo[m]), float(hi[m]))
         x = Interval(float(lo[n]), float(hi[n]))
-        if (u.lo, u.hi) > (x.lo, x.hi):
-            u, x = x, u
         gap = max(abs(u.lo - x.lo), abs(u.hi - x.hi))
-        ra = abs(va[m] - va[n])
-        rb = abs(vb[m] - vb[n])
-        if ra > quantum * 1.5 or rb > quantum * 1.5:
-            continue
-        if gap >= WITNESS_GAP and ra <= ORACLE_CONFIRM and rb <= ORACLE_CONFIRM:
+        if (gap >= WITNESS_GAP and abs(va[m] - va[n]) <= ORACLE_CONFIRM
+                and abs(vb[m] - vb[n]) <= ORACLE_CONFIRM):
             return u, x
-        refined = _refine_candidate(a, b, u, x, window)
+        refined = _refine_candidate(a, b, u, x, window, float(va[m]), float(vb[m]))
         if refined is not None:
             return u, refined
     return None

@@ -36,20 +36,54 @@ class AggregationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _inv_finite(gen: Generator, y) -> np.ndarray:
+    """gen^{-1}(y), NaN where y is not finite."""
+    with np.errstate(all="ignore"):
+        y = np.asarray(y, dtype=float)
+        return np.where(np.isfinite(y), np.asarray(gen.inv(y), dtype=float), np.nan)
+
+
+def _additive_hi(gen: Generator, lo, target: float) -> np.ndarray:
+    """x2 with gen(lo) + gen(x2) = gen(target): a t-norm or t-conorm level
+    curve below the generator's cap."""
+    with np.errstate(all="ignore"):
+        return _inv_finite(gen, gen.fn(target) - gen.fn(lo))
+
+
+# Each family's ``solve_hi(lo, target)`` is the closed-form level curve: the
+# x2 with A([lo, x2]) = target, NaN where the formula leaves the generator's
+# finite range.  It is not clipped to [lo, 1]; the oracle does that.
+
+
 @dataclass(frozen=True)
 class QuasiLinear:
     generator: Generator
     weight: float
+
+    def solve_hi(self, lo, target: float) -> np.ndarray:
+        f, w = self.generator, self.weight
+        with np.errstate(all="ignore"):
+            return _inv_finite(f, (f.fn(target) - (1.0 - w) * f.fn(lo)) / w)
 
 
 @dataclass(frozen=True)
 class KProjection:
     w: float
 
+    def solve_hi(self, lo, target: float) -> np.ndarray:
+        lo = np.asarray(lo, dtype=float)
+        if self.w == 0.0:
+            return np.full_like(lo, np.nan)  # A([lo, x2]) = lo for every x2
+        return (target - (1.0 - self.w) * lo) / self.w
+
 
 @dataclass(frozen=True)
 class SchurPair:
     f: Generator
+
+    def solve_hi(self, lo, target: float) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return _inv_finite(self.f, 2.0 * target - self.f.fn(lo))
 
 
 @dataclass(frozen=True)
@@ -60,6 +94,9 @@ class TNorm:
     def is_strict(self) -> bool:
         return math.isinf(self.generator.at_zero)
 
+    def solve_hi(self, lo, target: float) -> np.ndarray:
+        return _additive_hi(self.generator, lo, target)
+
 
 @dataclass(frozen=True)
 class TConorm:
@@ -68,6 +105,9 @@ class TConorm:
     @property
     def is_strict(self) -> bool:
         return math.isinf(self.generator.at_one)
+
+    def solve_hi(self, lo, target: float) -> np.ndarray:
+        return _additive_hi(self.generator, lo, target)
 
 
 class AggregationFunction:

@@ -2,9 +2,10 @@
 
 Subcommands: check-pair, rank, find-counterexample, coincide, battery.
 Configuration is a single JSON document (--config); --resolution, --tol
-and --threads override config values.  Exit codes: 0 success, 1
-configuration error, 2 input/output error.  Identical config and input give
-byte-identical output regardless of thread count.
+and --threads override config values.  --tol is the residual tolerance of
+the final witness check; --threads is accepted and has no effect.  Exit
+codes: 0 success, 1 configuration error, 2 input/output error.  Identical
+config and input give byte-identical output regardless of thread count.
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ def _cmd_rank(rc: RunConfig) -> int:
 
 def _cmd_find_counterexample(rc: RunConfig) -> int:
     a, b = _pair_from_config(rc.config)
-    found = oracle_search(a, b, resolution=max(50, rc.resolution), tol=rc.tol,
-                          threads=rc.threads)
+    found = oracle_search(a, b, resolution=max(50, rc.resolution))
     if found is None:
         payload = {"witness": None,
                    "note": f"none at resolution {max(50, rc.resolution)}"}
@@ -152,9 +152,7 @@ def _cmd_battery(rc: RunConfig) -> int:
     if rc.cross_check:
         lines = [table, "", "oracle cross-check:"]
         for row in rows:
-            found = oracle_search(row.case.a, row.case.b,
-                                  resolution=max(50, rc.resolution), tol=rc.tol,
-                                  threads=rc.threads)
+            found = oracle_search(row.case.a, row.case.b, resolution=max(50, rc.resolution))
             status = "collision" if found is not None else "none"
             lines.append(f"  {row.case.label}: {status}")
         table = "\n".join(lines)

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intervalorders import (
     Interval,
@@ -20,6 +21,7 @@ from intervalorders import (
     logarithm,
     logit,
     logit_mean,
+    make_witness,
     negated_log,
     negated_log_complement,
     nilpotent_witness,
@@ -37,6 +39,8 @@ from intervalorders import (
     tconorm,
     tnorm,
 )
+from intervalorders.admissibility import _candidate_pairs
+from intervalorders.intervals import interval_grid
 
 
 def assert_valid_witness(verdict, a, b, tol=1e-9):
@@ -309,6 +313,53 @@ class TestBatteryRules:
             assert ab.rule == ba.rule
 
 
+def _reference_candidate_pairs(lo, hi, va, vb, quantum):
+    """The oracle's candidate pairs built with dicts of lists, sorted by the
+    lexicographic key of the oriented pair."""
+    ka = np.floor(va / quantum).astype(np.int64)
+    kb = np.floor(vb / quantum).astype(np.int64)
+    buckets: dict = {}
+    for idx in range(lo.size):
+        buckets.setdefault((int(ka[idx]), int(kb[idx])), []).append(idx)
+    pairs = []
+    for (i, j), members in buckets.items():
+        pairs.extend((m, n) for k, m in enumerate(members) for n in members[k + 1:])
+        for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
+            pairs.extend((m, n) for m in members for n in buckets.get((i + di, j + dj), []))
+    pairs = [(m, n) for m, n in pairs
+             if not (abs(va[m] - va[n]) > quantum * 1.5 or abs(vb[m] - vb[n]) > quantum * 1.5)]
+    oriented = [(m, n) if (lo[m], hi[m]) < (lo[n], hi[n]) else (n, m) for m, n in pairs]
+    return sorted(oriented, key=lambda p: (lo[p[0]], hi[p[0]], lo[p[1]], hi[p[1]]))
+
+
+class TestCandidatePairs:
+    @pytest.mark.parametrize("a, b", [
+        (geometric_mean(0.5), geometric_mean(0.5)),
+        (logit_mean(0.5), exponential_mean(1.0, 0.5)),
+        (tnorm(one_minus()), tconorm(negated_log_complement())),
+        (k_mean(0.3), k_mean(0.7)),
+    ], ids=lambda af: af.name)
+    def test_matches_dict_bucketing_on_the_grid(self, a, b):
+        lo, hi = interval_grid(60)
+        va, vb = a.values(lo, hi), b.values(lo, hi)
+        for quantum in (1e-4, 1e-2):
+            m, n = _candidate_pairs(va, vb, quantum)
+            assert list(zip(m.tolist(), n.tolist())) == \
+                _reference_candidate_pairs(lo, hi, va, vb, quantum)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_dict_bucketing_on_crowded_buckets(self, seed):
+        # values on a coarse lattice put many intervals in few buckets
+        rng = np.random.default_rng(seed)
+        lo, hi = interval_grid(12)
+        va = rng.integers(0, 6, lo.size) * 0.7e-4
+        vb = rng.integers(0, 6, lo.size) * 0.9e-4
+        m, n = _candidate_pairs(va, vb, 1e-4)
+        assert list(zip(m.tolist(), n.tolist())) == \
+            _reference_candidate_pairs(lo, hi, va, vb, 1e-4)
+
+
 class TestOracle:
     def test_distinct_projections_have_no_collision(self):
         assert oracle_search(k_mean(0.3), k_mean(0.7), resolution=200) is None
@@ -338,6 +389,21 @@ class TestOracle:
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):
             oracle_search(k_mean(0.3), k_mean(0.7), resolution=40)
+
+    def test_flat_level_set_gives_the_lexicographically_smallest_pair(self):
+        # T = Lukasiewicz is 0 on a whole region; refining there along the
+        # top of that flat level set would return [0, 0.19] vs [0.1, 0.1]
+        a, b = tnorm(one_minus()), tconorm(negated_log_complement())
+        u, x = oracle_search(a, b, resolution=100)
+        assert u == Interval(0.0, 0.02)
+        assert make_witness(a, b, u, x) is not None
+
+    def test_battery_at_resolution_100(self):
+        for case in build_battery():
+            found = oracle_search(case.a, case.b, resolution=100)
+            assert (found is None) == (case.expected is Outcome.ADMISSIBLE), case.label
+            if found is not None:
+                assert make_witness(case.a, case.b, *found) is not None, case.label
 
     def test_threads_do_not_change_result(self):
         a, b = geometric_mean(0.5), geometric_mean(0.5)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from intervalorders import (
     AggregationError,
+    AggregationFunction,
     Interval,
     aggregator_from_config,
     exponential,
@@ -14,6 +15,7 @@ from intervalorders import (
     identity,
     k_mean,
     logarithm,
+    logit,
     logit_mean,
     negated_log,
     negated_log_complement,
@@ -27,6 +29,7 @@ from intervalorders import (
     tnorm,
     tnorm_eval,
 )
+from intervalorders.admissibility import _bisect_hi, _level_hi
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 weight = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
@@ -258,3 +261,118 @@ class TestConfig:
             aggregator_from_config({"family": "quasi_linear", "weight": 0.5})
         with pytest.raises(AggregationError):
             aggregator_from_config({"family": "k"})
+
+
+# ---------------------------------------------------------------------------
+# Closed-form level curves against the bisection they replace
+# ---------------------------------------------------------------------------
+
+GENERATORS = [power(2.0), power(0.5), power(3.0), power(-1.0), power(-0.5),
+              exponential(1.5), exponential(-2.0), logarithm(), logit(), negated_log(),
+              negated_log_complement(), one_minus(), identity()]
+TNORM_GENERATORS = [negated_log(), one_minus()]
+TCONORM_GENERATORS = [identity(), negated_log_complement(), power(2.0), power(0.5)]
+SCHUR_GENERATORS = [identity(), power(2.0), power(0.5), power(3.0)]
+
+aggregators = st.one_of(
+    st.builds(quasi_linear_mean, st.sampled_from(GENERATORS),
+              st.floats(min_value=1e-3, max_value=1.0 - 1e-3)),
+    st.builds(k_mean, st.one_of(st.sampled_from([0.0, 1e-3, 0.999, 1.0]),
+                                st.floats(min_value=1e-3, max_value=1.0 - 1e-3))),
+    st.sampled_from([schur_pair_mean(f) for f in SCHUR_GENERATORS]),
+    st.sampled_from([tnorm(t) for t in TNORM_GENERATORS]),
+    st.sampled_from([tconorm(s) for s in TCONORM_GENERATORS]),
+)
+# the oracle's x1 values: 0 and grid windows no finer than about 1e-5
+first_endpoint = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+
+
+def _round_off_width(af, x1: float, x2: float, target: float) -> float:
+    """The x2-width over which A([x1, x2]) moves by 8 ulps of the target,
+    from the slope over 1e-4 around x2; 0 where A is flat there."""
+    lo, hi = max(x1, x2 - 1e-4), min(1.0, x2 + 1e-4)
+    v = af.values([x1, x1], [lo, hi])
+    slope = (v[1] - v[0]) / (hi - lo) if hi > lo else 0.0
+    return 8.0 * float(np.spacing(max(abs(target), 1e-300))) / slope if slope > 0 else 0.0
+
+
+def assert_level_hi_matches_bisection(af, x1: float, target: float) -> float:
+    """The closed-form x2 brackets like the bisection and lands within 1e-12
+    of it, widened only where A's round-off cannot tell the two apart."""
+    x2, ok = _level_hi(af, np.array([x1]), target)
+    ref, ref_ok = _bisect_hi(af, np.array([x1]), target)
+    assert ok[0] == ref_ok[0]
+    if ok[0]:
+        assert x1 <= x2[0] <= 1.0
+        slack = 1e-12 + _round_off_width(af, x1, float(ref[0]), target)
+        assert abs(x2[0] - ref[0]) <= slack, (af.name, x1, target, x2[0], ref[0])
+    return float(x2[0])
+
+
+class TestLevelCurve:
+    @settings(max_examples=400, deadline=None)
+    @given(aggregators, first_endpoint, unit)
+    def test_on_curve_targets_match_bisection(self, af, x1, frac):
+        x2 = x1 + frac * (1.0 - x1)
+        assert_level_hi_matches_bisection(af, x1, af(Interval(x1, x2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(aggregators, first_endpoint, unit)
+    def test_free_targets_match_bisection(self, af, x1, target):
+        assert_level_hi_matches_bisection(af, x1, target)
+
+    @pytest.mark.parametrize("af", REPRESENTATIVES, ids=lambda a: a.name)
+    def test_targets_at_the_ends_of_the_bracket(self, af):
+        for x1 in (0.0, 1e-6, 0.1, 0.5, 0.9, 1.0):
+            assert_level_hi_matches_bisection(af, x1, af(Interval(x1, x1)))
+            assert_level_hi_matches_bisection(af, x1, af(Interval(x1, 1.0)))
+
+    def test_flat_lukasiewicz_level_set_gives_its_lowest_point(self):
+        # T(x1, x2) = 0 for every x2 <= 1 - x1: the lowest solution is x1
+        luk = tnorm(one_minus())
+        for x1 in (0.0, 0.01, 0.3, 0.5):
+            assert assert_level_hi_matches_bisection(luk, x1, 0.0) == x1
+
+    def test_flat_bounded_sum_level_set_gives_its_lowest_point(self):
+        # S(x1, x2) = 1 for every x2 >= 1 - x1
+        bounded = tconorm(identity())
+        for x1 in (0.0, 0.2, 0.4):
+            x2 = assert_level_hi_matches_bisection(bounded, x1, 1.0)
+            assert x2 == pytest.approx(1.0 - x1, abs=1e-15)
+        for x1 in (0.5, 0.7, 1.0):
+            assert assert_level_hi_matches_bisection(bounded, x1, 1.0) == x1
+
+    @pytest.mark.parametrize("af", [geometric_mean(0.3), logit_mean(0.6)],
+                             ids=lambda a: a.name)
+    def test_zero_first_endpoint_with_infinite_generator(self, af):
+        # f(0) = -inf: A([0, x2]) = 0 for every x2, so only target 0 is bracketed
+        assert assert_level_hi_matches_bisection(af, 0.0, 0.0) == 0.0
+        for target in (5e-14, 1e-9, 0.3, 1.0):
+            assert_level_hi_matches_bisection(af, 0.0, target)
+        assert not _level_hi(af, np.array([0.0]), 0.3)[1][0]
+
+    @pytest.mark.parametrize("w", [1e-3, 1e-2, 0.99, 0.999])
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.name)
+    def test_weights_near_zero_and_one(self, gen, w):
+        af = quasi_linear_mean(gen, w)
+        for x1 in (0.0, 0.05, 0.4, 0.8):
+            for x2 in (x1, 0.5 * (x1 + 1.0), 1.0):
+                assert_level_hi_matches_bisection(af, x1, af(Interval(x1, x2)))
+
+    def test_projection_that_ignores_the_second_endpoint(self):
+        # k_mean(0) has no closed form for x2: flat rows give x1, the
+        # bracketed rest falls back to bisection
+        k0 = k_mean(0.0)
+        assert np.isnan(k0.descriptor.solve_hi(np.array([0.3]), 0.3)[0])
+        assert assert_level_hi_matches_bisection(k0, 0.3, 0.3) == 0.3
+        assert_level_hi_matches_bisection(k0, 0.3, 0.3 + 5e-14)
+        assert not _level_hi(k0, np.array([0.3]), 0.4)[1][0]
+
+    def test_descriptor_without_closed_form_falls_back_to_bisection(self):
+        af = root_power_mean(2.0, 0.3)
+        plain = AggregationFunction("plain", object(), af._values)
+        for x1 in np.linspace(0.3, 0.6, 7):  # A([x1, x1]) <= 0.6 <= A([x1, 1])
+            assert _level_hi(plain, np.array([x1]), 0.6)[1][0]
+            x2 = assert_level_hi_matches_bisection(plain, float(x1), 0.6)
+            assert x2 == pytest.approx(assert_level_hi_matches_bisection(af, float(x1), 0.6),
+                                       abs=1e-12)

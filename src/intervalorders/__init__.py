@@ -22,7 +22,6 @@ from .admissibility import (
     rule_quasi_endpoint_exclusion,
     rule_quasi_equal_weights,
     rule_quasi_unequal_weights,
-    rule_schur_pair,
     rule_tnorm_tconorm,
 )
 from .aggregators import (

@@ -10,11 +10,16 @@ The decision engine layers three kinds of evidence, strongest first:
     [0, x] to 0, or both send [x, 1] to 1) collide immediately; a nilpotent
     Archimedean t-norm or t-conorm admits an explicit collision built from
     its additive generator.  These verdicts ship a verified witness pair.
-2.  Shape criteria.  For quasi-arithmetic means, pairwise generator means
-    and strict Archimedean t-norm/t-conorm pairs, admissibility reduces to
-    the convexity class of a generator composite, certified exactly by the
-    closed-form registry.  Failed shape criteria are converted back into
-    witnesses by locating a zero of the collision gap.
+2.  Shape criteria on one quasi view.  Off its saturated part, every
+    builtin aggregator but K_0, K_1 and the nilpotent t-norms and t-conorms
+    is a strictly increasing transform of a weighted quasi-linear mean
+    M_{f,w} (``quasi_view``): K_w = M_{id,w}, 0.5 (f(u1) + f(u2)) =
+    f(M_{f,1/2}), a strict T = t^{-1}(2 t(M_{t,1/2})) and a strict S
+    likewise.  It has the collisions of that mean, so one pair of
+    quasi-linear rules decides every pair of views, across families too:
+    by the shape class of g o f^{-1}, certified exactly by the closed-form
+    registry.  Failed shape criteria are converted back into witnesses by
+    locating a zero of the collision gap.
 3.  The oracle.  A quantized exhaustive scan over a triangular grid of
     intervals.  Candidate pairs come from sorted (A, B) value buckets and
     are refined along A's level curves, which every builtin family gives in
@@ -45,9 +50,6 @@ from .aggregators import (
     TNorm,
     k_mean,
     quasi_linear_mean,
-    schur_pair_mean,
-    tconorm,
-    tnorm,
 )
 from .generators import (
     Convexity,
@@ -56,7 +58,6 @@ from .generators import (
     bisect_root,
     collision_candidates,
     composite,
-    identity,
 )
 from .intervals import Interval, interval_grid
 
@@ -129,33 +130,21 @@ def make_witness(a: AggregationFunction, b: AggregationFunction,
 # ---------------------------------------------------------------------------
 
 
+def quasi_view(af: AggregationFunction) -> tuple[Generator, float] | None:
+    """The (f, w) of the weighted quasi-linear mean M_{f,w} of which A is a
+    strictly increasing transform where A is not saturated, so that A and
+    M_{f,w} have the same collisions; None when A's descriptor has no
+    ``quasi_view`` or gives none."""
+    view = getattr(af.descriptor, "quasi_view", None)
+    return None if view is None else view()
+
+
 def _k_weight(af: AggregationFunction) -> float | None:
-    d = af.descriptor
-    if isinstance(d, KProjection):
-        return d.w
-    if isinstance(d, QuasiLinear) and d.generator.kind == "identity":
-        return d.weight
-    if isinstance(d, SchurPair) and d.f.kind == "identity":
-        return 0.5
-    return None
-
-
-def _as_quasi(af: AggregationFunction) -> tuple[Generator, float] | None:
-    d = af.descriptor
-    if isinstance(d, QuasiLinear):
-        return d.generator, d.weight
-    if isinstance(d, KProjection) and 0.0 < d.w < 1.0:
-        return identity(), d.w
-    return None
-
-
-def _as_schur(af: AggregationFunction) -> Generator | None:
-    d = af.descriptor
-    if isinstance(d, SchurPair):
-        return d.f
-    if isinstance(d, KProjection) and d.w == 0.5:
-        return identity()
-    return None
+    """w when A is an endpoint projection K_w, K_0 and K_1 included."""
+    if isinstance(af.descriptor, KProjection):
+        return af.descriptor.w
+    view = quasi_view(af)
+    return view[1] if view is not None and view[0].kind == "identity" else None
 
 
 def is_conjunctive(af: AggregationFunction) -> bool:
@@ -310,24 +299,34 @@ def rule_quasi_equal_weights(f: Generator, g: Generator, w: float,
                              b: AggregationFunction | None = None) -> Verdict | None:
     """Equal-weight quasi-arithmetic pairs are admissible exactly when the
     composite g o f^{-1} is strictly convex or strictly concave (and no
-    endpoint exclusion applies)."""
+    endpoint exclusion applies).
+
+    A and B default to M_{f,w} and M_{g,w}; any pair with these quasi views
+    has the same collisions.  The rule id names the classical criterion:
+    ``strict-archimedean-*`` for a strict t-norm with a strict t-conorm,
+    ``pair-mean-*`` for pairwise means (with each other or with K_{1/2}).
+    """
     a = a if a is not None else quasi_linear_mean(f, w)
     b = b if b is not None else quasi_linear_mean(g, w)
     sat = _saturation_verdict(a, b)
     if sat is not None:
         return sat
+    kinds = {type(a.descriptor), type(b.descriptor)}
+    stem = ("strict-archimedean" if kinds == {TNorm, TConorm}
+            else "pair-mean" if SchurPair in kinds and kinds <= {SchurPair, KProjection}
+            else "equal-weights")
     shape = composite(f, g).shape
     if shape.convexity.is_strict:
-        return Verdict(Outcome.ADMISSIBLE, "equal-weights-shape")
+        return Verdict(Outcome.ADMISSIBLE, f"{stem}-shape")
     witness = _collision_witness(f, g, w, w, a, b)
     if witness is not None:
-        return Verdict(Outcome.NOT_ADMISSIBLE, "equal-weights-collision", witness=witness)
+        return Verdict(Outcome.NOT_ADMISSIBLE, f"{stem}-collision", witness=witness)
     if shape.convexity in (Convexity.AFFINE, Convexity.MIXED):
         # shape certified non-strict in closed form, but no witness survived
         # validation; report the exclusion without one
         return Verdict(
             Outcome.NOT_ADMISSIBLE,
-            "equal-weights-shape",
+            f"{stem}-shape",
             note="composite certified neither strictly convex nor strictly concave",
         )
     return None
@@ -353,7 +352,8 @@ def rule_quasi_unequal_weights(f: Generator, g: Generator, w1: float, w2: float,
                                b: AggregationFunction | None = None) -> Verdict | None:
     """Sufficient criterion for distinct weights: a convexity/monotonicity
     row match of the composite.  No row plus no located collision leaves the
-    pair undecided (this regime is not fully characterized)."""
+    pair undecided (this regime is not fully characterized).  A and B
+    default to M_{f,w1} and M_{g,w2}, as in :func:`rule_quasi_equal_weights`."""
     if w1 == w2:
         raise ValueError("rule requires distinct weights")
     a = a if a is not None else quasi_linear_mean(f, w1)
@@ -414,53 +414,17 @@ def rule_k0_k1(b: AggregationFunction, k_weight: float,
 def rule_tnorm_tconorm(t_af: AggregationFunction, s_af: AggregationFunction) -> Verdict | None:
     """An Archimedean t-norm paired with an Archimedean t-conorm.
 
-    Any nilpotent side forces a constructive collision.  For two strict
-    generators the pair is admissible exactly when the conorm-over-norm
-    composite is strictly convex or strictly concave.
+    Any nilpotent side forces a constructive collision.  Two strict
+    generators give None here: both sides have a quasi view, and
+    :func:`rule_quasi_equal_weights` decides them.
     """
     td: TNorm = t_af.descriptor
     sd: TConorm = s_af.descriptor
-    if not (td.is_strict and sd.is_strict):
-        u, x = nilpotent_witness(td.generator, sd.generator)
-        w = make_witness(t_af, s_af, u, x, tol=1e-12)
-        return Verdict(Outcome.NOT_ADMISSIBLE, "nilpotent-collision", witness=w)
-    shape = composite(td.generator, sd.generator).shape
-    if shape.convexity.is_strict:
-        return Verdict(Outcome.ADMISSIBLE, "strict-archimedean-shape")
-    witness = _collision_witness(td.generator, sd.generator, 0.5, 0.5, t_af, s_af)
-    if witness is not None:
-        return Verdict(Outcome.NOT_ADMISSIBLE, "strict-archimedean-collision", witness=witness)
-    if shape.convexity in (Convexity.AFFINE, Convexity.MIXED):
-        return Verdict(
-            Outcome.NOT_ADMISSIBLE,
-            "strict-archimedean-shape",
-            note="composite certified neither strictly convex nor strictly concave",
-        )
-    return None
-
-
-def rule_schur_pair(f: Generator, g: Generator,
-                    a: AggregationFunction | None = None,
-                    b: AggregationFunction | None = None) -> Verdict | None:
-    """Pairwise generator means 0.5(f(u1)+f(u2)) and 0.5(g(u1)+g(u2)).
-
-    Admissible exactly when g o f^{-1} is strictly convex or strictly
-    concave."""
-    a = a if a is not None else schur_pair_mean(f)
-    b = b if b is not None else schur_pair_mean(g)
-    shape = composite(f, g).shape
-    if shape.convexity.is_strict:
-        return Verdict(Outcome.ADMISSIBLE, "pair-mean-shape")
-    witness = _collision_witness(f, g, 0.5, 0.5, a, b)
-    if witness is not None:
-        return Verdict(Outcome.NOT_ADMISSIBLE, "pair-mean-collision", witness=witness)
-    if shape.convexity in (Convexity.AFFINE, Convexity.MIXED):
-        return Verdict(
-            Outcome.NOT_ADMISSIBLE,
-            "pair-mean-shape",
-            note="composite certified neither strictly convex nor strictly concave",
-        )
-    return None
+    if td.is_strict and sd.is_strict:
+        return None
+    u, x = nilpotent_witness(td.generator, sd.generator)
+    w = make_witness(t_af, s_af, u, x, tol=1e-12)
+    return Verdict(Outcome.NOT_ADMISSIBLE, "nilpotent-collision", witness=w)
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +442,19 @@ def _rules_once(a: AggregationFunction, b: AggregationFunction) -> Verdict | Non
         return sat
 
     if isinstance(a.descriptor, TNorm) and isinstance(b.descriptor, TConorm):
-        return rule_tnorm_tconorm(a, b)
+        nil = rule_tnorm_tconorm(a, b)
+        if nil is not None:
+            return nil
 
     if ka in (0.0, 1.0) and kb is None:
         return rule_k0_k1(b, ka)
 
-    qa, qb = _as_quasi(a), _as_quasi(b)
+    qa, qb = quasi_view(a), quasi_view(b)
     if qa is not None and qb is not None:
         (f, w1), (g, w2) = qa, qb
         if w1 == w2:
             return rule_quasi_equal_weights(f, g, w1, a, b)
         return rule_quasi_unequal_weights(f, g, w1, w2, a, b)
-
-    sa, sb = _as_schur(a), _as_schur(b)
-    if sa is not None and sb is not None:
-        return rule_schur_pair(sa, sb, a, b)
 
     return None
 
@@ -685,8 +647,8 @@ def _candidate_pairs(va: np.ndarray, vb: np.ndarray, quantum: float
 
 
 def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
-                  resolution: int = 200, quantum: float = ORACLE_QUANTUM,
-                  threads: int = 1) -> tuple[Interval, Interval] | None:
+                  resolution: int = 200, quantum: float = ORACLE_QUANTUM
+                  ) -> tuple[Interval, Interval] | None:
     """Exhaustive quantized scan for a simultaneous collision of A and B.
 
     All grid intervals are bucketed by their (A, B) values rounded to
@@ -695,8 +657,7 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
     along the closed-form A-level curve to ~1e-10 before being accepted.
     Returns the lexicographically smallest confirmed pair, or None.  An
     empty result is evidence at this resolution, not a proof of
-    admissibility.  ``threads`` is accepted and ignored: the grid is
-    evaluated in two vector calls.
+    admissibility.
     """
     if resolution < 50:
         raise ValueError("oracle resolution must be at least 50")

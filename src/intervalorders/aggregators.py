@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import Generator, generator_from_config, validate_generator
+from .generators import Generator, generator_from_config, identity, validate_generator
 from .intervals import Interval
 
 INF = math.inf
@@ -53,6 +53,11 @@ def _additive_hi(gen: Generator, lo, target: float) -> np.ndarray:
 # Each family's ``solve_hi(lo, target)`` is the closed-form level curve: the
 # x2 with A([lo, x2]) = target, NaN where the formula leaves the generator's
 # finite range.  It is not clipped to [lo, 1]; the oracle does that.
+#
+# Each family's ``quasi_view()`` is the (f, w) of a weighted quasi-linear
+# mean M_{f,w} of which A is a strictly increasing transform wherever A is
+# not saturated, or None when there is no such mean.  A then has the level
+# sets, and so the collisions, of M_{f,w}.
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,10 @@ class QuasiLinear:
         with np.errstate(all="ignore"):
             return _inv_finite(f, (f.fn(target) - (1.0 - w) * f.fn(lo)) / w)
 
+    def quasi_view(self) -> tuple[Generator, float]:
+        """The mean itself: A = M_{f,w}."""
+        return self.generator, self.weight
+
 
 @dataclass(frozen=True)
 class KProjection:
@@ -76,6 +85,10 @@ class KProjection:
             return np.full_like(lo, np.nan)  # A([lo, x2]) = lo for every x2
         return (target - (1.0 - self.w) * lo) / self.w
 
+    def quasi_view(self) -> tuple[Generator, float] | None:
+        """K_w = M_{id,w} for 0 < w < 1; None for the projections K_0, K_1."""
+        return (identity(), self.w) if 0.0 < self.w < 1.0 else None
+
 
 @dataclass(frozen=True)
 class SchurPair:
@@ -84,6 +97,10 @@ class SchurPair:
     def solve_hi(self, lo, target: float) -> np.ndarray:
         with np.errstate(all="ignore"):
             return _inv_finite(self.f, 2.0 * target - self.f.fn(lo))
+
+    def quasi_view(self) -> tuple[Generator, float]:
+        """0.5 (f(u1) + f(u2)) = f(M_{f,1/2}), and f is increasing."""
+        return self.f, 0.5
 
 
 @dataclass(frozen=True)
@@ -97,6 +114,11 @@ class TNorm:
     def solve_hi(self, lo, target: float) -> np.ndarray:
         return _additive_hi(self.generator, lo, target)
 
+    def quasi_view(self) -> tuple[Generator, float] | None:
+        """A strict T = t^{-1}(2 t(M_{t,1/2})), increasing as a composite of
+        two decreasing maps; None when nilpotent, where T saturates at 0."""
+        return (self.generator, 0.5) if self.is_strict else None
+
 
 @dataclass(frozen=True)
 class TConorm:
@@ -108,6 +130,11 @@ class TConorm:
 
     def solve_hi(self, lo, target: float) -> np.ndarray:
         return _additive_hi(self.generator, lo, target)
+
+    def quasi_view(self) -> tuple[Generator, float] | None:
+        """A strict S = s^{-1}(2 s(M_{s,1/2})); None when nilpotent, where S
+        saturates at 1."""
+        return (self.generator, 0.5) if self.is_strict else None
 
 
 class AggregationFunction:

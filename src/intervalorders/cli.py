@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Subcommands: check-pair, rank, find-counterexample, coincide, battery.
-Configuration is a single JSON document (--config); --resolution, --tol
-and --threads override config values.  --tol is the residual tolerance of
-the final witness check; --threads is accepted and has no effect.  Exit
-codes: 0 success, 1 configuration error, 2 input/output error.  Identical
-config and input give byte-identical output regardless of thread count.
+Configuration is a single JSON document (--config); --resolution and
+--tol override config values.  --tol is the residual tolerance of the final
+witness check.  Exit codes: 0 success, 1 configuration error, 2
+input/output error.  Identical config and input give byte-identical output.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ class RunConfig:
     output_path: str | None = None
     resolution: int = 200
     tol: float = 1e-9
-    threads: int = 1
     cross_check: bool = False
 
     def validate(self) -> None:
@@ -45,8 +43,6 @@ class RunConfig:
             raise ConfigError(f"resolution must be at least 16, got {self.resolution}")
         if not self.tol > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tol}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be at least 1, got {self.threads}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -187,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH", default=None)
         p.add_argument("--resolution", metavar="N", type=int, default=None)
         p.add_argument("--tol", metavar="X", type=float, default=None)
-        p.add_argument("--threads", metavar="N", type=int, default=None)
         if name == "battery":
             p.add_argument("--cross-check", action="store_true")
     return parser
@@ -205,7 +200,6 @@ def main(argv: list[str] | None = None) -> int:
             output_path=args.output or cfg.get("output"),
             resolution=args.resolution or int(cfg.get("resolution", 200)),
             tol=args.tol or float(cfg.get("tol", 1e-9)),
-            threads=args.threads or int(cfg.get("threads", 1)),
             cross_check=bool(getattr(args, "cross_check", False)),
         )
         rc.validate()

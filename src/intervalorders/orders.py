@@ -109,7 +109,7 @@ def compare(order: TotalOrder, u: Interval, x: Interval) -> Ordering:
 
 
 def sort_intervals(order: TotalOrder, items: list[Interval]) -> list[Interval]:
-    """Stable ascending sort; deterministic for any thread count."""
+    """Stable ascending sort; deterministic."""
     return sorted(items, key=functools.cmp_to_key(lambda u, x: int(compare(order, u, x))))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalorders import (
+    AggregationFunction,
     Interval,
     Outcome,
     admissible_for_all_weight_orders,
@@ -33,13 +34,12 @@ from intervalorders import (
     rule_quasi_endpoint_exclusion,
     rule_quasi_equal_weights,
     rule_quasi_unequal_weights,
-    rule_schur_pair,
     rule_tnorm_tconorm,
     schur_pair_mean,
     tconorm,
     tnorm,
 )
-from intervalorders.admissibility import _candidate_pairs
+from intervalorders.admissibility import _candidate_pairs, quasi_view
 from intervalorders.intervals import interval_grid
 
 
@@ -161,9 +161,13 @@ class TestEndpointProjectionRule:
 
 class TestArchimedeanRule:
     def test_strict_pair_admissible(self):
-        v = rule_tnorm_tconorm(tnorm(negated_log()), tconorm(negated_log_complement()))
-        assert v.outcome is Outcome.ADMISSIBLE
-        assert v.rule == "strict-archimedean-shape"
+        t, s = tnorm(negated_log()), tconorm(negated_log_complement())
+        # two strict generators are left to the quasi-linear rules
+        assert rule_tnorm_tconorm(t, s) is None
+        for a, b in ((t, s), (s, t)):
+            v = check_pair(a, b, use_oracle=False)
+            assert v.outcome is Outcome.ADMISSIBLE
+            assert v.rule == "strict-archimedean-shape"
 
     def test_nilpotent_tnorm_collides(self):
         t, s = tnorm(one_minus()), tconorm(negated_log_complement())
@@ -212,16 +216,21 @@ class TestNilpotentWitness:
 
 class TestSchurPairRule:
     def test_square_vs_sqrt(self):
-        assert rule_schur_pair(power(2.0), power(0.5)).outcome is Outcome.ADMISSIBLE
+        v = check_pair(schur_pair_mean(power(2.0)), schur_pair_mean(power(0.5)), use_oracle=False)
+        assert v.outcome is Outcome.ADMISSIBLE
+        assert v.rule == "pair-mean-shape"
 
     def test_identity_vs_square(self):
-        assert rule_schur_pair(identity(), power(2.0)).outcome is Outcome.ADMISSIBLE
+        v = check_pair(schur_pair_mean(identity()), schur_pair_mean(power(2.0)), use_oracle=False)
+        assert v.outcome is Outcome.ADMISSIBLE
+        assert v.rule == "pair-mean-shape"
 
     def test_same_generator_collides(self):
-        f = power(2.0)
-        v = rule_schur_pair(f, power(2.0))
+        a, b = schur_pair_mean(power(2.0)), schur_pair_mean(power(2.0))
+        v = check_pair(a, b, use_oracle=False)
         assert v.outcome is Outcome.NOT_ADMISSIBLE
-        assert_valid_witness(v, schur_pair_mean(f), schur_pair_mean(power(2.0)))
+        assert v.rule == "pair-mean-collision"
+        assert_valid_witness(v, a, b)
 
 
 class TestCheckPair:
@@ -272,12 +281,68 @@ class TestCheckPair:
         else:
             assert_valid_witness(v, k_mean(0.5), exponential_mean(3.0, 0.3))
 
+    def test_descriptor_without_quasi_view_is_left_to_the_oracle(self):
+        class Opaque:  # a user family that states no quasi view
+            pass
+
+        base = root_power_mean(2.0, 0.5)
+        a = AggregationFunction("opaque", Opaque(), base.values)
+        assert quasi_view(a) is None
+        v = check_pair(a, root_power_mean(0.5, 0.5), use_oracle=False)
+        assert v.outcome is Outcome.UNKNOWN
+
     def test_verdict_serialization(self):
         v = check_pair(geometric_mean(0.3), geometric_mean(0.7))
         d = v.to_json_dict()
         assert d["outcome"] == "not_admissible"
         assert d["witness"] is not None
         assert set(d["witness"]) == {"u", "x", "residual_a", "residual_b"}
+
+
+PRODUCT = tnorm(negated_log())
+PROBABILISTIC_SUM = tconorm(negated_log_complement())
+
+# Pairs across families, each side with a quasi view; (pair, outcome, rule),
+# the same in both orientations
+CROSS_FAMILY = [
+    ((schur_pair_mean(power(2.0)), root_power_mean(2.0, 0.3)),
+     Outcome.ADMISSIBLE, "weight-order-shape"),
+    ((schur_pair_mean(power(2.0)), root_power_mean(3.0, 0.5)),
+     Outcome.ADMISSIBLE, "equal-weights-shape"),
+    ((PRODUCT, root_power_mean(2.0, 0.5)), Outcome.ADMISSIBLE, "equal-weights-shape"),
+    ((PROBABILISTIC_SUM, root_power_mean(3.0, 0.5)),
+     Outcome.NOT_ADMISSIBLE, "equal-weights-collision"),
+    ((PRODUCT, schur_pair_mean(power(2.0))), Outcome.ADMISSIBLE, "equal-weights-shape"),
+    ((PROBABILISTIC_SUM, schur_pair_mean(power(0.5))),
+     Outcome.ADMISSIBLE, "equal-weights-shape"),
+    ((PRODUCT, k_mean(0.3)), Outcome.NOT_ADMISSIBLE, "weighted-collision"),
+    ((schur_pair_mean(power(2.0)), k_mean(0.3)), Outcome.ADMISSIBLE, "weight-order-shape"),
+    ((PROBABILISTIC_SUM, exponential_mean(1.0, 0.7)),
+     Outcome.NOT_ADMISSIBLE, "weighted-collision"),
+    ((PRODUCT, schur_pair_mean(identity())), Outcome.ADMISSIBLE, "equal-weights-shape"),
+]
+CROSS_FAMILY_ORIENTED = [
+    pytest.param(a, b, outcome, rule, id=f"{a.name} vs {b.name}")
+    for (p, q), outcome, rule in CROSS_FAMILY
+    for a, b in ((p, q), (q, p))
+]
+
+
+class TestCrossFamily:
+    """Pairs of different families are decided by the quasi-linear rules
+    through the quasi views of both sides."""
+
+    @pytest.mark.parametrize("a, b, outcome, rule", CROSS_FAMILY_ORIENTED)
+    def test_rule_verdict(self, a, b, outcome, rule):
+        v = check_pair(a, b, use_oracle=False)
+        assert (v.outcome, v.rule) == (outcome, rule)
+        if outcome is Outcome.NOT_ADMISSIBLE:
+            assert make_witness(a, b, v.witness.u, v.witness.x) is not None
+
+    @pytest.mark.parametrize("a, b, outcome, rule", [
+        p for p in CROSS_FAMILY_ORIENTED if p.values[2] is Outcome.ADMISSIBLE])
+    def test_admissible_verdicts_agree_with_the_oracle(self, a, b, outcome, rule):
+        assert oracle_search(a, b, resolution=200) is None
 
 
 @pytest.fixture(scope="module")
@@ -404,11 +469,6 @@ class TestOracle:
             assert (found is None) == (case.expected is Outcome.ADMISSIBLE), case.label
             if found is not None:
                 assert make_witness(case.a, case.b, *found) is not None, case.label
-
-    def test_threads_do_not_change_result(self):
-        a, b = geometric_mean(0.5), geometric_mean(0.5)
-        assert oracle_search(a, b, resolution=100, threads=1) == \
-            oracle_search(a, b, resolution=100, threads=4)
 
 
 class TestWeightOrderDiagnostic:

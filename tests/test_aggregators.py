@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from intervalorders import (
     AggregationError,
@@ -376,3 +376,39 @@ class TestLevelCurve:
             x2 = assert_level_hi_matches_bisection(plain, float(x1), 0.6)
             assert x2 == pytest.approx(assert_level_hi_matches_bisection(af, float(x1), 0.6),
                                        abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Quasi views against the aggregators they stand for
+# ---------------------------------------------------------------------------
+
+
+class TestQuasiView:
+    @settings(max_examples=300, deadline=None)
+    @given(aggregators, unit, unit, unit, unit, st.integers(0, 2**32 - 1))
+    def test_view_orders_intervals_as_the_aggregator(self, af, p, q, r, s, seed):
+        """sign(A(u) - A(x)) = sign(M(u) - M(x)) wherever |M(u) - M(x)| > 1e-9,
+        on the drawn pair (u, x) and 255 uniform random ones."""
+        view = af.descriptor.quasi_view()
+        assume(view is not None)
+        mean = quasi_linear_mean(*view)
+        ends = np.sort(np.random.default_rng(seed).random((2, 256, 2)), axis=-1)
+        ends[:, 0] = sorted((p, q)), sorted((r, s))
+        (lo_u, hi_u), (lo_x, hi_x) = ends[0].T, ends[1].T
+        dm = mean.values(lo_u, hi_u) - mean.values(lo_x, hi_x)
+        a_u, a_x = af.values(lo_u, hi_u), af.values(lo_x, hi_x)
+        da = a_u - a_x
+        apart = np.abs(dm) > 1e-9
+        # a strict t-conorm nears 1 like (1 - M)^2, so means 1e-9 apart can
+        # round to one value there; no other tie is allowed
+        tie = apart & (da == 0.0)
+        assert np.all(np.minimum(a_u, a_x)[tie] > 1.0 - 1e-12), (af.name, ends[:, tie])
+        flipped = apart & (da != 0.0) & (np.sign(da) != np.sign(dm))
+        assert not flipped.any(), (af.name, ends[:, flipped])
+
+    @pytest.mark.parametrize("af", [
+        tnorm(one_minus()), tconorm(identity()), tconorm(power(2.0)), tconorm(power(0.5)),
+        k_mean(0.0), k_mean(1.0),
+    ], ids=lambda a: a.name)
+    def test_no_view_for_nilpotent_and_endpoint_projections(self, af):
+        assert af.descriptor.quasi_view() is None

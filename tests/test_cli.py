@@ -70,7 +70,7 @@ class TestRank:
         lines = out.read_text().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == ["1", "0"]
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json",
                          {"order": {"kind": "alpha_beta", "alpha": 0.5, "beta": 1.0}})
         data = tmp_path / "items.csv"
@@ -78,9 +78,9 @@ class TestRank:
         data.write_text(rows + "\n")
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         assert main(["rank", "--config", cfg, "--input", str(data), "--output",
-                     str(out1), "--threads", "1"]) == 0
+                     str(out1)]) == 0
         assert main(["rank", "--config", cfg, "--input", str(data), "--output",
-                     str(out2), "--threads", "4"]) == 0
+                     str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 

@@ -19,7 +19,6 @@ from .admissibility import (
     nilpotent_witness,
     oracle_search,
     rule_k0_k1,
-    rule_quasi_endpoint_exclusion,
     rule_quasi_equal_weights,
     rule_quasi_unequal_weights,
     rule_tnorm_tconorm,
@@ -110,6 +109,7 @@ from .orders import (
     refines_interval_order,
     sign_matrix,
     sort_intervals,
+    tie_classes,
 )
 
 __version__ = "0.1.0"

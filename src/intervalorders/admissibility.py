@@ -285,15 +285,6 @@ def _saturation_verdict(a: AggregationFunction, b: AggregationFunction) -> Verdi
     return None
 
 
-def rule_quasi_endpoint_exclusion(f: Generator, w1: float, g: Generator,
-                                  w2: float) -> Verdict | None:
-    """Exclusion for quasi-arithmetic pairs whose generators both blow up at
-    the same end of [0,1]: all intervals [0, x] (or [x, 1]) collide."""
-    a = quasi_linear_mean(f, w1)
-    b = quasi_linear_mean(g, w2)
-    return _saturation_verdict(a, b)
-
-
 def rule_quasi_equal_weights(f: Generator, g: Generator, w: float,
                              a: AggregationFunction | None = None,
                              b: AggregationFunction | None = None) -> Verdict | None:

@@ -31,8 +31,9 @@ from .orders import (
     GeneratedPairOrder,
     Ordering,
     TotalOrder,
+    _key_signs,
     compare,
-    sign_matrix,
+    tie_classes,
 )
 
 
@@ -111,6 +112,12 @@ def _alpha_notes(order1: TotalOrder, order2: TotalOrder,
     return (threshold,) if threshold is not None else ()
 
 
+def _first_cells(mask: np.ndarray, offset: int, limit: int) -> list[tuple[int, int]]:
+    """Row-major grid positions of the first ``limit`` True cells of a block."""
+    rows, cols = np.nonzero(mask)
+    return list(zip((offset + rows[:limit]).tolist(), (offset + cols[:limit]).tolist()))
+
+
 def orders_coincide(order1: TotalOrder, order2: TotalOrder,
                     resolution: int = 100,
                     candidates: list[tuple[Interval, Interval]] | None = None,
@@ -121,55 +128,50 @@ def orders_coincide(order1: TotalOrder, order2: TotalOrder,
     Candidate pairs (when given) are examined first, in order; the first pair
     the comparators rank in strictly opposite directions becomes the witness.
     Otherwise the witness is the lexicographically first strict disagreement
-    on the grid.  A report with ``coincide=True`` is grid-level evidence.
+    on the grid (else the first pair tied in one order only).  A report with
+    ``coincide=True`` is grid-level evidence.  The grid is scanned in blocks
+    of 256 rows of ``tie_classes`` key signs, so memory stays O(n).
     """
     if resolution < 50:
         raise ValueError("resolution must be at least 50")
 
-    def report_from_pair(u: Interval, x: Interval) -> CoincidenceReport | None:
-        s1 = compare(order1, u, x)
-        s2 = compare(order2, u, x)
+    for u, x in candidates or ():
+        s1, s2 = compare(order1, u, x), compare(order2, u, x)
         if {s1, s2} == {Ordering.LESS, Ordering.GREATER}:
             w = DisagreementWitness(u, x, s1, s2)
-            return CoincidenceReport(
-                coincide=False, witness=w,
-                alpha_thresholds=_alpha_notes(order1, order2, w),
-                disagreement_count=1,
-            )
-        return None
-
-    for u, x in candidates or ():
-        rep = report_from_pair(u, x)
-        if rep is not None:
-            return rep
+            return CoincidenceReport(coincide=False, witness=w, disagreement_count=1,
+                                     alpha_thresholds=_alpha_notes(order1, order2, w))
 
     lo, hi = interval_grid(resolution)
-    s1 = sign_matrix(order1, lo, hi)
-    s2 = sign_matrix(order2, lo, hi)
-    mismatch = s1 != s2
-    count = int(np.count_nonzero(np.triu(mismatch, k=1)))
+    k1, k2 = (tie_classes(order, lo, hi) for order in (order1, order2))
+    limit = max(1, max_collected) if collect_all else 1
+    count = 0
+    strict_hits: list[tuple[int, int]] = []
+    tie_hits: list[tuple[int, int]] = []
+    for start in range(0, lo.size, 256):
+        stop = min(start + 256, lo.size)
+        # rows start..stop-1 against columns start..n-1, kept where j > i
+        s1, s2 = (_key_signs(k[start:stop], k[start:]) for k in (k1, k2))
+        mismatch = s1 != s2
+        mismatch[:, :stop - start] = np.triu(mismatch[:, :stop - start], k=1)
+        count += int(np.count_nonzero(mismatch))
+        if len(strict_hits) < limit:
+            strict = mismatch & (s1 == -s2)
+            strict_hits += _first_cells(strict, start, limit - len(strict_hits))
+            if not strict_hits and len(tie_hits) < limit:
+                tie_hits += _first_cells(mismatch & ~strict, start, limit - len(tie_hits))
     if count == 0:
         return CoincidenceReport(coincide=True)
 
-    strict = np.triu((s1 == 1) & (s2 == -1) | (s1 == -1) & (s2 == 1), k=1)
-    collected: list[DisagreementWitness] = []
-    witness = None
-    rows, cols = np.nonzero(strict if strict.any() else np.triu(mismatch, k=1))
-    for i, j in zip(rows, cols):
-        u = Interval(float(lo[i]), float(hi[i]))
-        x = Interval(float(lo[j]), float(hi[j]))
-        w = DisagreementWitness(u, x, compare(order1, u, x), compare(order2, u, x))
-        if witness is None:
-            witness = w
-        if not collect_all:
-            break
-        collected.append(w)
-        if len(collected) >= max_collected:
-            break
-    thresholds = _alpha_notes(order1, order2, witness) if witness else ()
+    collected = [DisagreementWitness(
+        Interval(float(lo[i]), float(hi[i])), Interval(float(lo[j]), float(hi[j])),
+        Ordering(int(np.sign(k1[i] - k1[j]))), Ordering(int(np.sign(k2[i] - k2[j]))),
+    ) for i, j in strict_hits or tie_hits]
     return CoincidenceReport(
-        coincide=False, witness=witness, alpha_thresholds=thresholds,
-        disagreement_count=count, disagreements=tuple(collected),
+        coincide=False, witness=collected[0],
+        alpha_thresholds=_alpha_notes(order1, order2, collected[0]),
+        disagreement_count=count,
+        disagreements=tuple(collected) if collect_all else (),
     )
 
 

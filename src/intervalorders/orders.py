@@ -6,11 +6,15 @@ beta, and the order generated by an admissible pair (A, B) of aggregation
 functions, which compares A-values and breaks ties with B.  Both are
 lexicographic two-stage comparisons; with an admissible pair exact ties in
 both stages happen only for identical intervals.
+
+Ties are decided once, by ``tie_classes``: sort by the first stage value,
+merge each run whose consecutive gaps are at most ``TIE_TOL`` into one
+class, and split each class the same way by the second stage value.  Every
+comparison here reads these integer classes, so ties are transitive.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -19,9 +23,9 @@ import numpy as np
 from .aggregators import AggregationFunction, aggregator_from_config
 from .intervals import Interval, interval_grid
 
-# Primary-stage tie tolerance.  Ties must be tight: with an admissible pair
-# exact ties occur only at u = x, so a loose tolerance would invent spurious
-# Equal results between nearby intervals.
+# Tie tolerance of both stages, read only by ``tie_classes``.  Ties must be
+# tight: with an admissible pair exact ties occur only at u = x, so a loose
+# tolerance would invent spurious Equal results between nearby intervals.
 TIE_TOL = 1e-12
 
 
@@ -94,55 +98,54 @@ class GeneratedPairOrder:
 TotalOrder = AlphaBetaOrder | GeneratedPairOrder
 
 
+def tie_classes(order: TotalOrder, lo, hi) -> np.ndarray:
+    """Dense rank (int64) of each interval under the order; equal ranks tie.
+    Classes are runs of sorted stage values with consecutive gaps at most
+    ``TIE_TOL``, first stage then second, so ties are transitive."""
+    p, q = (np.asarray(v, dtype=float) for v in order.stage_values(lo, hi))
+    if not np.all(np.isfinite(p) & np.isfinite(q)):
+        raise OrderSpecError("stage values must be finite for totality")
+    keys = np.zeros(p.size, dtype=np.int64)
+    for v in (p, q):
+        idx = np.lexsort((v, keys))
+        k, v = keys[idx], v[idx]
+        keys[idx] = np.cumsum(np.r_[True, (k[1:] != k[:-1]) | (np.diff(v) > TIE_TOL)]) - 1
+    return keys
+
+
 def compare(order: TotalOrder, u: Interval, x: Interval) -> Ordering:
     """Two-stage lexicographic comparison of u against x."""
-    lo = np.array([u.lo, x.lo])
-    hi = np.array([u.hi, x.hi])
-    p, q = order.stage_values(lo, hi)
-    dp = float(p[0] - p[1])
-    if abs(dp) > TIE_TOL:
-        return Ordering.LESS if dp < 0 else Ordering.GREATER
-    dq = float(q[0] - q[1])
-    if abs(dq) > TIE_TOL:
-        return Ordering.LESS if dq < 0 else Ordering.GREATER
-    return Ordering.EQUAL
+    k = tie_classes(order, np.array([u.lo, x.lo]), np.array([u.hi, x.hi]))
+    return Ordering(int(np.sign(k[0] - k[1])))
+
+
+def rank_indices(order: TotalOrder, items: list[Interval]) -> list[int]:
+    """Input positions sorted ascending under the order: a stable sort of the
+    transitive ``tie_classes`` keys, so ties keep their input order."""
+    lo, hi = np.array([z.lo for z in items], float), np.array([z.hi for z in items], float)
+    return np.argsort(tie_classes(order, lo, hi), kind="stable").tolist()
 
 
 def sort_intervals(order: TotalOrder, items: list[Interval]) -> list[Interval]:
     """Stable ascending sort; deterministic."""
-    return sorted(items, key=functools.cmp_to_key(lambda u, x: int(compare(order, u, x))))
+    return [items[i] for i in rank_indices(order, items)]
 
 
-def rank_indices(order: TotalOrder, items: list[Interval]) -> list[int]:
-    """Input positions sorted ascending under the order (stable)."""
-    idx = list(range(len(items)))
-    return sorted(idx, key=functools.cmp_to_key(
-        lambda i, j: int(compare(order, items[i], items[j]))
-    ))
+def _key_signs(ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
+    """Signs (int8) of keys ki against keys kj, one row per entry of ki."""
+    signs = (ki[:, None] > kj[None, :]).view(np.int8)
+    signs -= ki[:, None] < kj[None, :]
+    return signs
 
 
-def sign_matrix(order: TotalOrder, lo: np.ndarray, hi: np.ndarray,
-                tol: float = TIE_TOL, block: int = 256) -> np.ndarray:
-    """Pairwise comparison signs (-1/0/+1 as int8) over an interval family.
+def sign_matrix(order: TotalOrder, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Pairwise comparison signs (-1/0/+1 as int8) over a small interval family.
 
-    Entry [i, j] is the sign of interval i against interval j under the
-    two-stage comparison.  Computed blockwise to bound memory.
+    Entry [i, j] is the sign of the ``tie_classes`` key of interval i minus
+    that of interval j; 0 marks a tie, and ties are transitive.
     """
-    p, q = order.stage_values(lo, hi)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise OrderSpecError("stage values must be finite for totality")
-    n = p.size
-    out = np.empty((n, n), dtype=np.int8)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dp = p[start:stop, None] - p[None, :]
-        dq = q[start:stop, None] - q[None, :]
-        primary = np.abs(dp) > tol
-        s = np.where(primary, np.sign(dp), np.where(np.abs(dq) > tol, np.sign(dq), 0.0))
-        out[start:stop] = s.astype(np.int8)
-    return out
+    keys = tie_classes(order, lo, hi)
+    return _key_signs(keys, keys)
 
 
 def refines_interval_order(order: TotalOrder, resolution: int = 50) -> bool:
@@ -155,12 +158,11 @@ def refines_interval_order(order: TotalOrder, resolution: int = 50) -> bool:
     if resolution < 20:
         raise ValueError("resolution must be at least 20")
     lo, hi = interval_grid(resolution)
-    s = sign_matrix(order, lo, hi)
-    n = lo.size
-    for start in range(0, n, 256):
-        stop = min(start + 256, n)
-        dominated = (lo[start:stop, None] <= lo[None, :]) & (hi[start:stop, None] <= hi[None, :])
-        if np.any(dominated & (s[start:stop] == 1)):
+    keys = tie_classes(order, lo, hi)
+    for start in range(0, lo.size, 256):
+        rows = slice(start, start + 256)
+        dominated = (lo[rows, None] <= lo[None, :]) & (hi[rows, None] <= hi[None, :])
+        if np.any(dominated & (keys[rows, None] > keys[None, :])):
             return False
     return True
 

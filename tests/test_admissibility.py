@@ -29,9 +29,9 @@ from intervalorders import (
     one_minus,
     oracle_search,
     power,
+    quasi_linear_mean,
     root_power_mean,
     rule_k0_k1,
-    rule_quasi_endpoint_exclusion,
     rule_quasi_equal_weights,
     rule_quasi_unequal_weights,
     rule_tnorm_tconorm,
@@ -39,7 +39,7 @@ from intervalorders import (
     tconorm,
     tnorm,
 )
-from intervalorders.admissibility import _candidate_pairs, quasi_view
+from intervalorders.admissibility import _candidate_pairs, _saturation_verdict, quasi_view
 from intervalorders.intervals import interval_grid
 
 
@@ -69,19 +69,30 @@ class TestSaturationPredicates:
 
 
 class TestEndpointExclusion:
+    """Quasi-arithmetic pairs whose generators both blow up at the same end
+    of [0,1] collide on all intervals [0, x] (or [x, 1])."""
+
     def test_two_log_generators(self):
-        v = rule_quasi_endpoint_exclusion(logarithm(), 0.3, logarithm(), 0.7)
+        a, b = geometric_mean(0.3), geometric_mean(0.7)
+        v = check_pair(a, b, use_oracle=False)
         assert v.outcome is Outcome.NOT_ADMISSIBLE
-        assert_valid_witness(v, geometric_mean(0.3), geometric_mean(0.7))
+        assert v.rule == "conjunctive-saturation"
+        assert_valid_witness(v, a, b)
         # the constructed collisions sit on the zero-anchored edge
         assert v.witness.u.lo == 0.0 and v.witness.x.lo == 0.0
 
     def test_two_logit_generators(self):
-        v = rule_quasi_endpoint_exclusion(logit(), 0.2, logit(), 0.8)
+        a, b = logit_mean(0.2), logit_mean(0.8)
+        v = check_pair(a, b, use_oracle=False)
         assert v.outcome is Outcome.NOT_ADMISSIBLE
+        # logit blows up at both ends; the zero end is tried first
+        assert v.rule == "conjunctive-saturation"
+        assert_valid_witness(v, a, b)
 
     def test_no_verdict_when_endpoints_finite(self):
-        assert rule_quasi_endpoint_exclusion(power(2.0), 0.3, exponential(1.0), 0.7) is None
+        a = quasi_linear_mean(power(2.0), 0.3)
+        b = quasi_linear_mean(exponential(1.0), 0.7)
+        assert _saturation_verdict(a, b) is None
 
 
 class TestEqualWeights:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from intervalorders import (
     schur_pair_mean,
     tnorm,
 )
+from order_reference import reference_orders_coincide
 
 # the running example: A averages squared endpoints, B averages square roots
 PAIR_U1, PAIR_X1 = Interval(0.36, 0.82), Interval(0.08, 0.92)
@@ -96,6 +99,46 @@ class TestOrdersCoincide:
         assert not rep.coincide
         assert 0 < len(rep.disagreements) <= 200
         assert rep.disagreement_count >= len(rep.disagreements)
+
+
+# strict disagreements; strict ones beyond 10^5; ties in one order only; none
+COINCIDE_PAIRS = {
+    "square-sqrt-vs-0.7": lambda: (square_sqrt_order(), AlphaBetaOrder(0.7, 1.0)),
+    "lexicographic-vs-antilexicographic": lambda: (AlphaBetaOrder(0.0, 1.0),
+                                                    AlphaBetaOrder(1.0, 0.0)),
+    "midpoint-twice-vs-0.5": lambda: (
+        GeneratedPairOrder(k_mean(0.5), k_mean(0.5), verify_admissible=False),
+        AlphaBetaOrder(0.5, 1.0)),
+    "reduced-projections": lambda: (AlphaBetaOrder(0.5, 1.0), AlphaBetaOrder(0.5, 0.9)),
+}
+
+
+class TestOrdersCoincideMatchesTwoTableReference:
+    """The blockwise scan of tie-class keys reports exactly what the two n x n
+    sign tables reported: count, witness, thresholds and collected pairs."""
+
+    @pytest.mark.parametrize("pair", list(COINCIDE_PAIRS), ids=list(COINCIDE_PAIRS))
+    @pytest.mark.parametrize("resolution", [50, 60])
+    def test_reports_equal(self, pair, resolution):
+        order1, order2 = COINCIDE_PAIRS[pair]()
+        for max_collected in (None, 7, 200, 100000):
+            kwargs = ({} if max_collected is None
+                      else {"collect_all": True, "max_collected": max_collected})
+            rep = orders_coincide(order1, order2, resolution=resolution, **kwargs)
+            ref = reference_orders_coincide(order1, order2, resolution, **kwargs)
+            assert rep == ref, (pair, resolution, max_collected)
+
+    def test_memory_stays_linear(self):
+        # the two 5151 x 5151 sign tables alone took over 50 MiB
+        order1, order2 = square_sqrt_order(), AlphaBetaOrder(0.7, 1.0)
+        tracemalloc.start()
+        try:
+            rep = orders_coincide(order1, order2, resolution=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rep.coincide
+        assert peak < 48 * 2**20
 
 
 class TestSchurClassify:

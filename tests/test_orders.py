@@ -1,6 +1,10 @@
+import itertools
+import random
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from intervalorders import (
     AlphaBetaOrder,
@@ -12,6 +16,8 @@ from intervalorders import (
     compare,
     interval_grid,
     k_mean,
+    negated_log,
+    negated_log_complement,
     order_from_config,
     partial_compare,
     power,
@@ -20,6 +26,15 @@ from intervalorders import (
     schur_pair_mean,
     sign_matrix,
     sort_intervals,
+    tconorm,
+    tie_classes,
+    tnorm,
+)
+from order_reference import (
+    has_near_tie_chain,
+    reference_compare,
+    reference_rank,
+    reference_sign_matrix,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -227,3 +242,128 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(OrderSpecError):
             order_from_config({"kind": "total"})
+
+
+def product_probabilistic_sum_order() -> GeneratedPairOrder:
+    return GeneratedPairOrder(tnorm(negated_log()), tconorm(negated_log_complement()),
+                              verify_admissible=False)
+
+
+DIFFERENTIAL_ORDERS = [
+    ("lexicographic", lambda: AlphaBetaOrder(0.0, 1.0)),
+    ("antilexicographic", lambda: AlphaBetaOrder(1.0, 0.0)),
+    ("midpoint-then-upper", lambda: AlphaBetaOrder(0.5, 1.0)),
+    ("midpoint-then-lower", lambda: AlphaBetaOrder(0.5, 0.0)),
+    ("projection-0.3-0.9", lambda: AlphaBetaOrder(0.3, 0.9)),
+    ("square-sqrt-pair", example_pair_order),
+    ("product-probabilistic-sum", product_probabilistic_sum_order),
+]
+ORDER_IDS = [name for name, _ in DIFFERENTIAL_ORDERS]
+ORDER_MAKERS = [make for _, make in DIFFERENTIAL_ORDERS]
+
+
+def _ulp_shift(v: float, k: int) -> float:
+    bits = struct.unpack("<q", struct.pack("<d", v))[0] + k
+    return min(1.0, max(0.0, struct.unpack("<d", struct.pack("<q", bits))[0]))
+
+
+def quantised_items(rng: random.Random, n: int) -> list[Interval]:
+    """1/100-quantised intervals: exact duplicates and projection ties."""
+    out = []
+    for _ in range(n):
+        i, j = sorted((rng.randint(0, 100), rng.randint(0, 100)))
+        out.append(Interval(i / 100, j / 100))
+    return out
+
+
+def ulp_perturbed_items(rng: random.Random, n: int) -> list[Interval]:
+    """Quantised intervals whose endpoints moved by a few ulps: near-ties."""
+    out = []
+    for z in quantised_items(rng, n):
+        lo, hi = _ulp_shift(z.lo, rng.randint(-3, 3)), _ulp_shift(z.hi, rng.randint(-3, 3))
+        out.append(Interval(min(lo, hi), max(lo, hi)))
+    return out
+
+
+def degenerate_items(rng: random.Random, n: int) -> list[Interval]:
+    """Point intervals [a, a] mixed with wide ones sharing their projections."""
+    out = []
+    for _ in range(n):
+        a = rng.randint(0, 50) / 50
+        out.append(Interval(a, a))
+        d = rng.randint(0, 10) / 100
+        out.append(Interval(max(0.0, a - d), min(1.0, a + d)))
+    return out
+
+
+def _arrays(items):
+    return (np.array([z.lo for z in items], dtype=float),
+            np.array([z.hi for z in items], dtype=float))
+
+
+def assert_matches_reference(order, items):
+    lo, hi = _arrays(items)
+    assert rank_indices(order, items) == reference_rank(order, items)
+    assert np.array_equal(sign_matrix(order, lo, hi), reference_sign_matrix(order, lo, hi))
+    rng = random.Random(len(items))
+    for _ in range(50):
+        u, x = rng.choice(items), rng.choice(items)
+        assert compare(order, u, x) is reference_compare(order, u, x)
+
+
+endpoint = st.one_of(unit, st.integers(0, 100).map(lambda i: i / 100))
+interval = st.tuples(endpoint, endpoint).map(lambda t: Interval(min(t), max(t)))
+
+
+class TestTieClassesMatchPairwiseReference:
+    """Away from near-tie chains, tie classes give exactly the answers of the
+    pairwise-tolerance comparator and its cmp_to_key sort."""
+
+    @given(st.lists(interval, min_size=1, max_size=14), st.sampled_from(ORDER_MAKERS))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_draws(self, items, make):
+        order = make()
+        assume(not has_near_tie_chain(order, *_arrays(items)))
+        assert_matches_reference(order, items)
+
+    @pytest.mark.parametrize("make", ORDER_MAKERS, ids=ORDER_IDS)
+    @pytest.mark.parametrize("family", [quantised_items, ulp_perturbed_items, degenerate_items])
+    def test_named_families(self, make, family):
+        order = make()
+        items = family(random.Random(17), 150)
+        assert not has_near_tie_chain(order, *_arrays(items))
+        assert_matches_reference(order, items)
+
+    @pytest.mark.parametrize("make", ORDER_MAKERS, ids=ORDER_IDS)
+    @pytest.mark.parametrize("resolution", [30, 40])
+    def test_sign_matrix_on_grid(self, make, resolution):
+        order = make()
+        lo, hi = interval_grid(resolution)
+        assert np.array_equal(sign_matrix(order, lo, hi), reference_sign_matrix(order, lo, hi))
+
+    def test_non_finite_stage_values_rejected(self):
+        with pytest.raises(OrderSpecError):
+            tie_classes(AlphaBetaOrder(0.5, 1.0), np.array([0.1, np.nan]), np.array([0.2, 0.3]))
+
+
+class TestNearTieChain:
+    """[0.3, 0.7] and two narrower intervals whose midpoints are 8e-13 and
+    1.6e-12 higher: under (0.5, 1) each neighbour pair ties on the midpoint
+    and is decided by the upper endpoint, while the ends differ on it."""
+
+    A = Interval(0.3, 0.7)
+    B = Interval(0.35 + 8e-13, 0.65 + 8e-13)
+    C = Interval(0.4 + 1.6e-12, 0.6 + 1.6e-12)
+
+    def test_pairwise_rule_cycles(self):
+        order = AlphaBetaOrder(0.5, 1.0)
+        assert compare(order, self.A, self.B) is Ordering.GREATER
+        assert compare(order, self.B, self.C) is Ordering.GREATER
+        assert compare(order, self.A, self.C) is Ordering.LESS
+
+    def test_ranking_is_independent_of_input_order(self):
+        order = AlphaBetaOrder(0.5, 1.0)
+        rankings = {tuple(sort_intervals(order, list(perm)))
+                    for perm in itertools.permutations([self.A, self.B, self.C])}
+        # one midpoint class, ordered by the upper endpoint
+        assert rankings == {(self.C, self.B, self.A)}

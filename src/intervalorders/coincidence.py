@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .aggregators import (
     AggregationFunction,
@@ -84,15 +83,12 @@ class CoincidenceReport:
 def k_alpha_crossover(u: Interval, x: Interval) -> float | None:
     """The projection weight where the weighted projections of u and x tie.
 
-    Root of alpha -> K_alpha(u) - K_alpha(x) on [0,1], found by root
-    bracketing; None when the projections never tie on [0,1] (one interval
-    dominates at every weight) or tie everywhere (u = x).
+    The gap alpha -> K_alpha(u) - K_alpha(x) = (1-alpha) g0 + alpha g1 is
+    linear, so its root on [0,1] is g0 / (g0 - g1); None when the
+    projections never tie on [0,1] (one interval dominates at every weight)
+    or tie everywhere (u = x).
     """
-
-    def gap(alpha: float) -> float:
-        return (1.0 - alpha) * (u.lo - x.lo) + alpha * (u.hi - x.hi)
-
-    g0, g1 = gap(0.0), gap(1.0)
+    g0, g1 = u.lo - x.lo, u.hi - x.hi
     if g0 == 0.0 and g1 == 0.0:
         return None
     if g0 == 0.0:
@@ -101,7 +97,7 @@ def k_alpha_crossover(u: Interval, x: Interval) -> float | None:
         return 1.0
     if (g0 > 0) == (g1 > 0):
         return None
-    return float(brentq(gap, 0.0, 1.0, xtol=1e-14))
+    return g0 / (g0 - g1)
 
 
 def _alpha_notes(order1: TotalOrder, order2: TotalOrder,

@@ -52,7 +52,6 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit, logit as _logit_fn
 
 INF = math.inf
 
@@ -155,9 +154,9 @@ def validate_generator(gen: Generator, samples: int = 41, tol: float = 1e-9) -> 
 
 
 def _wrap(fn):
+    @np.errstate(all="ignore")
     def wrapped(x):
-        with np.errstate(all="ignore"):
-            return fn(np.asarray(x, dtype=float))
+        return fn(np.asarray(x, dtype=float))
 
     return wrapped
 
@@ -210,12 +209,21 @@ def logarithm() -> Generator:
     )
 
 
+def _logit(x: np.ndarray):
+    # scipy.special.logit's formulas: log(x/(1-x)) loses precision near 1/2,
+    # where log1p(s) - log1p(-s) with s = 2(x - 1/2) keeps it; [()] gives a
+    # 0-d input a numpy scalar back, as a ufunc does
+    s = 2.0 * (x - 0.5)
+    near_half = (x >= 0.3) & (x <= 0.65)
+    return np.where(near_half, np.log1p(s) - np.log1p(-s), np.log(x / (1.0 - x)))[()]
+
+
 def logit() -> Generator:
     """x -> log(x/(1-x)); infinite at both endpoints."""
     return Generator(
         name="logit",
-        fn=_wrap(_logit_fn),
-        inv=_wrap(expit),
+        fn=_wrap(_logit),
+        inv=_wrap(lambda y: 1.0 / (1.0 + np.exp(-y))),
         increasing=True,
         at_zero=-INF,
         at_one=INF,
@@ -434,15 +442,15 @@ def sample_open_interval(lo: float, hi: float, n: int) -> np.ndarray:
     return np.tan(np.pi * (t - 0.5))
 
 
+@np.errstate(all="ignore")
 def _call_vectorized(fn, xs: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(fn(xs), dtype=float)
-            if out.shape == xs.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(fn(float(v))) for v in xs])
+    try:
+        out = np.asarray(fn(xs), dtype=float)
+        if out.shape == xs.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(fn(float(v))) for v in xs])
 
 
 def classify_convexity_numeric(fn, domain: tuple[float, float],
@@ -528,9 +536,9 @@ def composite(f: Generator, g: Generator, n: int = 2001) -> Composite:
     validate_generator(f)
     validate_generator(g)
 
+    @np.errstate(all="ignore")
     def fn(y):
-        with np.errstate(all="ignore"):
-            return g.fn(f.inv(np.asarray(y, dtype=float)))
+        return g.fn(f.inv(np.asarray(y, dtype=float)))
 
     domain = f.range_open()
     shape = registry_composite_shape(f, g)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,39 @@ class TestCoincide:
         lines = dump.read_text().splitlines()
         assert lines[0] == "u_lo,u_hi,x_lo,x_hi,order1,order2"
         assert len(lines) > 1
+
+
+# run with every scipy import failing: the package must import, decide a
+# logit-mean pair and run CLI coincide on numpy and the standard library alone
+NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None
+import intervalorders
+import intervalorders.cli
+from intervalorders import Outcome, build_battery, check_pair
+
+case = next(c for c in build_battery()
+            if c.label == "logit-mean(w=0.5) vs exponential(2, w=0.5)")
+verdict = check_pair(case.a, case.b)
+assert verdict.outcome is Outcome.NOT_ADMISSIBLE and verdict.witness is not None, verdict
+config, output = sys.argv[1:3]
+assert intervalorders.cli.main(
+    ["coincide", "--config", config, "--resolution", "30", "--output", output]) == 0
+with open(output) as fh:
+    assert len(json.load(fh)["alpha_thresholds"]) == 1
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+"""
+
+
+class TestRunsWithoutScipy:
+    def test_import_verdict_and_coincide(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", TestCoincide.CONFIG)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, cfg, str(tmp_path / "out.json")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestBattery:

@@ -1,7 +1,10 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from intervalorders import (
     AlphaBetaOrder,
@@ -51,6 +54,46 @@ class TestCrossover:
     def test_identical_intervals_have_none(self):
         u = Interval(0.3, 0.6)
         assert k_alpha_crossover(u, u) is None
+
+    @staticmethod
+    def exact_root(u, x):
+        """The root of the projection gap with the endpoint differences as
+        floats, then solved in exact arithmetic."""
+        g0, g1 = Fraction(u.lo - x.lo), Fraction(u.hi - x.hi)
+        return float(g0 / (g0 - g1))
+
+    def assert_near_exact(self, ends, swap):
+        # the outer interval of four sorted ends against the inner one: their
+        # projections cross unless two ends coincide
+        a, b, c, d = sorted(ends)
+        u, x = Interval(a, d), Interval(b, c)
+        if swap:
+            u, x = x, u
+        g0, g1 = u.lo - x.lo, u.hi - x.hi
+        assume(g0 != 0.0 and g1 != 0.0)
+        exact = self.exact_root(u, x)
+        # one rounding each in g0 - g1 and in the division: under 1.5 ulps
+        assert abs(k_alpha_crossover(u, x) - exact) <= 2 * math.ulp(exact)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4), st.booleans())
+    def test_float_intervals_near_exact_root(self, ends, swap):
+        self.assert_near_exact(ends, swap)
+
+    @given(st.integers(1, 1000).flatmap(
+        lambda r: st.lists(st.integers(0, r).map(lambda i: i / r), min_size=4, max_size=4)),
+        st.booleans())
+    def test_grid_intervals_near_exact_root(self, ends, swap):
+        self.assert_near_exact(ends, swap)
+
+    def test_benchmark_coincide_witness_is_exact(self):
+        # the R=140 witness of x^2/sqrt vs (0.7, 1): both gaps are exact
+        # floats, and the root lies one ulp below 0.75
+        u, x = Interval(0.0, 0.04285714285714286), Interval(0.02142857142857143, 0.03571428571428571)
+        assert k_alpha_crossover(u, x) == self.exact_root(u, x) == 0.7499999999999999
+
+    def test_shared_endpoint_gives_unit_end(self):
+        assert k_alpha_crossover(Interval(0.2, 0.5), Interval(0.2, 0.7)) == 0.0
+        assert k_alpha_crossover(Interval(0.1, 0.7), Interval(0.2, 0.7)) == 1.0
 
 
 class TestOrdersCoincide:

@@ -13,7 +13,7 @@ from intervalorders import (
     AlphaBetaOrder,
     Interval,
     compare,
-    k_projection,
+    k_mean,
     partial_compare,
     refines_interval_order,
     sort_intervals,
@@ -25,7 +25,7 @@ print("componentwise comparison of", u, "and", x, "->", partial_compare(u, x).va
 
 print("\nprojections of", u, "at several weights:")
 for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-    print(f"  w = {w:4.2f}:  {k_projection(w, u):.4f}")
+    print(f"  w = {w:4.2f}:  {k_mean(w)(u):.4f}")
 
 # Four classical orders are projection orders for specific weight pairs.
 named = {
@@ -63,5 +63,6 @@ rng = np.random.default_rng(7)
 raw = rng.uniform(size=(8, 2))
 noisy = [Interval(min(p), max(p)) for p in raw]
 print("\na reproducible ranking of random intervals:")
+midpoint = k_mean(0.5)
 for z in sort_intervals(order, noisy):
-    print(f"  [{z.lo:.3f}, {z.hi:.3f}]   midpoint {k_projection(0.5, z):.3f}")
+    print(f"  [{z.lo:.3f}, {z.hi:.3f}]   midpoint {midpoint(z):.3f}")

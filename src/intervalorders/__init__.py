@@ -40,9 +40,7 @@ from .aggregators import (
     root_power_mean,
     schur_pair_mean,
     tconorm,
-    tconorm_eval,
     tnorm,
-    tnorm_eval,
 )
 from .battery import BatteryCase, BatteryRow, build_battery, run_battery
 from .coincidence import (
@@ -71,7 +69,6 @@ from .generators import (
     exponential,
     find_collision,
     generator_from_config,
-    generator_shape,
     identity,
     logarithm,
     logit,
@@ -88,10 +85,7 @@ from .intervals import (
     DomainError,
     Interval,
     PartialComparison,
-    ext_add,
     interval_grid,
-    k_projection,
-    k_projection_values,
     load_intervals,
     partial_compare,
     read_intervals_csv,

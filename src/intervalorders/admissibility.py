@@ -18,8 +18,10 @@ The decision engine layers three kinds of evidence, strongest first:
     likewise.  It has the collisions of that mean, so one pair of
     quasi-linear rules decides every pair of views, across families too:
     by the shape class of g o f^{-1}, certified exactly by the closed-form
-    registry.  Failed shape criteria are converted back into witnesses by
-    locating a zero of the collision gap.
+    registry; for a generator without a registry row the shape comes from a
+    numeric scan, and the verdict's note says so.  Failed shape criteria
+    are converted back into witnesses by locating a zero of the collision
+    gap.
 3.  The oracle.  A quantized exhaustive scan over a triangular grid of
     intervals.  Candidate pairs come from sorted (A, B) value buckets and
     are refined along A's level curves, which every builtin family gives in
@@ -52,12 +54,15 @@ from .aggregators import (
     quasi_linear_mean,
 )
 from .generators import (
+    NUMERIC_SAMPLES,
     Convexity,
     Generator,
     Monotonicity,
+    ShapeInfo,
     bisect_root,
     collision_candidates,
     composite,
+    registry_composite_shape,
 )
 from .intervals import Interval, interval_grid
 
@@ -65,6 +70,14 @@ WITNESS_TOL = 1e-9
 WITNESS_GAP = 1e-4
 ORACLE_QUANTUM = 1e-4
 ORACLE_CONFIRM = 1e-10
+# The composite collision search decodes f-images of COLLISION_POINTS points
+# of [COLLISION_MARGIN, 1 - COLLISION_MARGIN].
+COLLISION_POINTS = 33
+COLLISION_MARGIN = 0.02
+# rule_k0_k1 samples a K_SAMPLES x K_SAMPLES grid; a step rising by at most
+# K_FLAT is flat.
+K_SAMPLES = 21
+K_FLAT = 1e-9
 
 
 class Outcome(Enum):
@@ -89,6 +102,14 @@ class Witness:
     def swapped(self) -> "Witness":
         return Witness(self.u, self.x, self.residual_b, self.residual_a)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "u": list(self.u.as_tuple()),
+            "x": list(self.x.as_tuple()),
+            "residual_a": self.residual_a,
+            "residual_b": self.residual_b,
+        }
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -98,29 +119,24 @@ class Verdict:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        d: dict = {"outcome": self.outcome.value, "rule": self.rule}
-        if self.witness is not None:
-            d["witness"] = {
-                "u": list(self.witness.u.as_tuple()),
-                "x": list(self.witness.x.as_tuple()),
-                "residual_a": self.witness.residual_a,
-                "residual_b": self.witness.residual_b,
-            }
-        else:
-            d["witness"] = None
+        d: dict = {
+            "outcome": self.outcome.value,
+            "rule": self.rule,
+            "witness": None if self.witness is None else self.witness.to_json_dict(),
+        }
         if self.note:
             d["note"] = self.note
         return d
 
 
 def make_witness(a: AggregationFunction, b: AggregationFunction,
-                 u: Interval, x: Interval,
-                 tol: float = WITNESS_TOL, gap: float = WITNESS_GAP) -> Witness | None:
-    """Validate a candidate collision; None when it fails the contract."""
+                 u: Interval, x: Interval, tol: float = WITNESS_TOL) -> Witness | None:
+    """Validate a candidate collision: both residuals within ``tol`` and the
+    endpoints at least ``WITNESS_GAP`` apart; None when it fails."""
     ra = abs(a(u) - a(x))
     rb = abs(b(u) - b(x))
     w = Witness(u, x, ra, rb)
-    if ra <= tol and rb <= tol and w.endpoint_gap >= gap:
+    if ra <= tol and rb <= tol and w.endpoint_gap >= WITNESS_GAP:
         return w
     return None
 
@@ -243,21 +259,22 @@ def _decode_vspace(f: Generator, v1: float, x0: float, t1: float, t2: float
 
 
 def _collision_witness(f: Generator, g: Generator, w1: float, w2: float,
-                       a: AggregationFunction, b: AggregationFunction,
-                       resolution: int = 33, margin: float = 0.02) -> Witness | None:
+                       a: AggregationFunction, b: AggregationFunction) -> Witness | None:
     """Search the collision gap of the composite for a verified witness.
 
-    The endpoint pairs are those of f's image of a bounded window of (0,1),
-    widest first so witnesses are well separated.  Each candidate zero of
-    the gap from :func:`collision_candidates` is decoded back to intervals
-    and validated against the actual aggregation functions; the first that
-    passes is returned.
+    The endpoint pairs are those of f's image of ``COLLISION_POINTS`` points
+    of [COLLISION_MARGIN, 1 - COLLISION_MARGIN], widest first so witnesses
+    are well separated.  Each candidate zero of the gap from
+    :func:`collision_candidates` is decoded back to intervals and validated
+    against the actual aggregation functions; the first that passes is
+    returned.
     """
     h = composite(f, g).fn
     v1 = w1 if f.increasing else 1.0 - w1
     v2 = w2 if f.increasing else 1.0 - w2
     with np.errstate(all="ignore"):
-        ts = np.sort(np.asarray(f.fn(np.linspace(margin, 1.0 - margin, resolution)), float))
+        ts = np.sort(np.asarray(
+            f.fn(np.linspace(COLLISION_MARGIN, 1.0 - COLLISION_MARGIN, COLLISION_POINTS)), float))
     pairs = sorted(combinations(map(float, ts), 2), key=lambda p: (-(p[1] - p[0]), p[0]))
     for x0, t1, t2 in collision_candidates(h, pairs, v1, v2, 48):
         w = make_witness(a, b, *_decode_vspace(f, v1, x0, t1, t2))
@@ -283,6 +300,15 @@ def _saturation_verdict(a: AggregationFunction, b: AggregationFunction) -> Verdi
         w = make_witness(a, b, *_SATURATION_HIGH)
         return Verdict(Outcome.NOT_ADMISSIBLE, "disjunctive-saturation", witness=w)
     return None
+
+
+def _numeric_shape_note(f: Generator, g: Generator, shape: ShapeInfo) -> str:
+    """Empty when the closed-form registry gives the shape of g o f^{-1};
+    otherwise the label of numeric evidence that the verdict's note carries."""
+    if registry_composite_shape(f, g) is not None:
+        return ""
+    return (f"composite {shape.convexity.value} on a {NUMERIC_SAMPLES}-sample "
+            "numeric scan (evidence, not proof)")
 
 
 def rule_quasi_equal_weights(f: Generator, g: Generator, w: float,
@@ -313,12 +339,13 @@ def rule_quasi_equal_weights(f: Generator, g: Generator, w: float,
     if witness is not None:
         return Verdict(Outcome.NOT_ADMISSIBLE, f"{stem}-collision", witness=witness)
     if shape.convexity in (Convexity.AFFINE, Convexity.MIXED):
-        # shape certified non-strict in closed form, but no witness survived
-        # validation; report the exclusion without one
+        # shape non-strict, but no witness survived validation; report the
+        # exclusion without one
         return Verdict(
             Outcome.NOT_ADMISSIBLE,
             f"{stem}-shape",
-            note="composite certified neither strictly convex nor strictly concave",
+            note=_numeric_shape_note(f, g, shape)
+            or "composite certified neither strictly convex nor strictly concave",
         )
     return None
 
@@ -354,41 +381,41 @@ def rule_quasi_unequal_weights(f: Generator, g: Generator, w1: float, w2: float,
         return sat
     shape = composite(f, g).shape
     if _weight_row_matches(shape, f.increasing, w1, w2):
-        return Verdict(Outcome.ADMISSIBLE, "weight-order-shape")
+        return Verdict(Outcome.ADMISSIBLE, "weight-order-shape",
+                       note=_numeric_shape_note(f, g, shape))
     witness = _collision_witness(f, g, w1, w2, a, b)
     if witness is not None:
         return Verdict(Outcome.NOT_ADMISSIBLE, "weighted-collision", witness=witness)
     return None
 
 
-def rule_k0_k1(b: AggregationFunction, k_weight: float,
-               samples: int = 21, margin: float = 1e-9) -> Verdict | None:
+def rule_k0_k1(b: AggregationFunction, k_weight: float) -> Verdict | None:
     """Pairing the 0- or 1-projection with B.
 
     (K_0, B) orders totally iff x -> B(x1, x) is strictly increasing for each
     x1; dually (K_1, B) needs strict increase in the first argument.  The
-    check runs on a sample grid with the given strictness margin, so an
-    ADMISSIBLE answer is grid evidence while a flat stretch yields a
-    verified collision.
+    check runs on a ``K_SAMPLES`` x ``K_SAMPLES`` grid, where a step that
+    rises by at most ``K_FLAT`` counts as flat, so an ADMISSIBLE answer is
+    grid evidence while a flat stretch yields a verified collision.
     """
     if k_weight not in (0.0, 1.0):
         raise ValueError("rule applies to the endpoint projections only")
     k_af = k_mean(k_weight)
-    anchors = np.linspace(0.0, 1.0, samples)
+    anchors = np.linspace(0.0, 1.0, K_SAMPLES)
     for anchor in anchors:
         if k_weight == 0.0:
-            frees = np.linspace(anchor, 1.0, samples)
+            frees = np.linspace(anchor, 1.0, K_SAMPLES)
             los = np.full_like(frees, anchor)
             his = frees
         else:
-            frees = np.linspace(0.0, anchor, samples)
+            frees = np.linspace(0.0, anchor, K_SAMPLES)
             los = frees
             his = np.full_like(frees, anchor)
         if frees[-1] - frees[0] < 1e-3:
             continue
         vals = b.values(los, his)
         diffs = np.diff(vals)
-        flat = np.nonzero(diffs <= margin)[0]
+        flat = np.nonzero(diffs <= K_FLAT)[0]
         if flat.size:
             k = int(flat[0])
             u = Interval(float(los[k]), float(his[k]))
@@ -399,7 +426,7 @@ def rule_k0_k1(b: AggregationFunction, k_weight: float,
                 return Verdict(Outcome.NOT_ADMISSIBLE, rule, witness=w)
             return None
     rule = "k0-second-arg-strict" if k_weight == 0.0 else "k1-first-arg-strict"
-    return Verdict(Outcome.ADMISSIBLE, rule, note=f"grid evidence, {samples}x{samples} samples")
+    return Verdict(Outcome.ADMISSIBLE, rule, note=f"grid evidence, {K_SAMPLES}x{K_SAMPLES} samples")
 
 
 def rule_tnorm_tconorm(t_af: AggregationFunction, s_af: AggregationFunction) -> Verdict | None:
@@ -638,12 +665,11 @@ def _candidate_pairs(va: np.ndarray, vb: np.ndarray, quantum: float
 
 
 def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
-                  resolution: int = 200, quantum: float = ORACLE_QUANTUM
-                  ) -> tuple[Interval, Interval] | None:
+                  resolution: int = 200) -> tuple[Interval, Interval] | None:
     """Exhaustive quantized scan for a simultaneous collision of A and B.
 
     All grid intervals are bucketed by their (A, B) values rounded to
-    ``quantum``; pairs in the same or adjacent buckets whose values differ
+    ``ORACLE_QUANTUM``; pairs in the same or adjacent buckets whose values differ
     by at most 1.5 quanta are candidates.  Each is confirmed by refinement
     along the closed-form A-level curve to ~1e-10 before being accepted.
     Returns the lexicographically smallest confirmed pair, or None.  An
@@ -658,7 +684,7 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
     window = 2.5 / resolution
     # interval_grid is in lexicographic order of (lo, hi), so the index
     # order of the candidates is the lexicographic order of (u, x)
-    ms, ns = _candidate_pairs(va, vb, quantum)
+    ms, ns = _candidate_pairs(va, vb, ORACLE_QUANTUM)
     for m, n in zip(ms.tolist(), ns.tolist()):
         u = Interval(float(lo[m]), float(hi[m]))
         x = Interval(float(lo[n]), float(hi[n]))

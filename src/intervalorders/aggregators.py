@@ -279,26 +279,6 @@ def _validate_tconorm_generator(s: Generator) -> None:
         raise AggregationError(f"{s.name}: a t-conorm generator needs s(1) > 0")
 
 
-def tnorm_eval(t: Generator, z: Interval) -> float:
-    """T(u1, u2) = t^{-1}(min(t(u1) + t(u2), t(0)))."""
-    a = float(t.fn(z.lo))
-    b = float(t.fn(z.hi))
-    s = min(a + b, t.at_zero)
-    if math.isinf(s):
-        return 0.0
-    return float(np.clip(t.inv(s), 0.0, 1.0))
-
-
-def tconorm_eval(s: Generator, z: Interval) -> float:
-    """S(u1, u2) = s^{-1}(min(s(u1) + s(u2), s(1)))."""
-    a = float(s.fn(z.lo))
-    b = float(s.fn(z.hi))
-    v = min(a + b, s.at_one)
-    if math.isinf(v):
-        return 1.0
-    return float(np.clip(s.inv(v), 0.0, 1.0))
-
-
 def tnorm(t: Generator) -> AggregationFunction:
     """Archimedean t-norm from its additive generator.
 

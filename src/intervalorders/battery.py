@@ -282,14 +282,11 @@ def build_battery() -> list[BatteryCase]:
     return cases
 
 
-def run_battery(cases: list[BatteryCase] | None = None, *,
-                use_oracle: bool = True, resolution: int = 200) -> list[BatteryRow]:
-    cases = build_battery() if cases is None else cases
-    return [
-        BatteryRow(case, check_pair(case.a, case.b, resolution=resolution,
-                                    use_oracle=use_oracle))
-        for case in cases
-    ]
+def run_battery(*, resolution: int = 200) -> list[BatteryRow]:
+    """Every battery case's verdict, with the oracle at ``resolution`` for
+    pairs no rule decides."""
+    return [BatteryRow(case, check_pair(case.a, case.b, resolution=resolution))
+            for case in build_battery()]
 
 
 def format_battery_table(rows: list[BatteryRow]) -> str:

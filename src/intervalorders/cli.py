@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .admissibility import Outcome, check_pair, oracle_search, make_witness
+from .admissibility import check_pair, make_witness, oracle_search
 from .aggregators import AggregationError, aggregator_from_config
 from .battery import format_battery_table, run_battery
 from .coincidence import orders_coincide
@@ -30,7 +30,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    command: str
     config: dict = field(default_factory=dict)
     input_path: str | None = None
     output_path: str | None = None
@@ -77,7 +76,7 @@ def _pair_from_config(cfg: dict):
 
 def _cmd_check_pair(rc: RunConfig) -> int:
     a, b = _pair_from_config(rc.config)
-    verdict = check_pair(a, b, resolution=max(50, rc.resolution), tol=rc.tol)
+    verdict = check_pair(a, b, resolution=rc.resolution, tol=rc.tol)
     _emit(json.dumps(verdict.to_json_dict(), sort_keys=True, indent=2), rc.output_path)
     return 0
 
@@ -103,20 +102,12 @@ def _cmd_rank(rc: RunConfig) -> int:
 
 def _cmd_find_counterexample(rc: RunConfig) -> int:
     a, b = _pair_from_config(rc.config)
-    found = oracle_search(a, b, resolution=max(50, rc.resolution))
+    found = oracle_search(a, b, resolution=rc.resolution)
     if found is None:
-        payload = {"witness": None,
-                   "note": f"none at resolution {max(50, rc.resolution)}"}
+        payload = {"witness": None, "note": f"none at resolution {rc.resolution}"}
     else:
         w = make_witness(a, b, *found, tol=rc.tol)
-        payload = {
-            "witness": None if w is None else {
-                "u": list(w.u.as_tuple()),
-                "x": list(w.x.as_tuple()),
-                "residual_a": w.residual_a,
-                "residual_b": w.residual_b,
-            }
-        }
+        payload = {"witness": None if w is None else w.to_json_dict()}
     _emit(json.dumps(payload, sort_keys=True, indent=2), rc.output_path)
     return 0
 
@@ -128,7 +119,7 @@ def _cmd_coincide(rc: RunConfig) -> int:
     order1 = order_from_config(specs[0])
     order2 = order_from_config(specs[1])
     dump_path = rc.config.get("disagreements_csv")
-    rep = orders_coincide(order1, order2, resolution=max(50, rc.resolution),
+    rep = orders_coincide(order1, order2, resolution=rc.resolution,
                           collect_all=dump_path is not None)
     if dump_path:
         with open(dump_path, "w") as fh:
@@ -143,12 +134,12 @@ def _cmd_coincide(rc: RunConfig) -> int:
 
 
 def _cmd_battery(rc: RunConfig) -> int:
-    rows = run_battery(use_oracle=True, resolution=max(50, rc.resolution))
+    rows = run_battery(resolution=rc.resolution)
     table = format_battery_table(rows)
     if rc.cross_check:
         lines = [table, "", "oracle cross-check:"]
         for row in rows:
-            found = oracle_search(row.case.a, row.case.b, resolution=max(50, rc.resolution))
+            found = oracle_search(row.case.a, row.case.b, resolution=rc.resolution)
             status = "collision" if found is not None else "none"
             lines.append(f"  {row.case.label}: {status}")
         table = "\n".join(lines)
@@ -194,15 +185,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         rc = RunConfig(
-            command=args.command,
             config=cfg,
             input_path=args.input or cfg.get("input"),
             output_path=args.output or cfg.get("output"),
-            resolution=args.resolution or int(cfg.get("resolution", 200)),
-            tol=args.tol or float(cfg.get("tol", 1e-9)),
+            resolution=(args.resolution if args.resolution is not None
+                        else int(cfg.get("resolution", 200))),
+            tol=args.tol if args.tol is not None else float(cfg.get("tol", 1e-9)),
             cross_check=bool(getattr(args, "cross_check", False)),
         )
         rc.validate()
+        # every grid scan needs at least 50 points a side
+        rc.resolution = max(50, rc.resolution)
         return _COMMANDS[args.command](rc)
     except (DataError, FileNotFoundError, OSError) as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

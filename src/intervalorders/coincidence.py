@@ -23,13 +23,12 @@ from .aggregators import (
     k_mean,
     schur_pair_mean,
 )
-from .generators import Convexity, Generator, bisect_root, generator_shape
+from .generators import Convexity, Generator, bisect_root, identity, registry_composite_shape
 from .intervals import Interval, interval_grid
 from .orders import (
     AlphaBetaOrder,
     GeneratedPairOrder,
     Ordering,
-    TotalOrder,
     _key_signs,
     compare,
     tie_classes,
@@ -100,7 +99,7 @@ def k_alpha_crossover(u: Interval, x: Interval) -> float | None:
     return g0 / (g0 - g1)
 
 
-def _alpha_notes(order1: TotalOrder, order2: TotalOrder,
+def _alpha_notes(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
                  w: DisagreementWitness) -> tuple[float, ...]:
     if not isinstance(order1, AlphaBetaOrder) and not isinstance(order2, AlphaBetaOrder):
         return ()
@@ -114,7 +113,7 @@ def _first_cells(mask: np.ndarray, offset: int, limit: int) -> list[tuple[int, i
     return list(zip((offset + rows[:limit]).tolist(), (offset + cols[:limit]).tolist()))
 
 
-def orders_coincide(order1: TotalOrder, order2: TotalOrder,
+def orders_coincide(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
                     resolution: int = 100,
                     candidates: list[tuple[Interval, Interval]] | None = None,
                     collect_all: bool = False,
@@ -176,6 +175,10 @@ def orders_coincide(order1: TotalOrder, order2: TotalOrder,
 # ---------------------------------------------------------------------------
 
 
+# Steps along a diagonal smaller than this count as flat in the Schur scan.
+SCHUR_TOL = 1e-12
+
+
 class SchurClass(Enum):
     STRICTLY_SCHUR_CONVEX = "strictly_schur_convex"
     SCHUR_CONVEX = "schur_convex"
@@ -200,7 +203,7 @@ class SchurClass(Enum):
 def _closed_form_schur(af: AggregationFunction) -> SchurClass | None:
     d = af.descriptor
     if isinstance(d, SchurPair):
-        shape = generator_shape(d.f)
+        shape = registry_composite_shape(identity(), d.f)
         if shape is None:
             return None
         if shape.convexity is Convexity.STRICTLY_CONVEX:
@@ -222,8 +225,7 @@ def _closed_form_schur(af: AggregationFunction) -> SchurClass | None:
     return None
 
 
-def schur_classify(af: AggregationFunction, resolution: int = 100,
-                   tol: float = 1e-12) -> SchurClass:
+def schur_classify(af: AggregationFunction, resolution: int = 100) -> SchurClass:
     """Monotonicity class of the aggregator along constant-sum diagonals.
 
     Strict classes are emitted only by the closed-form registry (pairwise
@@ -248,9 +250,9 @@ def schur_classify(af: AggregationFunction, resolution: int = 100,
         los = sigma - his
         vals = af.values(los, his)
         diffs = np.diff(vals)
-        if np.any(diffs < -tol):
+        if np.any(diffs < -SCHUR_TOL):
             nondec = False
-        if np.any(diffs > tol):
+        if np.any(diffs > SCHUR_TOL):
             noninc = False
             varies = True
         if not nondec and not noninc:
@@ -350,7 +352,7 @@ def projection_disagreement_witness(f: Generator, alpha: float, beta: float
         raise ValueError("projection weights must lie in [0,1]")
     if alpha == beta:
         raise ValueError("the projection order requires alpha != beta")
-    shape = generator_shape(f)
+    shape = registry_composite_shape(identity(), f)
     if shape is None or not f.increasing:
         raise ValueError(f"{f.name}: need an increasing bijection with certified shape")
     if abs(f.at_zero) > 1e-12 or abs(f.at_one - 1.0) > 1e-12:

@@ -117,19 +117,21 @@ class Generator:
     def __call__(self, x):
         return self.fn(x)
 
-    @property
-    def is_builtin(self) -> bool:
-        return self.kind is not None
-
     def range_open(self) -> tuple[float, float]:
         """The open interval f((0,1)), endpoints possibly infinite."""
         a, b = self.at_zero, self.at_one
         return (min(a, b), max(a, b))
 
 
-def validate_generator(gen: Generator, samples: int = 41, tol: float = 1e-9) -> None:
+# validate_generator checks this many interior points of (0,1) and the
+# inverse round-trip to this tolerance.
+VALIDATION_SAMPLES = 41
+ROUND_TRIP_TOL = 1e-9
+
+
+def validate_generator(gen: Generator) -> None:
     """Check strict monotonicity, finiteness on (0,1), and inverse round-trip."""
-    xs = np.linspace(0.0, 1.0, samples + 2)[1:-1]
+    xs = np.linspace(0.0, 1.0, VALIDATION_SAMPLES + 2)[1:-1]
     with np.errstate(all="ignore"):
         ys = np.asarray(gen.fn(xs), dtype=float)
     if not np.all(np.isfinite(ys)):
@@ -143,9 +145,10 @@ def validate_generator(gen: Generator, samples: int = 41, tol: float = 1e-9) -> 
             raise GeneratorError(f"{gen.name}: not strictly decreasing on the sample grid")
     with np.errstate(all="ignore"):
         back = np.asarray(gen.inv(ys), dtype=float)
-    if not np.all(np.abs(back - xs) <= tol):
+    if not np.all(np.abs(back - xs) <= ROUND_TRIP_TOL):
         worst = float(np.max(np.abs(back - xs)))
-        raise GeneratorError(f"{gen.name}: inverse round-trip error {worst:.3e} exceeds {tol:g}")
+        raise GeneratorError(
+            f"{gen.name}: inverse round-trip error {worst:.3e} exceeds {ROUND_TRIP_TOL:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,39 +349,43 @@ def _r_coeffs(gen: Generator) -> tuple[float, float, float] | None:
     return None
 
 
-def _quadratic_sign_on_unit(c0: float, c1: float, c2: float,
-                            coeff_tol: float = 1e-12,
-                            edge: float = 1e-9) -> str:
+# Relative size below which a quadratic coefficient or value counts as zero,
+# and the distance from 0 and 1 within which a root is not interior.
+COEFF_TOL = 1e-12
+ROOT_EDGE = 1e-9
+
+
+def _quadratic_sign_on_unit(c0: float, c1: float, c2: float) -> str:
     """Sign pattern of c0 + c1*x + c2*x^2 on the open interval (0,1).
 
-    Returns 'zero', 'pos', 'neg', or 'mixed'.  Roots within ``edge`` of the
-    boundary do not count as interior sign changes.
+    Returns 'zero', 'pos', 'neg', or 'mixed'.  Roots within ``ROOT_EDGE`` of
+    the boundary do not count as interior sign changes.
     """
     scale = max(abs(c0), abs(c1), abs(c2))
-    if scale <= coeff_tol:
+    if scale <= COEFF_TOL:
         return "zero"
 
     def val(x: float) -> float:
         return c0 + c1 * x + c2 * x * x
 
     roots: list[float] = []
-    if abs(c2) > coeff_tol * max(1.0, scale):
+    if abs(c2) > COEFF_TOL * max(1.0, scale):
         disc = c1 * c1 - 4.0 * c0 * c2
-        if disc > (coeff_tol * scale) ** 2:
+        if disc > (COEFF_TOL * scale) ** 2:
             sq = math.sqrt(disc)
             roots = [(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)]
         # a double root (disc ~ 0) never changes sign
-    elif abs(c1) > coeff_tol * max(1.0, scale):
+    elif abs(c1) > COEFF_TOL * max(1.0, scale):
         roots = [-c0 / c1]
 
-    interior = sorted(r for r in roots if edge < r < 1.0 - edge)
-    cuts = [edge] + interior + [1.0 - edge]
+    interior = sorted(r for r in roots if ROOT_EDGE < r < 1.0 - ROOT_EDGE)
+    cuts = [ROOT_EDGE] + interior + [1.0 - ROOT_EDGE]
     has_pos = has_neg = False
     for a, b in zip(cuts[:-1], cuts[1:]):
         v = val(0.5 * (a + b))
-        if v > coeff_tol * scale:
+        if v > COEFF_TOL * scale:
             has_pos = True
-        elif v < -coeff_tol * scale:
+        elif v < -COEFF_TOL * scale:
             has_neg = True
     if has_pos and has_neg:
         return "mixed"
@@ -416,11 +423,6 @@ def registry_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
     return ShapeInfo(conv, mono)
 
 
-def generator_shape(gen: Generator) -> ShapeInfo | None:
-    """Shape of the generator itself on (0,1) (composite with the identity)."""
-    return registry_composite_shape(identity(), gen)
-
-
 # ---------------------------------------------------------------------------
 # Sampling helpers and the numerical classifier
 # ---------------------------------------------------------------------------
@@ -453,14 +455,19 @@ def _call_vectorized(fn, xs: np.ndarray) -> np.ndarray:
     return np.array([float(fn(float(v))) for v in xs])
 
 
-def classify_convexity_numeric(fn, domain: tuple[float, float],
-                               n: int = 2001,
-                               step_floor: float = 1e-4,
-                               threshold: float = 1e-10) -> ShapeInfo:
-    """Second-difference convexity scan of ``fn`` over ``domain``.
+# The numeric convexity scan: sample count, floor of the difference step d
+# and the threshold a second difference must pass to register.
+NUMERIC_SAMPLES = 2001
+STEP_FLOOR = 1e-4
+CURVATURE_THRESHOLD = 1e-10
+
+
+def classify_convexity_numeric(fn, domain: tuple[float, float]) -> ShapeInfo:
+    """Second-difference convexity scan of ``fn`` over ``domain`` at
+    ``NUMERIC_SAMPLES`` points.
 
     Symmetric second differences fn(y+d) - 2 fn(y) + fn(y-d) are compared
-    against ``threshold`` plus a per-point round-off guard proportional to
+    against ``CURVATURE_THRESHOLD`` plus a per-point round-off guard proportional to
     the local function magnitude.  With d ~ 1e-4 a sign registers once the
     curvature reaches roughly 1e-2 somewhere in the domain (round-off sits
     near 1e-15, five orders below the threshold), which is sensitive enough
@@ -469,11 +476,11 @@ def classify_convexity_numeric(fn, domain: tuple[float, float],
     strict classes, and UNKNOWN rather than AFFINE when nothing registers.
     """
     lo, hi = domain
-    ys = sample_open_interval(lo, hi, n)
+    ys = sample_open_interval(lo, hi, NUMERIC_SAMPLES)
     if math.isfinite(lo) and math.isfinite(hi):
-        steps = np.full_like(ys, max(step_floor, step_floor * (hi - lo)))
+        steps = np.full_like(ys, max(STEP_FLOOR, STEP_FLOOR * (hi - lo)))
     else:
-        steps = np.maximum(step_floor, step_floor * np.abs(ys))
+        steps = np.maximum(STEP_FLOOR, STEP_FLOOR * np.abs(ys))
     ok = (ys - steps > lo) & (ys + steps < hi)
     ys, steps = ys[ok], steps[ok]
     if ys.size < 8:
@@ -490,7 +497,7 @@ def classify_convexity_numeric(fn, domain: tuple[float, float],
     if d2.size < 8:
         return ShapeInfo(Convexity.UNKNOWN, Monotonicity.UNKNOWN)
 
-    guard = np.maximum(threshold, 512.0 * np.finfo(float).eps * fscale)
+    guard = np.maximum(CURVATURE_THRESHOLD, 512.0 * np.finfo(float).eps * fscale)
     has_pos = bool(np.any(d2 > guard))
     has_neg = bool(np.any(d2 < -guard))
     if has_pos and has_neg:
@@ -527,7 +534,7 @@ class Composite:
         return self.fn(y)
 
 
-def composite(f: Generator, g: Generator, n: int = 2001) -> Composite:
+def composite(f: Generator, g: Generator) -> Composite:
     """Build g o f^{-1} with its convexity classification.
 
     Uses the closed-form registry when both generators are builtin; otherwise
@@ -543,7 +550,7 @@ def composite(f: Generator, g: Generator, n: int = 2001) -> Composite:
     domain = f.range_open()
     shape = registry_composite_shape(f, g)
     if shape is None:
-        conv = classify_convexity_numeric(fn, domain, n=n).convexity
+        conv = classify_convexity_numeric(fn, domain).convexity
         # monotonicity is structural: a composite of validated strictly
         # monotone maps is strictly monotone with the combined direction
         mono = (

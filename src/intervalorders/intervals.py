@@ -1,9 +1,7 @@
 """Closed subintervals of [0,1] and the componentwise partial order on them.
 
 The family L = {[a, b] : 0 <= a <= b <= 1} is the universe every ranking in
-this package operates on.  Endpoints are IEEE doubles.  Extended-real values
-(+/-inf) show up only as generator endpoint data; their addition follows the
-convention that -inf dominates +inf (see :func:`ext_add`).
+this package operates on.  Endpoints are IEEE doubles.
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ import numpy as np
 # further outside is rejected.  Tolerates parser round-off without admitting
 # invalid intervals.
 BOUNDARY_SLACK = 1e-15
-
-# Equality tolerance for derived comparisons of projected values.
-PROJECTION_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -98,31 +93,6 @@ def partial_compare(u: Interval, x: Interval) -> PartialComparison:
     if ge:
         return PartialComparison.GREATER_OR_EQUAL
     return PartialComparison.INCOMPARABLE
-
-
-def k_projection(w: float, z: Interval) -> float:
-    """Weighted endpoint projection (1-w)*lo + w*hi; lands inside [lo, hi]."""
-    w = float(w)
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"projection weight must lie in [0,1], got {w!r}")
-    return (1.0 - w) * z.lo + w * z.hi
-
-
-def k_projection_values(w: float, lo, hi):
-    """Vectorized :func:`k_projection` over endpoint arrays."""
-    w = float(w)
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"projection weight must lie in [0,1], got {w!r}")
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return (1.0 - w) * lo + w * hi
-
-
-def ext_add(a: float, b: float) -> float:
-    """Extended-real addition where -inf dominates: -inf + inf == -inf."""
-    if a == -math.inf or b == -math.inf:
-        return -math.inf
-    return a + b
 
 
 def interval_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:

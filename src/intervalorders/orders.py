@@ -1,11 +1,11 @@
 """Total-order comparators on unit intervals and ranking utilities.
 
-Two kinds of comparator are supported: the projection order, which compares
-alpha-weighted endpoint projections and breaks ties with a second weight
-beta, and the order generated by an admissible pair (A, B) of aggregation
-functions, which compares A-values and breaks ties with B.  Both are
-lexicographic two-stage comparisons; with an admissible pair exact ties in
-both stages happen only for identical intervals.
+The order generated by an admissible pair (A, B) of aggregation functions
+compares A-values and breaks ties with B, a lexicographic two-stage
+comparison; exact ties in both stages happen only for identical intervals.
+The (alpha, beta) projection order is the order generated by the pair
+(K_alpha, K_beta) of weighted endpoint projections
+K_w(z) = (1-w) z1 + w z2, so it is one more generated pair order.
 
 Ties are decided once, by ``tie_classes``: sort by the first stage value,
 merge each run whose consecutive gaps are at most ``TIE_TOL`` into one
@@ -15,18 +15,20 @@ comparison here reads these integer classes, so ties are transitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .aggregators import AggregationFunction, aggregator_from_config
+from .aggregators import AggregationFunction, aggregator_from_config, k_mean
 from .intervals import Interval, interval_grid
 
 # Tie tolerance of both stages, read only by ``tie_classes``.  Ties must be
 # tight: with an admissible pair exact ties occur only at u = x, so a loose
 # tolerance would invent spurious Equal results between nearby intervals.
 TIE_TOL = 1e-12
+
+# Oracle resolution of the admissibility check a pair order runs when built.
+VERIFY_RESOLUTION = 100
 
 
 class OrderSpecError(ValueError):
@@ -39,31 +41,6 @@ class Ordering(IntEnum):
     GREATER = 1
 
 
-class AlphaBetaOrder:
-    """Compare alpha-projections first, beta-projections to break ties."""
-
-    def __init__(self, alpha: float, beta: float):
-        alpha, beta = float(alpha), float(beta)
-        for name, w in (("alpha", alpha), ("beta", beta)):
-            if not 0.0 <= w <= 1.0:
-                raise OrderSpecError(f"{name} must lie in [0,1], got {w!r}")
-        if alpha == beta:
-            raise OrderSpecError("alpha and beta must differ")
-        self.alpha = alpha
-        self.beta = beta
-
-    def stage_values(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        return (
-            (1.0 - self.alpha) * lo + self.alpha * hi,
-            (1.0 - self.beta) * lo + self.beta * hi,
-        )
-
-    def __repr__(self) -> str:
-        return f"AlphaBetaOrder({self.alpha:g}, {self.beta:g})"
-
-
 class GeneratedPairOrder:
     """The order generated by a pair (A, B) of aggregation functions.
 
@@ -73,14 +50,14 @@ class GeneratedPairOrder:
     """
 
     def __init__(self, a: AggregationFunction, b: AggregationFunction,
-                 verify_admissible: bool = True, resolution: int = 100):
+                 verify_admissible: bool = True):
         self.a = a
         self.b = b
         self.verdict = None
         if verify_admissible:
             from .admissibility import Outcome, check_pair
 
-            verdict = check_pair(a, b, resolution=max(50, resolution))
+            verdict = check_pair(a, b, resolution=VERIFY_RESOLUTION)
             self.verdict = verdict
             if verdict.outcome is Outcome.NOT_ADMISSIBLE:
                 raise OrderSpecError(
@@ -95,10 +72,26 @@ class GeneratedPairOrder:
         return f"GeneratedPairOrder({self.a.name}, {self.b.name})"
 
 
-TotalOrder = AlphaBetaOrder | GeneratedPairOrder
+class AlphaBetaOrder(GeneratedPairOrder):
+    """The (alpha, beta)-order: the order generated by (K_alpha, K_beta),
+    which is admissible for any two distinct weights."""
+
+    def __init__(self, alpha: float, beta: float):
+        alpha, beta = float(alpha), float(beta)
+        for name, w in (("alpha", alpha), ("beta", beta)):
+            if not 0.0 <= w <= 1.0:
+                raise OrderSpecError(f"{name} must lie in [0,1], got {w!r}")
+        if alpha == beta:
+            raise OrderSpecError("alpha and beta must differ")
+        super().__init__(k_mean(alpha), k_mean(beta), verify_admissible=False)
+        self.alpha = alpha
+        self.beta = beta
+
+    def __repr__(self) -> str:
+        return f"AlphaBetaOrder({self.alpha:g}, {self.beta:g})"
 
 
-def tie_classes(order: TotalOrder, lo, hi) -> np.ndarray:
+def tie_classes(order: GeneratedPairOrder, lo, hi) -> np.ndarray:
     """Dense rank (int64) of each interval under the order; equal ranks tie.
     Classes are runs of sorted stage values with consecutive gaps at most
     ``TIE_TOL``, first stage then second, so ties are transitive."""
@@ -113,20 +106,20 @@ def tie_classes(order: TotalOrder, lo, hi) -> np.ndarray:
     return keys
 
 
-def compare(order: TotalOrder, u: Interval, x: Interval) -> Ordering:
+def compare(order: GeneratedPairOrder, u: Interval, x: Interval) -> Ordering:
     """Two-stage lexicographic comparison of u against x."""
     k = tie_classes(order, np.array([u.lo, x.lo]), np.array([u.hi, x.hi]))
     return Ordering(int(np.sign(k[0] - k[1])))
 
 
-def rank_indices(order: TotalOrder, items: list[Interval]) -> list[int]:
+def rank_indices(order: GeneratedPairOrder, items: list[Interval]) -> list[int]:
     """Input positions sorted ascending under the order: a stable sort of the
     transitive ``tie_classes`` keys, so ties keep their input order."""
     lo, hi = np.array([z.lo for z in items], float), np.array([z.hi for z in items], float)
     return np.argsort(tie_classes(order, lo, hi), kind="stable").tolist()
 
 
-def sort_intervals(order: TotalOrder, items: list[Interval]) -> list[Interval]:
+def sort_intervals(order: GeneratedPairOrder, items: list[Interval]) -> list[Interval]:
     """Stable ascending sort; deterministic."""
     return [items[i] for i in rank_indices(order, items)]
 
@@ -138,7 +131,7 @@ def _key_signs(ki: np.ndarray, kj: np.ndarray) -> np.ndarray:
     return signs
 
 
-def sign_matrix(order: TotalOrder, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def sign_matrix(order: GeneratedPairOrder, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Pairwise comparison signs (-1/0/+1 as int8) over a small interval family.
 
     Entry [i, j] is the sign of the ``tie_classes`` key of interval i minus
@@ -148,7 +141,7 @@ def sign_matrix(order: TotalOrder, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return _key_signs(keys, keys)
 
 
-def refines_interval_order(order: TotalOrder, resolution: int = 50) -> bool:
+def refines_interval_order(order: GeneratedPairOrder, resolution: int = 50) -> bool:
     """Whether the total order extends the componentwise partial order on a
     grid: no componentwise-dominated pair may compare as Greater.
 
@@ -167,7 +160,7 @@ def refines_interval_order(order: TotalOrder, resolution: int = 50) -> bool:
     return True
 
 
-def order_from_config(spec: dict) -> TotalOrder:
+def order_from_config(spec: dict) -> GeneratedPairOrder:
     """Build a total order from a config mapping.
 
     Formats: {"kind": "alpha_beta", "alpha": 0.5, "beta": 1.0} or

@@ -103,7 +103,7 @@ BATTERY_ROWS = None
 def _battery_rows():
     global BATTERY_ROWS
     if BATTERY_ROWS is None:
-        BATTERY_ROWS = run_battery(use_oracle=True, resolution=200)
+        BATTERY_ROWS = run_battery(resolution=200)
     return BATTERY_ROWS
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -140,6 +141,19 @@ class TestUnequalWeights:
         # the regime stays undecided rather than guessed
         v = rule_quasi_unequal_weights(exponential(1.0), exponential(0.5), 0.2, 0.6)
         assert v is None
+
+    def test_shape_of_generators_without_registry_row_is_labelled_evidence(self):
+        # power(2) at w = 0.2 and power(3) at w = 0.5 stripped of their
+        # registry kind: the shape comes from the numeric scan, and the
+        # verdict's note says so in both orientations
+        f, g = (dataclasses.replace(power(e), kind=None, param=None) for e in (2.0, 3.0))
+        a, b = quasi_linear_mean(f, 0.2), quasi_linear_mean(g, 0.5)
+        for v, shape in ((check_pair(a, b, use_oracle=False), "convex"),
+                         (check_pair(b, a, use_oracle=False), "concave")):
+            assert (v.outcome, v.rule) == (Outcome.ADMISSIBLE, "weight-order-shape")
+            assert v.note == f"composite {shape} on a 2001-sample numeric scan (evidence, not proof)"
+        builtin = check_pair(root_power_mean(2.0, 0.2), root_power_mean(3.0, 0.5))
+        assert (builtin.rule, builtin.note) == ("weight-order-shape", "")
 
     def test_no_row_with_located_collision_is_excluded(self):
         # same structure but with a composite whose slope ratio is unbounded:
@@ -387,6 +401,11 @@ class TestBatteryRules:
     def test_both_orientations_name_the_same_rule(self, battery_verdicts):
         for ab, ba in battery_verdicts:
             assert ab.rule == ba.rule
+
+    def test_builtin_shapes_are_certified(self, battery_verdicts):
+        # every battery generator has a registry row, so no verdict rests on
+        # the numeric shape scan
+        assert not [v.note for pair in battery_verdicts for v in pair if "numeric" in v.note]
 
 
 def _reference_candidate_pairs(lo, hi, va, vb, quantum):

@@ -25,9 +25,7 @@ from intervalorders import (
     root_power_mean,
     schur_pair_mean,
     tconorm,
-    tconorm_eval,
     tnorm,
-    tnorm_eval,
 )
 from intervalorders.admissibility import _bisect_hi, _level_hi
 
@@ -178,12 +176,12 @@ class TestArchimedean:
     def test_product_from_negated_log(self):
         t = negated_log()
         for lo, hi in [(0.3, 0.8), (0.5, 0.5), (0.0, 0.7), (1.0, 1.0)]:
-            assert tnorm_eval(t, Interval(lo, hi)) == pytest.approx(lo * hi, abs=1e-12)
+            assert tnorm(t)(Interval(lo, hi)) == pytest.approx(lo * hi, abs=1e-12)
 
     def test_lukasiewicz_from_one_minus(self):
         t = one_minus()
         for lo, hi in [(0.3, 0.8), (0.25, 0.25), (0.7, 0.9), (0.0, 1.0)]:
-            assert tnorm_eval(t, Interval(lo, hi)) == pytest.approx(
+            assert tnorm(t)(Interval(lo, hi)) == pytest.approx(
                 max(lo + hi - 1.0, 0.0), abs=1e-12
             )
 
@@ -195,14 +193,14 @@ class TestArchimedean:
     def test_probabilistic_sum(self):
         s = negated_log_complement()
         for lo, hi in [(0.3, 0.8), (0.5, 0.5), (0.2, 1.0)]:
-            assert tconorm_eval(s, Interval(lo, hi)) == pytest.approx(
+            assert tconorm(s)(Interval(lo, hi)) == pytest.approx(
                 lo + hi - lo * hi, abs=1e-12
             )
 
     def test_bounded_sum_from_identity(self):
         s = identity()
         for lo, hi in [(0.3, 0.8), (0.4999, 0.5), (0.7, 0.9)]:
-            assert tconorm_eval(s, Interval(lo, hi)) == pytest.approx(
+            assert tconorm(s)(Interval(lo, hi)) == pytest.approx(
                 min(lo + hi, 1.0), abs=1e-12
             )
 

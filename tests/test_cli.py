@@ -193,6 +193,13 @@ class TestExitCodes:
     def test_low_resolution_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", PAIR_CONFIG)
         assert main(["check-pair", "--config", cfg, "--resolution", "4"]) == 1
+        # zero is a value, not a missing one
+        assert main(["check-pair", "--config", cfg, "--resolution", "0"]) == 1
+
+    def test_zero_tolerance_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", PAIR_CONFIG)
+        assert main(["check-pair", "--config", cfg, "--tol", "0"]) == 1
+        assert "tolerance must be positive" in capsys.readouterr().err
 
     def test_missing_order_spec_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {})

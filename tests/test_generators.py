@@ -18,7 +18,6 @@ from intervalorders import (
     exponential,
     find_collision,
     generator_from_config,
-    generator_shape,
     identity,
     logarithm,
     logit,
@@ -206,9 +205,12 @@ class TestRegistryShapes:
         assert shape.monotonicity is expected_mono
 
     def test_generator_shape_of_power(self):
-        assert generator_shape(power(2.0)).convexity is Convexity.STRICTLY_CONVEX
-        assert generator_shape(power(0.5)).convexity is Convexity.STRICTLY_CONCAVE
-        assert generator_shape(identity()).convexity is Convexity.AFFINE
+        def shape(f):
+            return registry_composite_shape(identity(), f).convexity
+
+        assert shape(power(2.0)) is Convexity.STRICTLY_CONVEX
+        assert shape(power(0.5)) is Convexity.STRICTLY_CONCAVE
+        assert shape(identity()) is Convexity.AFFINE
 
     def test_unknown_for_custom_generator(self):
         custom = Generator(

@@ -10,15 +10,18 @@ from intervalorders import (
     AlphaBetaOrder,
     GeneratedPairOrder,
     Interval,
+    KProjection,
     Ordering,
     OrderSpecError,
     PartialComparison,
     compare,
     interval_grid,
+    k_alpha_crossover,
     k_mean,
     negated_log,
     negated_log_complement,
     order_from_config,
+    orders_coincide,
     partial_compare,
     power,
     rank_indices,
@@ -367,3 +370,39 @@ class TestNearTieChain:
                     for perm in itertools.permutations([self.A, self.B, self.C])}
         # one midpoint class, ordered by the upper endpoint
         assert rankings == {(self.C, self.B, self.A)}
+
+
+weight = st.one_of(unit, st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.73, 1.0]))
+
+
+class TestAlphaBetaIsKPair:
+    """The (alpha, beta)-order is the order generated by (K_alpha, K_beta)."""
+
+    @given(st.lists(interval, max_size=20), weight, weight)
+    @settings(max_examples=200, deadline=None)
+    def test_stage_values_are_the_projections_bit_for_bit(self, items, alpha, beta):
+        assume(alpha != beta)
+        order = AlphaBetaOrder(alpha, beta)
+        assert isinstance(order, GeneratedPairOrder)
+        assert (order.a.descriptor, order.b.descriptor) == (KProjection(alpha), KProjection(beta))
+        items = items + [Interval(1.0, 1.0), Interval(0.0, 1.0)]
+        stages = order.stage_values(*_arrays(items))
+        for got, w in zip(stages, (alpha, beta)):
+            expected = [(1.0 - w) * z.lo + w * z.hi for z in items]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("alpha_beta_first", [False, True])
+    def test_coincidence_reports_the_alpha_threshold(self, alpha_beta_first):
+        orders = [example_pair_order(), AlphaBetaOrder(0.7, 1.0)]
+        if alpha_beta_first:
+            orders.reverse()
+        rep = orders_coincide(*orders, resolution=50)
+        assert not rep.coincide
+        assert rep.alpha_thresholds == (k_alpha_crossover(rep.witness.u, rep.witness.x),)
+        # the same projections as a plain pair order: same scan, no alpha note
+        plain = GeneratedPairOrder(k_mean(0.7), k_mean(1.0), verify_admissible=False)
+        rep_plain = orders_coincide(*(plain if isinstance(o, AlphaBetaOrder) else o
+                                      for o in orders), resolution=50)
+        assert (rep_plain.witness, rep_plain.disagreement_count) == (rep.witness,
+                                                                     rep.disagreement_count)
+        assert rep_plain.alpha_thresholds == ()

@@ -70,6 +70,8 @@ WITNESS_TOL = 1e-9
 WITNESS_GAP = 1e-4
 ORACLE_QUANTUM = 1e-4
 ORACLE_CONFIRM = 1e-10
+# oracle_search refines its candidates this many at a time.
+REFINE_BLOCK = 128
 # The composite collision search decodes f-images of COLLISION_POINTS points
 # of [COLLISION_MARGIN, 1 - COLLISION_MARGIN].
 COLLISION_POINTS = 33
@@ -513,10 +515,11 @@ def check_pair(a: AggregationFunction, b: AggregationFunction, *,
 # ---------------------------------------------------------------------------
 
 
-def _bisect_hi(a: AggregationFunction, x1s: np.ndarray, target: float
+def _bisect_hi(a: AggregationFunction, x1s: np.ndarray, target
                ) -> tuple[np.ndarray, np.ndarray]:
     """Vector bisection of A([x1, x2]) = target over x2 in [x1, 1]; returns
-    (x2s, bracketed).  The fallback of :func:`_level_hi` and its reference."""
+    (x2s, bracketed).  ``target`` is one value or one per row of ``x1s``.
+    The fallback of :func:`_level_hi` and its reference."""
     lo_val = a.values(x1s, x1s)
     hi_val = a.values(x1s, np.ones_like(x1s))
     lo_b = np.minimum(lo_val, hi_val) - 1e-13
@@ -534,9 +537,10 @@ def _bisect_hi(a: AggregationFunction, x1s: np.ndarray, target: float
     return 0.5 * (lo_x + hi_x), ok
 
 
-def _level_hi(a: AggregationFunction, x1s: np.ndarray, target: float
+def _level_hi(a: AggregationFunction, x1s: np.ndarray, target
               ) -> tuple[np.ndarray, np.ndarray]:
     """The A-level curve A([x1, x2]) = target; returns (x2s, bracketed).
+    ``target`` is one value or one per row of ``x1s``.
 
     x2 is the descriptor's closed-form ``solve_hi`` clipped to [x1, 1], and
     x1 itself where A([x1, x1]) >= target: on a flat level set that is the
@@ -554,33 +558,25 @@ def _level_hi(a: AggregationFunction, x1s: np.ndarray, target: float
     x2s = np.where(lo_val >= target, x1s, np.clip(x2s, x1s, 1.0))
     redo = ok & np.isnan(x2s)
     if redo.any():
-        x2s[redo] = _bisect_hi(a, x1s[redo], target)[0]
+        x2s[redo] = _bisect_hi(a, x1s[redo], np.broadcast_to(target, x1s.shape)[redo])[0]
     return x2s, ok
 
 
-def _refine_candidate(a: AggregationFunction, b: AggregationFunction,
-                      u: Interval, x: Interval, window: float,
+def _refine_candidate(a: AggregationFunction, b: AggregationFunction, u: Interval,
+                      x1s: np.ndarray, x2s: np.ndarray, res: np.ndarray,
                       target_a: float, target_b: float) -> Interval | None:
-    """Refinement along the A-level curve through u, whose values A(u) and
-    B(u) are ``target_a`` and ``target_b``.
+    """The scalar end of one candidate's refinement along the A-level curve
+    through u, whose values A(u) and B(u) are ``target_a`` and ``target_b``.
 
-    The level curve A([x1, x2]) = A(u) is taken in closed form
-    (:func:`_level_hi`) at 201 x1 values in a window around x.lo; sign
-    changes of the B-residual along the curve locate potential simultaneous
-    collisions.  Brackets whose root would land within the distinctness
-    floor of u (the trivial solution x = u) are discarded cheaply; each
-    surviving root is polished by :func:`bisect_root` on the B-residual
-    along the curve and confirmed to ~1e-10 in both residuals.
+    ``x1s``, ``x2s`` and ``res`` are the candidate's bracketed samples of
+    that curve and their B-residuals, from :func:`_refine_block`.  Each sign
+    change of the residual is a potential simultaneous collision; one whose
+    interpolated root lands within half the distinctness floor of u (the
+    trivial solution x = u) is skipped, and the others are polished by
+    :func:`bisect_root` on the B-residual along the curve and confirmed to
+    ``ORACLE_CONFIRM`` in both residuals.  Exact zeros of the residual come
+    last.  Returns the first confirmed interval, or None.
     """
-    lo_w = max(0.0, x.lo - window)
-    hi_w = min(1.0, x.lo + window)
-    x1s = np.linspace(lo_w, hi_w, 201)
-    x2s, ok = _level_hi(a, x1s, target_a)
-    if not np.any(ok):
-        return None
-    x1s, x2s = x1s[ok], x2s[ok]
-    res = b.values(x1s, x2s) - target_b
-
     def on_curve(x1: float) -> Interval | None:
         x2, ok1 = _level_hi(a, np.array([x1]), target_a)
         return Interval(x1, float(x2[0])) if ok1[0] else None
@@ -619,6 +615,66 @@ def _refine_candidate(a: AggregationFunction, b: AggregationFunction,
         gap = max(abs(cand.lo - u.lo), abs(cand.hi - u.hi))
         if gap >= WITNESS_GAP and abs(a(cand) - target_a) <= ORACLE_CONFIRM:
             return cand
+    return None
+
+
+def _live_rows(rows: np.ndarray, x1s: np.ndarray, x2s: np.ndarray, res: np.ndarray,
+               ulo: np.ndarray, uhi: np.ndarray) -> np.ndarray:
+    """The sorted rows that :func:`_refine_candidate` may confirm something
+    on, as arrays: those with a sign flip between consecutive samples of the
+    row whose estimated root is not certainly the trivial one, or with an
+    exact zero at least ``WITNESS_GAP`` from u = [ulo, uhi] of its row.
+
+    ``rows`` labels each sample (non-decreasing).  The root estimate is
+    :func:`_refine_candidate`'s: linear in the residual, then ``np.interp``
+    for x2, which this formula matches up to its last rounding while the root
+    stays below the flip's upper sample.  A flip is rejected only there and
+    1e-12 inside the ``gap_est`` bound, so no row that
+    :func:`_refine_candidate` would keep is dropped.
+    """
+    sign = np.sign(res)
+    k = np.flatnonzero((rows[:-1] == rows[1:]) & (sign[:-1] * sign[1:] < 0))
+    x1a, x1b = x1s[k], x1s[k + 1]
+    r0, r1 = np.abs(res[k]), np.abs(res[k + 1])
+    root = x1a + (x1b - x1a) * r0 / (r0 + r1)
+    x2_est = (x2s[k + 1] - x2s[k]) / (x1b - x1a) * (root - x1a) + x2s[k]
+    r = rows[k]
+    gap_est = np.maximum(np.abs(root - ulo[r]), np.abs(x2_est - uhi[r]))
+    trivial = (root < x1b) & (gap_est < 0.5 * WITNESS_GAP - 1e-12)
+    gap = np.maximum(np.abs(x1s - ulo[rows]), np.abs(x2s - uhi[rows]))
+    return np.union1d(r[~trivial], rows[(res == 0.0) & (gap >= WITNESS_GAP)])
+
+
+def _refine_block(a: AggregationFunction, b: AggregationFunction,
+                  lo: np.ndarray, hi: np.ndarray, va: np.ndarray, vb: np.ndarray,
+                  ms: np.ndarray, ns: np.ndarray, window: float
+                  ) -> tuple[Interval, Interval] | None:
+    """Refine the candidates (u, x) = (grid[m], grid[n]) of one block in
+    array passes; the first, in block order, that :func:`_refine_candidate`
+    confirms wins.
+
+    Each candidate samples A's level curve through u at 201 x1 values in a
+    window around x.lo; the whole block takes one ``linspace``, one
+    :func:`_level_hi` call with per-row targets and one ``b.values`` call.
+    Only the rows :func:`_live_rows` keeps go on to
+    :func:`_refine_candidate`.
+    """
+    ulo, uhi, ta, tb = lo[ms], hi[ms], va[ms], vb[ms]
+    xlo = lo[ns]
+    n_samples = 201
+    x1s = np.linspace(np.maximum(0.0, xlo - window), np.minimum(1.0, xlo + window),
+                      n_samples, axis=1).ravel()
+    rows = np.repeat(np.arange(ms.size), n_samples)
+    x2s, ok = _level_hi(a, x1s, ta[rows])
+    x1s, x2s, rows = x1s[ok], x2s[ok], rows[ok]
+    res = b.values(x1s, x2s) - tb[rows]
+    for i in _live_rows(rows, x1s, x2s, res, ulo, uhi).tolist():
+        s, e = np.searchsorted(rows, (i, i + 1))
+        u = Interval(float(ulo[i]), float(uhi[i]))
+        cand = _refine_candidate(a, b, u, x1s[s:e], x2s[s:e], res[s:e],
+                                 float(ta[i]), float(tb[i]))
+        if cand is not None:
+            return u, cand
     return None
 
 
@@ -670,9 +726,12 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
 
     All grid intervals are bucketed by their (A, B) values rounded to
     ``ORACLE_QUANTUM``; pairs in the same or adjacent buckets whose values differ
-    by at most 1.5 quanta are candidates.  Each is confirmed by refinement
-    along the closed-form A-level curve to ~1e-10 before being accepted.
-    Returns the lexicographically smallest confirmed pair, or None.  An
+    by at most 1.5 quanta are candidates, in lexicographic order of (u, x).
+    A candidate whose values already agree to ``ORACLE_CONFIRM`` is a direct
+    hit.  The candidates before the first direct hit are refined along the
+    closed-form A-level curve through u, ``REFINE_BLOCK`` at a time
+    (:func:`_refine_block`), and confirmed to ~1e-10 before being accepted.
+    Returns the first confirmed pair, then the direct hit, or None.  An
     empty result is evidence at this resolution, not a proof of
     admissibility.
     """
@@ -685,16 +744,19 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
     # interval_grid is in lexicographic order of (lo, hi), so the index
     # order of the candidates is the lexicographic order of (u, x)
     ms, ns = _candidate_pairs(va, vb, ORACLE_QUANTUM)
-    for m, n in zip(ms.tolist(), ns.tolist()):
-        u = Interval(float(lo[m]), float(hi[m]))
-        x = Interval(float(lo[n]), float(hi[n]))
-        gap = max(abs(u.lo - x.lo), abs(u.hi - x.hi))
-        if (gap >= WITNESS_GAP and abs(va[m] - va[n]) <= ORACLE_CONFIRM
-                and abs(vb[m] - vb[n]) <= ORACLE_CONFIRM):
-            return u, x
-        refined = _refine_candidate(a, b, u, x, window, float(va[m]), float(vb[m]))
-        if refined is not None:
-            return u, refined
+    gap = np.maximum(np.abs(lo[ms] - lo[ns]), np.abs(hi[ms] - hi[ns]))
+    direct = np.flatnonzero((gap >= WITNESS_GAP)
+                            & (np.abs(va[ms] - va[ns]) <= ORACLE_CONFIRM)
+                            & (np.abs(vb[ms] - vb[ns]) <= ORACLE_CONFIRM))
+    stop = int(direct[0]) if direct.size else ms.size
+    for start in range(0, stop, REFINE_BLOCK):
+        block = slice(start, min(start + REFINE_BLOCK, stop))
+        found = _refine_block(a, b, lo, hi, va, vb, ms[block], ns[block], window)
+        if found is not None:
+            return found
+    if direct.size:
+        m, n = ms[stop], ns[stop]
+        return Interval(float(lo[m]), float(hi[m])), Interval(float(lo[n]), float(hi[n]))
     return None
 
 
@@ -711,15 +773,16 @@ def admissible_for_all_weight_orders(f: Generator, g: Generator,
     For strictly monotone composite and finite shared endpoints this is
     equivalent to plain (non-strict) convexity or concavity of the composite,
     matched against the direction table.  Returns None when the shape cannot
-    be certified in closed form.  Note this quantified answer must not be
-    read as an iff for any single weight pair.
+    be certified in closed form, i.e. when the registry has no row for the
+    pair.  Note this quantified answer must not be read as an iff for any
+    single weight pair.
     """
     if math.isinf(f.at_zero) and math.isinf(g.at_zero):
         return False
     if math.isinf(f.at_one) and math.isinf(g.at_one):
         return False
-    shape = composite(f, g).shape
-    if shape.convexity in (Convexity.UNKNOWN,):
+    shape = registry_composite_shape(f, g)
+    if shape is None or shape.convexity is Convexity.UNKNOWN:
         return None
     if shape.convexity is Convexity.MIXED:
         return False

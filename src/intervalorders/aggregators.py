@@ -43,7 +43,7 @@ def _inv_finite(gen: Generator, y) -> np.ndarray:
         return np.where(np.isfinite(y), np.asarray(gen.inv(y), dtype=float), np.nan)
 
 
-def _additive_hi(gen: Generator, lo, target: float) -> np.ndarray:
+def _additive_hi(gen: Generator, lo, target) -> np.ndarray:
     """x2 with gen(lo) + gen(x2) = gen(target): a t-norm or t-conorm level
     curve below the generator's cap."""
     with np.errstate(all="ignore"):
@@ -52,7 +52,8 @@ def _additive_hi(gen: Generator, lo, target: float) -> np.ndarray:
 
 # Each family's ``solve_hi(lo, target)`` is the closed-form level curve: the
 # x2 with A([lo, x2]) = target, NaN where the formula leaves the generator's
-# finite range.  It is not clipped to [lo, 1]; the oracle does that.
+# finite range.  ``target`` is one value or an array shaped like ``lo``.  It
+# is not clipped to [lo, 1]; the oracle does that.
 #
 # Each family's ``quasi_view()`` is the (f, w) of a weighted quasi-linear
 # mean M_{f,w} of which A is a strictly increasing transform wherever A is
@@ -65,7 +66,7 @@ class QuasiLinear:
     generator: Generator
     weight: float
 
-    def solve_hi(self, lo, target: float) -> np.ndarray:
+    def solve_hi(self, lo, target) -> np.ndarray:
         f, w = self.generator, self.weight
         with np.errstate(all="ignore"):
             return _inv_finite(f, (f.fn(target) - (1.0 - w) * f.fn(lo)) / w)
@@ -79,7 +80,7 @@ class QuasiLinear:
 class KProjection:
     w: float
 
-    def solve_hi(self, lo, target: float) -> np.ndarray:
+    def solve_hi(self, lo, target) -> np.ndarray:
         lo = np.asarray(lo, dtype=float)
         if self.w == 0.0:
             return np.full_like(lo, np.nan)  # A([lo, x2]) = lo for every x2
@@ -94,7 +95,7 @@ class KProjection:
 class SchurPair:
     f: Generator
 
-    def solve_hi(self, lo, target: float) -> np.ndarray:
+    def solve_hi(self, lo, target) -> np.ndarray:
         with np.errstate(all="ignore"):
             return _inv_finite(self.f, 2.0 * target - self.f.fn(lo))
 
@@ -111,7 +112,7 @@ class TNorm:
     def is_strict(self) -> bool:
         return math.isinf(self.generator.at_zero)
 
-    def solve_hi(self, lo, target: float) -> np.ndarray:
+    def solve_hi(self, lo, target) -> np.ndarray:
         return _additive_hi(self.generator, lo, target)
 
     def quasi_view(self) -> tuple[Generator, float] | None:
@@ -128,7 +129,7 @@ class TConorm:
     def is_strict(self) -> bool:
         return math.isinf(self.generator.at_one)
 
-    def solve_hi(self, lo, target: float) -> np.ndarray:
+    def solve_hi(self, lo, target) -> np.ndarray:
         return _additive_hi(self.generator, lo, target)
 
     def quasi_view(self) -> tuple[Generator, float] | None:

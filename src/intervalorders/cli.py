@@ -188,11 +188,15 @@ def main(argv: list[str] | None = None) -> int:
             config=cfg,
             input_path=args.input or cfg.get("input"),
             output_path=args.output or cfg.get("output"),
-            resolution=(args.resolution if args.resolution is not None
-                        else int(cfg.get("resolution", 200))),
-            tol=args.tol if args.tol is not None else float(cfg.get("tol", 1e-9)),
             cross_check=bool(getattr(args, "cross_check", False)),
         )
+        # a flag overrides the config, which overrides RunConfig's default
+        for key, kind in (("resolution", int), ("tol", float)):
+            value = getattr(args, key)
+            if value is None and key in cfg:
+                value = kind(cfg[key])
+            if value is not None:
+                setattr(rc, key, value)
         rc.validate()
         # every grid scan needs at least 50 points a side
         rc.resolution = max(50, rc.resolution)

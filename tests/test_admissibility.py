@@ -40,8 +40,15 @@ from intervalorders import (
     tconorm,
     tnorm,
 )
-from intervalorders.admissibility import _candidate_pairs, _saturation_verdict, quasi_view
+from intervalorders import admissibility
+from intervalorders.admissibility import (
+    _candidate_pairs,
+    _live_rows,
+    _saturation_verdict,
+    quasi_view,
+)
 from intervalorders.intervals import interval_grid
+from oracle_reference import reference_keeps_row, reference_oracle_search, reference_tail_rows
 
 
 def assert_valid_witness(verdict, a, b, tol=1e-9):
@@ -501,7 +508,108 @@ class TestOracle:
                 assert make_witness(case.a, case.b, *found) is not None, case.label
 
 
+def _bits(found):
+    """found/None and the exact bits of u and x."""
+    return None if found is None else tuple(v.hex() for z in found for v in z.as_tuple())
+
+
+def _without_closed_form(af):
+    """A with its values but a descriptor that has no ``solve_hi``, so every
+    level curve is bisected with one target per row."""
+    return AggregationFunction(f"plain {af.name}", object(), af._values)
+
+
+# offsets that put u at, just inside and just outside the gap bounds
+# (0.5e-4 for a flip's estimated root, 1e-4 for an exact zero)
+near_bound = st.sampled_from([0.0, 1e-5, 4.9999e-5, 5e-5, 5.0001e-5, 9.9999e-5, 1e-4, 2e-4])
+residual = st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, 1e-300]),
+                     st.floats(min_value=-1e-3, max_value=1e-3))
+# one row of level-curve samples: first x1, x1 step, (x2 - x1, residual) per
+# sample, the sample u sits near, u's offsets from it and their signs
+sample_row = st.tuples(
+    st.floats(min_value=0.0, max_value=0.9), st.sampled_from([1e-5, 4e-5, 1.25e-4, 4e-4]),
+    st.lists(st.tuples(st.floats(min_value=0.0, max_value=0.05), residual),
+             min_size=1, max_size=10),
+    st.integers(0, 9), near_bound, near_bound, st.booleans(), st.booleans())
+
+
+class TestOracleBlocks:
+    """The block refinement against the per-candidate loop it replaced."""
+
+    # blocks of 1 and 7 put block boundaries mid-list; rows never share a flip
+    @pytest.mark.parametrize("resolution, block", [(60, None), (100, None), (60, 1), (60, 7)])
+    def test_battery_matches_the_per_candidate_loop(self, resolution, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(admissibility, "REFINE_BLOCK", block)
+        for case in build_battery():
+            assert _bits(oracle_search(case.a, case.b, resolution=resolution)) == \
+                _bits(reference_oracle_search(case.a, case.b, resolution=resolution)), case.label
+
+    @pytest.mark.parametrize("w", [0.26, 0.27, 0.28, 0.3])
+    def test_weights_near_the_threshold(self, w):
+        a, b = k_mean(w), exponential_mean(-1.0, 0.5)
+        for resolution in (100, 200):
+            assert _bits(oracle_search(a, b, resolution=resolution)) == \
+                _bits(reference_oracle_search(a, b, resolution=resolution))
+
+    @pytest.mark.parametrize("a, b", [
+        (root_power_mean(1.5, 0.5), exponential_mean(1.0, 0.5)),
+        (geometric_mean(0.4), exponential_mean(-2.0, 0.4)),
+        (schur_pair_mean(power(2.0)), schur_pair_mean(power(2.0))),
+        (root_power_mean(3.0, 0.9), root_power_mean(3.0, 0.4)),
+    ], ids=lambda af: af.name)
+    def test_descriptor_without_closed_form(self, a, b):
+        plain = _without_closed_form(a)
+        assert _bits(oracle_search(plain, b, resolution=60)) == \
+            _bits(reference_oracle_search(plain, b, resolution=60))
+
+    def test_array_rejections_keep_every_row_the_scalar_test_keeps(self, monkeypatch):
+        passed = set()
+
+        def record(a, b, u, x1s, x2s, res, target_a, target_b):
+            passed.add((u.as_tuple(), x1s.tobytes()))
+            return None
+
+        monkeypatch.setattr(admissibility, "_refine_candidate", record)
+        kept = 0
+        for case in build_battery():
+            passed.clear()
+            oracle_search(case.a, case.b, resolution=60)
+            rows = reference_tail_rows(case.a, case.b, resolution=60)
+            assert rows <= passed, case.label
+            kept += len(rows)
+        assert kept > 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(sample_row, min_size=1, max_size=6))
+    def test_array_rejections_are_conservative(self, drawn):
+        rows, x1s, x2s, res, ulo, uhi = [], [], [], [], [], []
+        for i, (start, step, samples, j, dlo, dhi, neg_lo, neg_hi) in enumerate(drawn):
+            x1 = start + step * np.arange(len(samples))
+            x2 = x1 + np.array([d for d, _ in samples])
+            j = min(j, len(samples) - 1)
+            rows += [i] * len(samples)
+            x1s.append(x1)
+            x2s.append(x2)
+            res += [r for _, r in samples]
+            ulo.append(x1[j] + (-dlo if neg_lo else dlo))
+            uhi.append(x2[j] + (-dhi if neg_hi else dhi))
+        rows, res = np.array(rows), np.array(res)
+        x1s, x2s = np.concatenate(x1s), np.concatenate(x2s)
+        ulo, uhi = np.array(ulo), np.array(uhi)
+        live = set(_live_rows(rows, x1s, x2s, res, ulo, uhi).tolist())
+        for i in range(len(drawn)):
+            on = rows == i
+            if reference_keeps_row(ulo[i], uhi[i], x1s[on], x2s[on], res[on]):
+                assert i in live
+
+
 class TestWeightOrderDiagnostic:
+    def test_generators_without_a_registry_row_give_none(self):
+        f, g = (dataclasses.replace(power(p), kind=None, param=None) for p in (2.0, 3.0))
+        for increasing in (True, False):
+            assert admissible_for_all_weight_orders(f, g, increasing_weights=increasing) is None
+
     def test_identity_pair_admissible_for_all_increasing_weights(self):
         assert admissible_for_all_weight_orders(identity(), identity()) is True
 

@@ -307,7 +307,30 @@ def assert_level_hi_matches_bisection(af, x1: float, target: float) -> float:
     return float(x2[0])
 
 
+def _without_closed_form(af):
+    """A with its values but a descriptor that has no ``solve_hi``."""
+    return AggregationFunction(f"plain {af.name}", object(), af._values)
+
+
+# one level-curve row: x1, a fraction or free target, and whether the target
+# lies on the curve through [x1, x1 + frac (1 - x1)]
+level_rows = st.lists(st.tuples(first_endpoint, unit, st.booleans()), min_size=1, max_size=12)
+
+
 class TestLevelCurve:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(aggregators, aggregators.map(_without_closed_form)), level_rows)
+    def test_per_row_targets_match_row_by_row_calls(self, af, rows):
+        x1s = np.array([x1 for x1, _, _ in rows])
+        targets = np.array([af(Interval(x1, x1 + t * (1.0 - x1))) if on_curve else t
+                            for x1, t, on_curve in rows])
+        for level in (_level_hi, _bisect_hi):
+            x2s, ok = level(af, x1s, targets)
+            for i in range(len(rows)):
+                x2, ok1 = level(af, x1s[i:i + 1], float(targets[i]))
+                assert ok[i] == ok1[0]
+                assert x2s[i:i + 1].tobytes() == x2.tobytes(), (level.__name__, af.name, i)
+
     @settings(max_examples=400, deadline=None)
     @given(aggregators, first_endpoint, unit)
     def test_on_curve_targets_match_bisection(self, af, x1, frac):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from intervalorders.cli import main
+from intervalorders import cli
+from intervalorders.cli import RunConfig, main
 
 PAIR_CONFIG = {
     "pair": {
@@ -206,3 +207,25 @@ class TestExitCodes:
         data = tmp_path / "items.csv"
         data.write_text("0.1,0.2\n")
         assert main(["rank", "--config", cfg, "--input", str(data)]) == 1
+
+
+class TestSettings:
+    """resolution and tol: a flag, else the config, else RunConfig's default."""
+
+    @staticmethod
+    def run_config(monkeypatch, argv):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "check-pair", lambda rc: seen.append(rc) or 0)
+        assert main(["check-pair", *argv]) == 0
+        return seen[0]
+
+    def test_config_without_either_key_gets_the_defaults(self, tmp_path, monkeypatch):
+        rc = self.run_config(monkeypatch, ["--config", write_json(tmp_path / "cfg.json", PAIR_CONFIG)])
+        assert (rc.resolution, rc.tol) == (RunConfig.resolution, RunConfig.tol)
+
+    def test_config_keys_and_flags_override_in_turn(self, tmp_path, monkeypatch):
+        cfg = write_json(tmp_path / "cfg.json", {**PAIR_CONFIG, "resolution": 120, "tol": 1e-7})
+        rc = self.run_config(monkeypatch, ["--config", cfg])
+        assert (rc.resolution, rc.tol) == (120, 1e-7)
+        rc = self.run_config(monkeypatch, ["--config", cfg, "--resolution", "90", "--tol", "1e-8"])
+        assert (rc.resolution, rc.tol) == (90, 1e-8)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .generators import (
     Generator,
     Monotonicity,
     ShapeInfo,
+    _pairs_of,
     bisect_root,
     collision_candidates,
     composite,
@@ -266,7 +266,8 @@ def _collision_witness(f: Generator, g: Generator, w1: float, w2: float,
 
     The endpoint pairs are those of f's image of ``COLLISION_POINTS`` points
     of [COLLISION_MARGIN, 1 - COLLISION_MARGIN], widest first so witnesses
-    are well separated.  Each candidate zero of the gap from
+    are well separated, then by lower end (one stable ``np.lexsort``, so
+    ties keep the ``combinations`` order).  Each candidate zero of the gap from
     :func:`collision_candidates` is decoded back to intervals and validated
     against the actual aggregation functions; the first that passes is
     returned.
@@ -277,8 +278,9 @@ def _collision_witness(f: Generator, g: Generator, w1: float, w2: float,
     with np.errstate(all="ignore"):
         ts = np.sort(np.asarray(
             f.fn(np.linspace(COLLISION_MARGIN, 1.0 - COLLISION_MARGIN, COLLISION_POINTS)), float))
-    pairs = sorted(combinations(map(float, ts), 2), key=lambda p: (-(p[1] - p[0]), p[0]))
-    for x0, t1, t2 in collision_candidates(h, pairs, v1, v2, 48):
+    lo, hi = _pairs_of(ts)
+    order = np.lexsort((lo, -(hi - lo)))
+    for x0, t1, t2 in collision_candidates(h, lo[order], hi[order], v1, v2, 48):
         w = make_witness(a, b, *_decode_vspace(f, v1, x0, t1, t2))
         if w is not None:
             return w

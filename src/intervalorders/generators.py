@@ -36,11 +36,15 @@ the form s1 = t1 + v1*x, s2 = t2 - (1-v1)*x for some deformation x in
 
 vanishes at some x > 0 exactly when two distinct pairs collide in both
 weighted means at once.  One engine, ``collision_candidates``, looks for such
-zeros: over a caller-ordered list of endpoint pairs it yields each bisected
-sign change of G inside a pair, then one zero of the full-deformation gap
-chased across pairs.  ``find_collision`` takes its first candidate and the
-admissibility rules validate its candidates as witnesses; ``collision_scan``
-shares the in-pair search and reports whether G keeps one sign instead.
+zeros: over caller-ordered endpoint pairs, given as two arrays, it yields
+each zero of G inside a pair, then one zero of the full-deformation gap
+chased across pairs.  The pairs are sampled ``COLLISION_BLOCK`` at a time:
+one pass evaluates h once per side on every deformation of the block and
+classifies each pair's row of gap samples with array operations, so only
+the zeros it yields cost scalar work (a bisection of ``collision_gap``).
+``find_collision`` takes the first candidate and the admissibility rules
+validate candidates as witnesses; ``collision_scan`` runs the same block
+pass and reports whether G keeps one sign instead.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -630,12 +633,6 @@ def collision_gap(x: float, t1: float, t2: float, v1: float, v2: float, h) -> fl
     return (1.0 - v2) * a + v2 * b
 
 
-def _gap_values(xs: np.ndarray, t1: float, t2: float, v1: float, v2: float, h) -> np.ndarray:
-    a = _call_vectorized(h, t1 + v1 * xs) - float(h(t1))
-    b = _call_vectorized(h, t2 - (1.0 - v1) * xs) - float(h(t2))
-    return (1.0 - v2) * a + v2 * b
-
-
 class ScanOutcome(Enum):
     CLEAR = "clear"            # gap bounded away from zero with constant sign
     COLLISION = "collision"    # a zero (or sign change) was located
@@ -659,56 +656,100 @@ def _domain_samples(domain: tuple[float, float], n: int) -> np.ndarray:
     return sample_open_interval(lo, hi, n)
 
 
-def _in_pair_zero(h, t1: float, t2: float, v1: float, v2: float,
-                  n_x: int) -> tuple[np.ndarray, float | None]:
-    """Gap samples at n_x deformations in (0, t2-t1] and the zero they show.
+def _pairs_of(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (ts[i], ts[j]) with i < j, in the order of
+    ``itertools.combinations``, as two arrays of lower and upper ends."""
+    i, j = np.triu_indices(len(ts), 1)
+    return ts[i], ts[j]
 
-    The zero is the middle deformation when every sample is below
-    ``ZERO_TOL`` (a flat gap), else the bisected first strict sign change
-    between adjacent samples; None when a sample is not finite or the
-    samples show neither.
+
+# The collision-gap search samples this many endpoint pairs in one pass, so a
+# pass holds COLLISION_BLOCK * n_x samples per array whatever the pair count.
+COLLISION_BLOCK = 64
+
+
+class _GapBlock:
+    """The collision gap of a block of endpoint pairs (t1[i], t2[i]), one row
+    per pair, sampled at n_x deformations in (0, t2-t1], and each row's class.
+
+    A row is not ``finite``, ``flat`` (every |sample| below ``ZERO_TOL``),
+    shows a strict sign change between adjacent samples (``flips``), or keeps
+    one sign; ``zero`` marks the flat rows and those with a flip.
     """
-    xs = np.linspace(0.0, t2 - t1, n_x + 1)[1:]
-    gs = _gap_values(xs, t1, t2, v1, v2, h)
-    if not np.all(np.isfinite(gs)):
-        return gs, None
-    if np.all(np.abs(gs) < ScanResult.ZERO_TOL):
-        return gs, float(xs[len(xs) // 2])
-    pos = gs > ScanResult.ZERO_TOL
-    neg = gs < -ScanResult.ZERO_TOL
-    flips = np.nonzero(pos[:-1] & neg[1:] | neg[:-1] & pos[1:])[0]
-    if not flips.size:
-        return gs, None
-    k = int(flips[0])
-    return gs, bisect_root(lambda x: collision_gap(x, t1, t2, v1, v2, h),
-                           float(xs[k]), float(xs[k + 1])).mid
+
+    @np.errstate(all="ignore")
+    def __init__(self, h, t1: np.ndarray, t2: np.ndarray, v1: float, v2: float, n_x: int):
+        self.h, self.t1, self.t2, self.v1, self.v2 = h, t1, t2, v1, v2
+        # np.linspace(0, t2 - t1, n_x + 1)[1:] row by row: linspace over the
+        # whole block would change every row's formula when one step is 0
+        width = t2 - t1
+        xs = np.arange(1, n_x + 1) * (width / n_x)[:, None]
+        xs[:, -1] = width
+        up = _call_vectorized(h, (t1[:, None] + v1 * xs).ravel()).reshape(xs.shape)
+        dn = _call_vectorized(h, (t2[:, None] - (1.0 - v1) * xs).ravel()).reshape(xs.shape)
+        gs = ((1.0 - v2) * (up - _call_vectorized(h, t1)[:, None])
+              + v2 * (dn - _call_vectorized(h, t2)[:, None]))
+        tol = ScanResult.ZERO_TOL
+        self.xs, self.gs = xs, gs
+        self.pos, self.neg = gs > tol, gs < -tol
+        self.finite = np.isfinite(gs).all(axis=1)
+        self.flat = (np.abs(gs) < tol).all(axis=1)  # never holds on nan or inf
+        self.flips = self.pos[:, :-1] & self.neg[:, 1:] | self.neg[:, :-1] & self.pos[:, 1:]
+        self.zero = self.flat | self.finite & self.flips.any(axis=1)
+
+    def candidate(self, i: int) -> tuple[float, float, float]:
+        """(x, t1, t2) of row i's zero: the middle deformation of a flat row,
+        else the bisected first flip."""
+        t1, t2 = float(self.t1[i]), float(self.t2[i])
+        xs = self.xs[i]
+        if self.flat[i]:
+            return float(xs[len(xs) // 2]), t1, t2
+        k = int(np.flatnonzero(self.flips[i])[0])
+        v1, v2, h = self.v1, self.v2, self.h
+        x0 = bisect_root(lambda x: collision_gap(x, t1, t2, v1, v2, h),
+                         float(xs[k]), float(xs[k + 1])).mid
+        return x0, t1, t2
 
 
-def collision_candidates(h, pairs, v1: float, v2: float, n_x: int):
-    """Yield deformations (x, t1, t2) at which the collision gap vanishes.
+def _gap_blocks(h, t1, t2, v1: float, v2: float, n_x: int):
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    for start in range(0, t1.size, COLLISION_BLOCK):
+        rows = slice(start, start + COLLISION_BLOCK)
+        yield _GapBlock(h, t1[rows], t2[rows], v1, v2, n_x)
 
-    First the in-pair zeros, one per endpoint pair that shows one, in the
-    order of ``pairs``.  Then one zero of the full-deformation gap
-    U(t1, t2) = G(t2-t1, t1, t2) across pairs: among the pairs whose gap
-    kept one sign, U is bisected along the straight path from the first
-    pair with U > 0 to the first with U < 0, which settles the case where
-    every single pair keeps one sign.  The caller validates each candidate
-    and stops at the first that serves.
+
+def collision_candidates(h, t1, t2, v1: float, v2: float, n_x: int):
+    """Yield deformations (x, t1, t2) at which the collision gap vanishes,
+    over the endpoint pairs (t1[i], t2[i]) of two equal-length arrays.
+
+    The pairs are sampled ``COLLISION_BLOCK`` at a time, each at n_x
+    deformations in (0, t2-t1], with one call of h per block and side.
+    First come the in-pair zeros, one per pair that shows one, in pair
+    order: the middle deformation of a gap flat below ``ZERO_TOL``, else the
+    bisected first strict sign change.  Then one zero of the
+    full-deformation gap U(t1, t2) = G(t2-t1, t1, t2) across pairs: among
+    the pairs whose sampled gap is finite and keeps one sign, U is bisected
+    along the straight path from the first pair with U > 0 to the first
+    with U < 0, which settles the case where every single pair keeps one
+    sign.  Candidates are made lazily; the caller validates each and stops
+    at the first that serves.
     """
-    one_signed: list[tuple[float, float, float]] = []
-    for t1, t2 in pairs:
-        gs, x0 = _in_pair_zero(h, t1, t2, v1, v2, n_x)
-        if x0 is not None:
-            yield x0, t1, t2
-        elif np.all(np.isfinite(gs)) and not (
-            np.any(gs > ScanResult.ZERO_TOL) and np.any(gs < -ScanResult.ZERO_TOL)
-        ):
-            one_signed.append((t1, t2, float(gs[-1])))
-    start = next((p for p in one_signed if p[2] > ScanResult.ZERO_TOL), None)
-    end = next((p for p in one_signed if p[2] < -ScanResult.ZERO_TOL), None)
+    tol = ScanResult.ZERO_TOL
+    start = end = None
+    for block in _gap_blocks(h, t1, t2, v1, v2, n_x):
+        for i in np.flatnonzero(block.zero):
+            yield block.candidate(i)
+        # flat rows end below ZERO_TOL and rows with a flip have both signs
+        one_signed = block.finite & ~(block.pos.any(axis=1) & block.neg.any(axis=1))
+        ups = np.flatnonzero(one_signed & (block.gs[:, -1] > tol))
+        downs = np.flatnonzero(one_signed & (block.gs[:, -1] < -tol))
+        if start is None and ups.size:
+            start = float(block.t1[ups[0]]), float(block.t2[ups[0]])
+        if end is None and downs.size:
+            end = float(block.t1[downs[0]]), float(block.t2[downs[0]])
     if start is None or end is None:
         return
-    (a1, a2, _), (b1, b2, _) = start, end
+    (a1, a2), (b1, b2) = start, end
 
     def along(lmb: float) -> tuple[float, float, float]:
         t1 = (1.0 - lmb) * a1 + lmb * b1
@@ -727,39 +768,41 @@ def collision_scan(h, domain: tuple[float, float], v1: float, v2: float,
     """Grid search for zeros of the collision gap over endpoint pairs in
     ``domain`` and deformations x in (0, t2-t1].
 
-    CLEAR requires |gap| >= 1e-9 with one constant sign across all samples.
-    COLLISION is reported on a strict sign change between adjacent samples
-    (refined by bisection) or when the gap of one pair sits entirely below
-    1e-12, as with an affine h at equal weights.  Anything else, including
-    a sign change through grazing samples, is INCONCLUSIVE.
+    The pairs of ``resolution`` domain samples go through the block pass of
+    :func:`collision_candidates`, and the scan returns at the first pair
+    with an in-pair zero.  CLEAR requires |gap| >= 1e-9 with one constant
+    sign across all samples.  COLLISION is reported on a strict sign change
+    between adjacent samples (refined by bisection) or when the gap of one
+    pair sits entirely below 1e-12, as with an affine h at equal weights.
+    Anything else, including a sign change through grazing samples, is
+    INCONCLUSIVE.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
-    ts = _domain_samples(domain, resolution)
-    n_x = min(64, resolution)
+    t1, t2 = _pairs_of(_domain_samples(domain, resolution))
     signs_seen: set[int] = set()
     min_abs = math.inf
-    suspicious = False
-    for t1, t2 in combinations(map(float, ts), 2):
-        gs, x0 = _in_pair_zero(h, t1, t2, v1, v2, n_x)
-        if x0 is not None:
-            return ScanResult(ScanOutcome.COLLISION, (x0, t1, t2), 0)
-        if not np.all(np.isfinite(gs)):
-            suspicious = True
-            continue
-        if np.any(np.abs(gs) < ScanResult.ZERO_TOL):
-            # isolated grazing values: cannot certify either way
-            suspicious = True
-        if np.any(gs > ScanResult.ZERO_TOL):
+    all_finite = True
+    for block in _gap_blocks(h, t1, t2, v1, v2, min(64, resolution)):
+        zeros = np.flatnonzero(block.zero)
+        if zeros.size:
+            return ScanResult(ScanOutcome.COLLISION, block.candidate(zeros[0]), 0)
+        ok = block.finite
+        all_finite = all_finite and bool(ok.all())
+        # a row with both signs and no strict flip grazes zero in between,
+        # and so does any row min_abs reads below ZERO_TOL: neither can
+        # leave a scan CLEAR
+        if block.pos[ok].any():
             signs_seen.add(1)
-        elif np.any(gs < -ScanResult.ZERO_TOL):
+        if block.neg[ok].any():
             signs_seen.add(-1)
-        min_abs = min(min_abs, float(np.min(np.abs(gs))))
+        if ok.any():
+            min_abs = min(min_abs, float(np.abs(block.gs[ok]).min()))
     if len(signs_seen) == 2:
         # opposite signs on different endpoint pairs: a zero exists along a
         # continuous path between them (located by find_collision)
         return ScanResult(ScanOutcome.INCONCLUSIVE)
-    if not suspicious and min_abs >= ScanResult.CLEAR_TOL and len(signs_seen) == 1:
+    if all_finite and min_abs >= ScanResult.CLEAR_TOL and len(signs_seen) == 1:
         return ScanResult(ScanOutcome.CLEAR, sign=signs_seen.pop())
     return ScanResult(ScanOutcome.INCONCLUSIVE)
 
@@ -773,5 +816,5 @@ def find_collision(h, domain: tuple[float, float], v1: float, v2: float,
     finds zeros that lie across endpoint pairs.
     """
     n = max(16, resolution)
-    pairs = combinations(map(float, _domain_samples(domain, n)), 2)
-    return next(collision_candidates(h, pairs, v1, v2, min(64, n)), None)
+    t1, t2 = _pairs_of(_domain_samples(domain, n))
+    return next(collision_candidates(h, t1, t2, v1, v2, min(64, n)), None)

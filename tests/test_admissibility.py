@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,6 +415,25 @@ class TestBatteryRules:
         # every battery generator has a registry row, so no verdict rests on
         # the numeric shape scan
         assert not [v.note for pair in battery_verdicts for v in pair if "numeric" in v.note]
+
+    def test_verdicts_match_the_pinned_table(self, battery_verdicts):
+        # battery_verdicts.csv holds one row per case and orientation (ab is
+        # check_pair(a, b), ba is check_pair(b, a)): outcome, rule, note and
+        # the float.hex of the witness endpoints and residuals, empty
+        # without a witness; it is written with csv.writer from these rows
+        with open(Path(__file__).with_name("battery_verdicts.csv"), newline="") as fh:
+            header, *pinned = csv.reader(fh)
+        assert header[:5] == ["label", "orientation", "outcome", "rule", "note"]
+        rows = []
+        for case, pair in zip(build_battery(), battery_verdicts):
+            for orientation, v in zip(("ab", "ba"), pair):
+                w = v.witness
+                bits = [""] * 6 if w is None else [
+                    float(t).hex() for t in (w.u.lo, w.u.hi, w.x.lo, w.x.hi, w.residual_a, w.residual_b)]
+                rows.append([case.label, orientation, v.outcome.value, v.rule, v.note, *bits])
+        assert len(rows) == len(pinned) == 188
+        for got, want in zip(rows, pinned):
+            assert got == want
 
 
 def _reference_candidate_pairs(lo, hi, va, vb, quantum):

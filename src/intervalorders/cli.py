@@ -129,6 +129,9 @@ def _cmd_coincide(rc: RunConfig) -> int:
                     f"{w.u.lo!r},{w.u.hi!r},{w.x.lo!r},{w.x.hi!r},"
                     f"{w.first.name.lower()},{w.second.name.lower()}\n"
                 )
+        if len(rep.disagreements) < rep.disagreement_count:
+            sys.stderr.write(f"note: {dump_path} holds the first {len(rep.disagreements)} "
+                             f"of {rep.disagreement_count} disagreements\n")
     _emit(json.dumps(rep.to_json_dict(), sort_keys=True, indent=2), rc.output_path)
     return 0
 

@@ -1,7 +1,7 @@
 """Coincidence analysis between generated orders and projection orders.
 
 Two total orders *coincide* when they compare every pair of intervals the
-same way.  The tools here scan for disagreements, classify aggregation
+same way.  The tools here count and locate disagreements, classify aggregation
 functions by Schur monotonicity along constant-endpoint-sum diagonals, check
 the midpoint-projection coincidence criterion, and construct explicit
 disagreement witnesses between pairwise-generator-mean orders and projection
@@ -113,6 +113,47 @@ def _first_cells(mask: np.ndarray, offset: int, limit: int) -> list[tuple[int, i
     return list(zip((offset + rows[:limit]).tolist(), (offset + cols[:limit]).tolist()))
 
 
+def _inversions(a: np.ndarray) -> int:
+    """Pairs i < j with a[i] > a[j] in an array of non-negative integers.
+
+    A bottom-up merge sort (Knight 1966): each level offsets the runs of
+    width 2w apart, counts for every element of a right half the larger
+    elements of its left half with one ``searchsorted``, and merges the
+    halves with one ``np.sort``.
+    """
+    idx = np.arange(a.size)
+    span = int(a.max()) + 1
+    count, w = 0, 1
+    while w < a.size:
+        run = idx // (2 * w)
+        keys = run * span + a
+        right = (idx // w) % 2 == 1
+        # a right element's run has a full left half: (run + 1) * w left
+        # elements in this and earlier runs, of which searchsorted counts
+        # those not larger
+        count += int(np.sum((run[right] + 1) * w
+                            - np.searchsorted(keys[~right], keys[right], side="right")))
+        a = np.sort(keys) - run * span
+        w *= 2
+    return count
+
+
+def _tied_pairs(sizes: np.ndarray) -> int:
+    """Pairs within groups of the given sizes."""
+    return int(np.sum(sizes * (sizes - 1) // 2))
+
+
+def _disagreement_counts(k1: np.ndarray, k2: np.ndarray) -> tuple[int, int]:
+    """Strict and tie-only disagreements of two dense rank arrays over
+    unordered pairs: ranked in opposite directions (the inversions of k2 in
+    (k1, k2) order), or tied under exactly one of them."""
+    order = np.lexsort((k2, k1))
+    a, b = k1[order], k2[order]
+    starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+    both = _tied_pairs(np.diff(np.r_[starts, a.size]))
+    return _inversions(b), _tied_pairs(np.bincount(k1)) + _tied_pairs(np.bincount(k2)) - 2 * both
+
+
 def orders_coincide(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
                     resolution: int = 100,
                     candidates: list[tuple[Interval, Interval]] | None = None,
@@ -124,8 +165,11 @@ def orders_coincide(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
     the comparators rank in strictly opposite directions becomes the witness.
     Otherwise the witness is the lexicographically first strict disagreement
     on the grid (else the first pair tied in one order only).  A report with
-    ``coincide=True`` is grid-level evidence.  The grid is scanned in blocks
-    of 256 rows of ``tie_classes`` key signs, so memory stays O(n).
+    ``coincide=True`` is grid-level evidence.  The disagreements are counted
+    from one sort of the two orders' ``tie_classes`` keys (strict ones as a
+    Kendall distance, the rest from tie-class sizes).  Only witnesses need a
+    scan: 256-row blocks of key signs, stopping at the last witness wanted
+    and never run when the orders coincide, so memory stays O(n).
     """
     if resolution < 50:
         raise ValueError("resolution must be at least 50")
@@ -139,33 +183,31 @@ def orders_coincide(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
 
     lo, hi = interval_grid(resolution)
     k1, k2 = (tie_classes(order, lo, hi) for order in (order1, order2))
-    limit = max(1, max_collected) if collect_all else 1
-    count = 0
-    strict_hits: list[tuple[int, int]] = []
-    tie_hits: list[tuple[int, int]] = []
+    strict, tie_only = _disagreement_counts(k1, k2)
+    if strict + tie_only == 0:
+        return CoincidenceReport(coincide=True)
+
+    # witnesses are strict disagreements when there are any, else tie-only ones
+    limit = min(max(1, max_collected) if collect_all else 1, strict or tie_only)
+    hits: list[tuple[int, int]] = []
     for start in range(0, lo.size, 256):
         stop = min(start + 256, lo.size)
         # rows start..stop-1 against columns start..n-1, kept where j > i
         s1, s2 = (_key_signs(k[start:stop], k[start:]) for k in (k1, k2))
-        mismatch = s1 != s2
-        mismatch[:, :stop - start] = np.triu(mismatch[:, :stop - start], k=1)
-        count += int(np.count_nonzero(mismatch))
-        if len(strict_hits) < limit:
-            strict = mismatch & (s1 == -s2)
-            strict_hits += _first_cells(strict, start, limit - len(strict_hits))
-            if not strict_hits and len(tie_hits) < limit:
-                tie_hits += _first_cells(mismatch & ~strict, start, limit - len(tie_hits))
-    if count == 0:
-        return CoincidenceReport(coincide=True)
+        hit = s1 * s2 < 0 if strict else s1 != s2
+        hit[:, :stop - start] = np.triu(hit[:, :stop - start], k=1)
+        hits += _first_cells(hit, start, limit - len(hits))
+        if len(hits) == limit:
+            break
 
     collected = [DisagreementWitness(
         Interval(float(lo[i]), float(hi[i])), Interval(float(lo[j]), float(hi[j])),
         Ordering(int(np.sign(k1[i] - k1[j]))), Ordering(int(np.sign(k2[i] - k2[j]))),
-    ) for i, j in strict_hits or tie_hits]
+    ) for i, j in hits]
     return CoincidenceReport(
         coincide=False, witness=collected[0],
         alpha_thresholds=_alpha_notes(order1, order2, collected[0]),
-        disagreement_count=count,
+        disagreement_count=strict + tie_only,
         disagreements=tuple(collected) if collect_all else (),
     )
 
@@ -279,8 +321,9 @@ def midpoint_order_coincidence(b: AggregationFunction, resolution: int = 100
     A strictly Schur-convex B makes the order generated by (midpoint
     projection, B) coincide with the (0.5, 1) projection order; strictly
     Schur-concave dually with (0.5, 0).  The pair must itself be admissible.
-    Strict classifications give a "proved" report (re-verified on the grid);
-    non-strict ones cannot settle coincidence and raise.
+    Strict classifications give a "proved" report, re-checked on the grid by
+    ``orders_coincide``: a sort of both orders' keys, with no block scanned
+    when they coincide.  Non-strict ones cannot settle coincidence and raise.
     """
     from .admissibility import Outcome, check_pair
 

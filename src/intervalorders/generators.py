@@ -50,6 +50,7 @@ pass and reports whether G keeps one sign instead.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -132,8 +133,17 @@ VALIDATION_SAMPLES = 41
 ROUND_TRIP_TOL = 1e-9
 
 
+# Generators that passed validate_generator, by identity.  A Generator is
+# frozen, so one check holds for its life; an entry goes when its generator
+# does, so a recycled id() never matches.
+_VALIDATED: weakref.WeakValueDictionary[int, Generator] = weakref.WeakValueDictionary()
+
+
 def validate_generator(gen: Generator) -> None:
-    """Check strict monotonicity, finiteness on (0,1), and inverse round-trip."""
+    """Check strict monotonicity, finiteness on (0,1), and inverse round-trip,
+    once per Generator object."""
+    if _VALIDATED.get(id(gen)) is gen:
+        return
     xs = np.linspace(0.0, 1.0, VALIDATION_SAMPLES + 2)[1:-1]
     with np.errstate(all="ignore"):
         ys = np.asarray(gen.fn(xs), dtype=float)
@@ -152,6 +162,7 @@ def validate_generator(gen: Generator) -> None:
         worst = float(np.max(np.abs(back - xs)))
         raise GeneratorError(
             f"{gen.name}: inverse round-trip error {worst:.3e} exceeds {ROUND_TRIP_TOL:g}")
+    _VALIDATED[id(gen)] = gen
 
 
 # ---------------------------------------------------------------------------

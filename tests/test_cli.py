@@ -131,6 +131,25 @@ class TestCoincide:
         lines = dump.read_text().splitlines()
         assert lines[0] == "u_lo,u_hi,x_lo,x_hi,order1,order2"
         assert len(lines) > 1
+        # every disagreement fits the CSV: nothing to note
+        assert capsys.readouterr().err == ""
+
+    def test_truncated_csv_is_noted_on_stderr(self, tmp_path, capsys):
+        dump = tmp_path / "disagreements.csv"
+        orders = [{"kind": "alpha_beta", "alpha": 0.0, "beta": 1.0},
+                  {"kind": "alpha_beta", "alpha": 1.0, "beta": 0.0}]
+        plain = write_json(tmp_path / "plain.json", {"orders": orders})
+        assert main(["coincide", "--config", plain, "--resolution", "60"]) == 0
+        expected = capsys.readouterr().out
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"orders": orders, "disagreements_csv": str(dump)})
+        assert main(["coincide", "--config", cfg, "--resolution", "60"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        count = json.loads(captured.out)["disagreement_count"]
+        assert count == 557845
+        assert len(dump.read_text().splitlines()) == 1 + 100000
+        assert captured.err == f"note: {dump} holds the first 100000 of {count} disagreements\n"
 
 
 # run with every scipy import failing: the package must import, decide a

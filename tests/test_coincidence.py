@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from intervalorders import (
     AlphaBetaOrder,
@@ -27,6 +27,10 @@ from intervalorders import (
     schur_pair_mean,
     tnorm,
 )
+from intervalorders import coincidence
+from intervalorders.coincidence import _disagreement_counts, _inversions
+from intervalorders.intervals import interval_grid
+from intervalorders.orders import _key_signs, tie_classes
 from order_reference import reference_orders_coincide
 
 # the running example: A averages squared endpoints, B averages square roots
@@ -182,6 +186,138 @@ class TestOrdersCoincideMatchesTwoTableReference:
             tracemalloc.stop()
         assert not rep.coincide
         assert peak < 48 * 2**20
+
+
+def dense(values) -> np.ndarray:
+    """Dense int64 ranks of the values, as ``tie_classes`` returns them."""
+    return np.unique(np.asarray(values), return_inverse=True)[1].astype(np.int64).ravel()
+
+
+def table_counts(k1, k2) -> tuple[int, int]:
+    """Strict and tie-only disagreements from the full tables of key signs."""
+    s1, s2 = _key_signs(k1, k1), _key_signs(k2, k2)
+    upper = np.triu(np.ones(s1.shape, dtype=bool), k=1)
+    strict = upper & (s1 == -s2) & (s1 != 0)
+    return int(np.count_nonzero(strict)), int(np.count_nonzero(upper & (s1 != s2) & ~strict))
+
+
+# few distinct values per array, so most pairs tie in one order or both
+tied_keys = st.integers(1, 90).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 5), min_size=n, max_size=n),
+    st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+
+
+class TestDisagreementCountsMatchSignTable:
+    """The count from one sort equals the count over the table of key signs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_keys)
+    def test_heavy_ties(self, pair):
+        k1, k2 = dense(pair[0]), dense(pair[1])
+        assert _disagreement_counts(k1, k2) == table_counts(k1, k2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 300).flatmap(
+        lambda n: st.permutations(range(n)).map(lambda p: (n, p))))
+    def test_permutations_against_pairwise_inversions(self, drawn):
+        n, perm = drawn
+        a = np.array(perm, dtype=np.int64)
+        brute = int(np.count_nonzero(np.triu(a[:, None] > a[None, :], k=1)))
+        assert _inversions(a) == brute
+        assert _disagreement_counts(np.arange(n), a) == (brute, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 8), min_size=1, max_size=60))
+    def test_ties_only_family(self, values):
+        # k2 refines k1 in the same direction: no pair is ranked oppositely
+        k1 = dense(values)
+        k2 = np.argsort(np.argsort(k1, kind="stable"), kind="stable")
+        strict, tie_only = _disagreement_counts(k1, k2)
+        assert (strict, tie_only) == table_counts(k1, k2)
+        assert strict == 0
+
+    def test_single_interval(self):
+        k = np.zeros(1, dtype=np.int64)
+        assert _disagreement_counts(k, k) == (0, 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 1000])
+    def test_identical_and_reversed_keys(self, n):
+        k = dense(np.arange(n) // 3)
+        assert _disagreement_counts(k, k) == (0, 0)
+        assert _disagreement_counts(k, k.max() - k) == table_counts(k, k.max() - k)
+
+    @pytest.mark.parametrize("pair", list(COINCIDE_PAIRS), ids=list(COINCIDE_PAIRS))
+    def test_grid_keys(self, pair):
+        lo, hi = interval_grid(60)
+        k1, k2 = (tie_classes(order, lo, hi) for order in COINCIDE_PAIRS[pair]())
+        assert _disagreement_counts(k1, k2) == table_counts(k1, k2)
+
+
+class BandOrder(GeneratedPairOrder):
+    """Intervals ranked by the band of width 1/bands their K_w projection
+    falls in, so whole bands tie in both stages."""
+
+    def __init__(self, w: float, bands: int = 8):
+        self.w, self.bands = w, bands
+
+    def stage_values(self, lo, hi):
+        band = np.floor(self.bands * ((1 - self.w) * lo + self.w * hi))
+        return band, band
+
+
+# every pair of orders here ties some grid pairs in one order only; the first
+# and last also tie some in both, the first two rank some oppositely, the
+# last two none
+MIXED_PAIRS = {
+    "bands-0.5-vs-bands-0.9": lambda: (BandOrder(0.5), BandOrder(0.9)),
+    "bands-0.9-vs-0.3": lambda: (BandOrder(0.9), AlphaBetaOrder(0.3, 1.0)),
+    "bands-0.5-vs-0.5": lambda: (BandOrder(0.5), AlphaBetaOrder(0.5, 0.0)),
+    "bands-0.5-vs-finer-bands-0.5": lambda: (BandOrder(0.5), BandOrder(0.5, 16)),
+}
+
+
+class TestMixedTiesMatchTwoTableReference:
+    @pytest.mark.parametrize("pair", list(MIXED_PAIRS), ids=list(MIXED_PAIRS))
+    def test_reports_equal(self, pair):
+        order1, order2 = MIXED_PAIRS[pair]()
+        for max_collected in (None, 1, 7, 300):
+            kwargs = ({} if max_collected is None
+                      else {"collect_all": True, "max_collected": max_collected})
+            rep = orders_coincide(order1, order2, resolution=50, **kwargs)
+            ref = reference_orders_coincide(order1, order2, 50, **kwargs)
+            assert rep == ref, (pair, max_collected)
+
+
+class TestWitnessScanStopsEarly:
+    @pytest.fixture
+    def key_sign_calls(self, monkeypatch):
+        calls = []
+
+        def counting(ki, kj):
+            calls.append(ki.size)
+            return _key_signs(ki, kj)
+
+        monkeypatch.setattr(coincidence, "_key_signs", counting)
+        return calls
+
+    def test_coinciding_pair_scans_no_block(self, key_sign_calls):
+        rep = midpoint_order_coincidence(schur_pair_mean(power(2.0)), resolution=100)
+        assert rep.coincide and rep.certainty == "proved"
+        assert key_sign_calls == []
+
+    def test_scan_stops_at_the_block_of_the_first_strict_hit(self, key_sign_calls):
+        rep = orders_coincide(square_sqrt_order(), AlphaBetaOrder(0.7, 1.0), resolution=140)
+        lo, hi = interval_grid(140)
+        first = int(np.flatnonzero((lo == rep.witness.u.lo) & (hi == rep.witness.u.hi))[0])
+        # two orders' signs per block, through the block that holds row `first`
+        assert len(key_sign_calls) == 2 * (first // 256 + 1)
+        assert len(key_sign_calls) < 2 * math.ceil(lo.size / 256)
+
+    def test_collection_stops_once_it_holds_max_collected(self, key_sign_calls):
+        rep = orders_coincide(AlphaBetaOrder(0.0, 1.0), AlphaBetaOrder(1.0, 0.0),
+                              resolution=60, collect_all=True, max_collected=7)
+        assert len(rep.disagreements) == 7
+        assert len(key_sign_calls) == 2
 
 
 class TestSchurClassify:

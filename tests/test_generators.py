@@ -83,6 +83,45 @@ class TestBuiltins:
         with pytest.raises(GeneratorError):
             validate_generator(bad)
 
+    def test_validation_runs_once_per_generator(self):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return np.asarray(x, float) ** 3
+
+        gen = Generator(name="cube", fn=fn, inv=lambda y: np.cbrt(np.asarray(y, float)),
+                        increasing=True, at_zero=0.0, at_one=1.0)
+        validate_generator(gen)
+        validate_generator(gen)
+        assert len(calls) == 1
+        # g o f^{-1} with f = gen samples only gen's inverse in the shape scan
+        composite(gen, identity())
+        assert len(calls) == 1
+        twin = Generator(name="cube", fn=fn, inv=gen.inv, increasing=True,
+                         at_zero=0.0, at_one=1.0)
+        before = len(calls)
+        validate_generator(twin)
+        assert len(calls) == before + 1  # an equal but distinct object is checked anew
+
+    def test_invalid_generator_raises_in_composite_every_time(self):
+        bad = Generator(
+            name="skewed",
+            fn=lambda x: np.asarray(x, float) ** 2,
+            inv=lambda y: np.asarray(y, float),
+            increasing=True,
+            at_zero=0.0,
+            at_one=1.0,
+        )
+        with pytest.raises(GeneratorError) as direct:
+            validate_generator(bad)
+        for _ in range(2):
+            with pytest.raises(GeneratorError) as first:
+                composite(bad, identity())
+            with pytest.raises(GeneratorError) as second:
+                composite(identity(), bad)
+            assert str(first.value) == str(second.value) == str(direct.value)
+
     def test_config_parsing(self):
         g = generator_from_config({"kind": "power", "gamma": 2.0})
         assert g.kind == "power" and g.param == 2.0

@@ -88,15 +88,13 @@ def _cmd_rank(rc: RunConfig) -> int:
     order = order_from_config(order_spec)
     if rc.input_path is None:
         raise ConfigError("rank requires --input with an interval list")
-    items = load_intervals(rc.input_path)
-    idx = rank_indices(order, items)
-    ranked = [items[i] for i in idx]
+    lo, hi = load_intervals(rc.input_path)
+    idx = rank_indices(order, lo, hi)
     if rc.output_path:
-        write_ranked_csv(rc.output_path, ranked, idx)
+        with open(rc.output_path, "w", newline="") as fh:
+            write_ranked_csv(fh, lo, hi, idx)
     else:
-        sys.stdout.write("index,lo,hi\n")
-        for i, it in zip(idx, ranked):
-            sys.stdout.write(f"{i},{it.lo!r},{it.hi!r}\n")
+        write_ranked_csv(sys.stdout, lo, hi, idx)
     return 0
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -109,35 +110,69 @@ def interval_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# File formats: CSV is one `lo,hi` pair per line (header optional); JSON is
-# an array of two-element arrays.
+# File formats.  CSV: one `lo,hi` row per interval, read as UTF-8 with an
+# optional byte-order mark; blank rows are skipped, fields after the second
+# are ignored, and a first row that does not parse is a header.  JSON: an
+# array of two-element arrays.  Readers return validated (lo, hi) float64
+# arrays, as `interval_grid` does, with endpoints snapped as `Interval`
+# snaps them; the first entry in file order that is malformed or that
+# `Interval` rejects raises a `DataError`.  `write_ranked_csv` writes
+# `index,lo,hi` rows, `index` being the entry's position in the input.
 # ---------------------------------------------------------------------------
+
+# Rows joined into one string per write: bounded, so the output never
+# exists as one string.
+WRITE_BLOCK = 4096
 
 
 class DataError(ValueError):
     """Raised when an interval data file cannot be parsed."""
 
 
-def read_intervals_csv(path: str | Path) -> list[Interval]:
-    items: list[Interval] = []
-    with open(path, newline="") as fh:
+def _checked(lo: list[float], hi: list[float], where) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays validated and snapped by `Interval`'s rule in one
+    vectorised pass; the first entry it rejects raises `Interval`'s error as
+    a `DataError` prefixed by ``where(k)``, k being the entry's position."""
+    raw_lo, raw_hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    lo, hi = np.clip(raw_lo, 0.0, 1.0), np.clip(raw_hi, 0.0, 1.0)  # keeps -0.0
+    outside = ~((raw_lo >= -BOUNDARY_SLACK) & (raw_lo <= 1.0 + BOUNDARY_SLACK)
+                & (raw_hi >= -BOUNDARY_SLACK) & (raw_hi <= 1.0 + BOUNDARY_SLACK))
+    bad = outside | (lo > hi)
+    if bad.any():
+        k = int(np.argmax(bad))
+        try:
+            Interval(float(raw_lo[k]), float(raw_hi[k]))
+        except DomainError as exc:
+            raise DataError(f"{where(k)}: {exc}") from exc
+    return lo, hi
+
+
+def read_intervals_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    lo: list[float] = []
+    hi: list[float] = []
+    rows: list[int] = []
+
+    def where(k: int) -> str:
+        return f"{path}: row {rows[k] + 1}"
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row_no, row in enumerate(csv.reader(fh)):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
-                lo, hi = float(row[0]), float(row[1])
+                a, b = float(row[0]), float(row[1])
             except (ValueError, IndexError):
                 if row_no == 0:
                     continue  # header line
+                _checked(lo, hi, where)  # an earlier invalid row is reported first
                 raise DataError(f"{path}: malformed interval row {row_no + 1}: {row!r}")
-            try:
-                items.append(Interval(lo, hi))
-            except DomainError as exc:
-                raise DataError(f"{path}: row {row_no + 1}: {exc}") from exc
-    return items
+            lo.append(a)
+            hi.append(b)
+            rows.append(row_no)
+    return _checked(lo, hi, where)
 
 
-def read_intervals_json(path: str | Path) -> list[Interval]:
+def read_intervals_json(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -145,18 +180,27 @@ def read_intervals_json(path: str | Path) -> list[Interval]:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON array of [lo, hi] pairs")
-    items = []
+    lo: list[float] = []
+    hi: list[float] = []
+
+    def where(k: int) -> str:
+        return f"{path}: entry {k}"
+
     for k, entry in enumerate(raw):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            _checked(lo, hi, where)
             raise DataError(f"{path}: entry {k} is not a two-element array: {entry!r}")
         try:
-            items.append(Interval(float(entry[0]), float(entry[1])))
+            a, b = float(entry[0]), float(entry[1])
         except (TypeError, ValueError) as exc:
+            _checked(lo, hi, where)
             raise DataError(f"{path}: entry {k}: {exc}") from exc
-    return items
+        lo.append(a)
+        hi.append(b)
+    return _checked(lo, hi, where)
 
 
-def load_intervals(path: str | Path) -> list[Interval]:
+def load_intervals(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch on file suffix: .json -> JSON array, anything else -> CSV."""
     p = Path(path)
     if p.suffix.lower() == ".json":
@@ -164,10 +208,13 @@ def load_intervals(path: str | Path) -> list[Interval]:
     return read_intervals_csv(p)
 
 
-def write_ranked_csv(path: str | Path, items: list[Interval], indices: list[int]) -> None:
-    """Write `index,lo,hi` rows; `index` is the position in the input list."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "lo", "hi"])
-        for idx, it in zip(indices, items):
-            writer.writerow([idx, repr(it.lo), repr(it.hi)])
+def write_ranked_csv(fh: TextIO, lo: np.ndarray, hi: np.ndarray, indices) -> None:
+    """Write the `index,lo,hi` header, then for each input position i in
+    `indices` the row `i,repr(lo[i]),repr(hi[i])`, to the open text stream."""
+    fh.write("index,lo,hi\n")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    indices = np.asarray(indices, dtype=np.int64)
+    for start in range(0, indices.size, WRITE_BLOCK):
+        block = indices[start:start + WRITE_BLOCK]
+        fh.write("".join(f"{i},{a!r},{b!r}\n" for i, a, b in
+                         zip(block.tolist(), lo[block].tolist(), hi[block].tolist())))

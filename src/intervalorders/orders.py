@@ -112,16 +112,17 @@ def compare(order: GeneratedPairOrder, u: Interval, x: Interval) -> Ordering:
     return Ordering(int(np.sign(k[0] - k[1])))
 
 
-def rank_indices(order: GeneratedPairOrder, items: list[Interval]) -> list[int]:
-    """Input positions sorted ascending under the order: a stable sort of the
-    transitive ``tie_classes`` keys, so ties keep their input order."""
-    lo, hi = np.array([z.lo for z in items], float), np.array([z.hi for z in items], float)
-    return np.argsort(tie_classes(order, lo, hi), kind="stable").tolist()
+def rank_indices(order: GeneratedPairOrder, lo, hi) -> np.ndarray:
+    """Input positions (int64) sorted ascending under the order: a stable sort
+    of the transitive ``tie_classes`` keys, so ties keep their input order."""
+    return np.argsort(tie_classes(order, lo, hi), kind="stable")
 
 
 def sort_intervals(order: GeneratedPairOrder, items: list[Interval]) -> list[Interval]:
     """Stable ascending sort; deterministic."""
-    return [items[i] for i in rank_indices(order, items)]
+    lo = np.array([z.lo for z in items], dtype=float)
+    hi = np.array([z.hi for z in items], dtype=float)
+    return [items[i] for i in rank_indices(order, lo, hi).tolist()]
 
 
 def _key_signs(ki: np.ndarray, kj: np.ndarray) -> np.ndarray:

@@ -88,6 +88,17 @@ class TestRank:
                      str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_stdout_matches_output_file(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"order": {"kind": "pair", **PAIR_CONFIG["pair"]}})
+        data = tmp_path / "items.csv"
+        data.write_text('lo,hi\n0.2,0.9\n\n-0.0,1.0000000000000002\n"0.1", 2e-1\n-1e-16,0.5\n')
+        out = tmp_path / "ranked.csv"
+        assert main(["rank", "--config", cfg, "--input", str(data), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["rank", "--config", cfg, "--input", str(data)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes() == (
+            b"index,lo,hi\n2,0.1,0.2\n3,0.0,0.5\n0,0.2,0.9\n1,-0.0,1.0\n")
+
 
 class TestFindCounterexample:
     def test_collision_pair_yields_witness(self, tmp_path, capsys):

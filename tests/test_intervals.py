@@ -165,22 +165,33 @@ class TestFileFormats:
     def test_csv_roundtrip_with_header(self, tmp_path):
         p = tmp_path / "items.csv"
         p.write_text("lo,hi\n0.2,0.9\n0.2,0.3\n")
-        items = read_intervals_csv(p)
-        assert items == [Interval(0.2, 0.9), Interval(0.2, 0.3)]
+        lo, hi = read_intervals_csv(p)
+        assert (lo.tolist(), hi.tolist()) == ([0.2, 0.2], [0.9, 0.3])
 
     def test_csv_without_header(self, tmp_path):
         p = tmp_path / "items.csv"
         p.write_text("0.1,1.0\n")
-        assert read_intervals_csv(p) == [Interval(0.1, 1.0)]
+        lo, hi = read_intervals_csv(p)
+        assert (lo.tolist(), hi.tolist()) == ([0.1], [1.0])
+
+    def test_csv_byte_order_mark_keeps_first_row(self, tmp_path):
+        p = tmp_path / "items.csv"
+        p.write_bytes(b"\xef\xbb\xbf0.1,0.2\n0.3,0.4\n")
+        lo, hi = read_intervals_csv(p)
+        assert (lo.tolist(), hi.tolist()) == ([0.1, 0.3], [0.2, 0.4])
 
     def test_json_format(self, tmp_path):
         p = tmp_path / "items.json"
         p.write_text(json.dumps([[0.2, 0.9], [0.0, 0.5]]))
-        assert load_intervals(p) == [Interval(0.2, 0.9), Interval(0.0, 0.5)]
+        lo, hi = load_intervals(p)
+        assert (lo.tolist(), hi.tolist()) == ([0.2, 0.0], [0.9, 0.5])
 
     def test_ranked_csv_written_with_indices(self, tmp_path):
         p = tmp_path / "ranked.csv"
-        write_ranked_csv(p, [Interval(0.1, 1.0), Interval(0.2, 0.3)], [2, 0])
+        lo, hi = np.array([0.2, 0.5, 0.1]), np.array([0.3, 0.6, 1.0])
+        with open(p, "w", newline="") as fh:
+            write_ranked_csv(fh, lo, hi, [2, 0])
         lines = p.read_text().splitlines()
         assert lines[0] == "index,lo,hi"
         assert lines[1].startswith("2,0.1,1.0")
+        assert lines[2:] == ["0,0.2,0.3"]

@@ -784,14 +784,9 @@ def admissible_for_all_weight_orders(f: Generator, g: Generator,
     if math.isinf(f.at_one) and math.isinf(g.at_one):
         return False
     shape = registry_composite_shape(f, g)
-    if shape is None or shape.convexity is Convexity.UNKNOWN:
+    if shape is None:
         return None
     if shape.convexity is Convexity.MIXED:
         return False
-    if shape.monotonicity not in (
-        Monotonicity.STRICTLY_INCREASING,
-        Monotonicity.STRICTLY_DECREASING,
-    ):
-        return None
     w1, w2 = (0.25, 0.75) if increasing_weights else (0.75, 0.25)
     return _weight_row_matches(shape, f.increasing, w1, w2)

@@ -21,7 +21,10 @@ For twice-differentiable strictly monotone f and g,
 where r_f = f''/f' is the log-derivative of f'.  For every builtin kind the
 weighted numerator R_f(x) = x(1-x) * r_f(x) is a quadratic polynomial, so the
 sign of h'' on (0,1) reduces to the sign pattern of the quadratic
-N = R_g - R_f, which is decided exactly from its coefficients.  Only this
+N = R_g - R_f.  That pattern is decided exactly, in ``Fraction`` arithmetic
+on coefficients built from the float parameters (which convert without
+error), with no tolerance: on (0,1) a quadratic takes exactly the signs it
+has just right of 0, just left of 1 and at an interior vertex.  Only this
 registry may certify *strict* convexity or concavity; the sampling-based
 classifier below never does, because strictness on an open set cannot be
 certified by finitely many samples.
@@ -49,10 +52,12 @@ pass and reports whether G keeps one sign instead.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -183,6 +188,8 @@ def power(gamma: float) -> Generator:
     g = float(gamma)
     if g == 0.0:
         raise GeneratorError("power generator needs a nonzero exponent")
+    if not math.isfinite(g):
+        raise GeneratorError(f"power generator needs a finite exponent, got {g!r}")
     return Generator(
         name=f"power({g:g})",
         fn=_wrap(lambda x: x**g),
@@ -200,6 +207,8 @@ def exponential(gamma: float) -> Generator:
     g = float(gamma)
     if g == 0.0:
         raise GeneratorError("exponential generator needs a nonzero rate")
+    if not math.isfinite(g):
+        raise GeneratorError(f"exponential generator needs a finite rate, got {g!r}")
     return Generator(
         name=f"exponential({g:g})",
         fn=_wrap(lambda x: np.exp(g * x)),
@@ -338,76 +347,60 @@ def generator_from_config(spec: dict) -> Generator:
 # Closed-form shape registry
 # ---------------------------------------------------------------------------
 
-# Coefficients (c0, c1, c2) of R(x) = x(1-x) * f''(x)/f'(x) per builtin kind.
+# Coefficients (c0, c1, c2) of R(x) = x(1-x) * f''(x)/f'(x) per builtin kind,
+# as exact rationals: a float parameter converts to a Fraction without error.
 # Affine kinds contribute zero; the postcomposed sign flip of negated_log
 # leaves f''/f' unchanged, so it shares the logarithm row.
 
 
-def _r_coeffs(gen: Generator) -> tuple[float, float, float] | None:
-    if gen.kind is None:
-        return None
-    if gen.kind in ("identity", "one_minus"):
-        return (0.0, 0.0, 0.0)
-    if gen.kind == "power":
-        g = float(gen.param)
-        return (g - 1.0, -(g - 1.0), 0.0)
-    if gen.kind == "exponential":
-        g = float(gen.param)
-        return (0.0, g, -g)
-    if gen.kind in ("logarithm", "negated_log"):
-        return (-1.0, 1.0, 0.0)
-    if gen.kind == "negated_log_complement":
-        return (0.0, 1.0, 0.0)
-    if gen.kind == "logit":
-        return (-1.0, 2.0, 0.0)
+def _r_coeffs(kind: str | None, param) -> tuple[Fraction | int, ...] | None:
+    if kind in ("identity", "one_minus"):
+        return (0, 0, 0)
+    if kind == "power":
+        g = Fraction(param)
+        return (g - 1, 1 - g, 0)
+    if kind == "exponential":
+        g = Fraction(param)
+        return (0, g, -g)
+    if kind in ("logarithm", "negated_log"):
+        return (-1, 1, 0)
+    if kind == "negated_log_complement":
+        return (0, 1, 0)
+    if kind == "logit":
+        return (-1, 2, 0)
     return None
 
 
-# Relative size below which a quadratic coefficient or value counts as zero,
-# and the distance from 0 and 1 within which a root is not interior.
-COEFF_TOL = 1e-12
-ROOT_EDGE = 1e-9
+def _sign(v: Fraction | int) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _quadratic_sign_on_unit(c0: float, c1: float, c2: float) -> str:
-    """Sign pattern of c0 + c1*x + c2*x^2 on the open interval (0,1).
+def _quadratic_signs_on_unit(c0: Fraction | int, c1: Fraction | int,
+                             c2: Fraction | int) -> frozenset[int]:
+    """The nonzero signs that c0 + c1*x + c2*x^2 takes on the open interval (0,1).
 
-    Returns 'zero', 'pos', 'neg', or 'mixed'.  Roots within ``ROOT_EDGE`` of
-    the boundary do not count as interior sign changes.
+    On (0,1) a quadratic is monotone except at its vertex, so it takes every
+    sign it has just right of 0, just left of 1 and at an interior vertex,
+    and no other.  Near an end the first nonzero term of the Taylor expansion
+    there gives the sign.
     """
-    scale = max(abs(c0), abs(c1), abs(c2))
-    if scale <= COEFF_TOL:
-        return "zero"
+    s2 = _sign(c2)
+    at_one, slope_at_one = c0 + c1 + c2, c1 + 2 * c2
+    signs = {_sign(c0) or _sign(c1) or s2, _sign(at_one) or -_sign(slope_at_one) or s2}
+    if 0 < -c1 * s2 < 2 * abs(c2):
+        signs.add(_sign(4 * c0 * c2 - c1 * c1) * s2)
+    signs.discard(0)
+    return frozenset(signs)
 
-    def val(x: float) -> float:
-        return c0 + c1 * x + c2 * x * x
 
-    roots: list[float] = []
-    if abs(c2) > COEFF_TOL * max(1.0, scale):
-        disc = c1 * c1 - 4.0 * c0 * c2
-        if disc > (COEFF_TOL * scale) ** 2:
-            sq = math.sqrt(disc)
-            roots = [(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)]
-        # a double root (disc ~ 0) never changes sign
-    elif abs(c1) > COEFF_TOL * max(1.0, scale):
-        roots = [-c0 / c1]
-
-    interior = sorted(r for r in roots if ROOT_EDGE < r < 1.0 - ROOT_EDGE)
-    cuts = [ROOT_EDGE] + interior + [1.0 - ROOT_EDGE]
-    has_pos = has_neg = False
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        v = val(0.5 * (a + b))
-        if v > COEFF_TOL * scale:
-            has_pos = True
-        elif v < -COEFF_TOL * scale:
-            has_neg = True
-    if has_pos and has_neg:
-        return "mixed"
-    if has_pos:
-        return "pos"
-    if has_neg:
-        return "neg"
-    return "zero"
+@functools.cache
+def _n_signs(f_kind: str | None, f_param, g_kind: str | None, g_param) -> frozenset[int] | None:
+    """Signs of N = R_g - R_f on (0,1), or None without a registry row."""
+    cf = _r_coeffs(f_kind, f_param)
+    cg = _r_coeffs(g_kind, g_param)
+    if cf is None or cg is None:
+        return None
+    return _quadratic_signs_on_unit(*(a - b for a, b in zip(cg, cf)))
 
 
 def registry_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
@@ -416,25 +409,21 @@ def registry_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
     Returns None when either generator lacks a registry row.  Only this path
     may emit the strict classes.
     """
-    cf = _r_coeffs(f)
-    cg = _r_coeffs(g)
-    if cf is None or cg is None:
+    signs = _n_signs(f.kind, f.param, g.kind, g.param)
+    if signs is None:
         return None
-    n = tuple(a - b for a, b in zip(cg, cf))
-    pattern = _quadratic_sign_on_unit(*n)
     mono = (
         Monotonicity.STRICTLY_INCREASING
         if f.increasing == g.increasing
         else Monotonicity.STRICTLY_DECREASING
     )
-    dir_g = 1.0 if g.increasing else -1.0
-    if pattern == "zero":
+    if not signs:
         return ShapeInfo(Convexity.AFFINE, mono)
-    if pattern == "mixed":
+    if len(signs) == 2:
         return ShapeInfo(Convexity.MIXED, mono)
-    signed = dir_g if pattern == "pos" else -dir_g
-    conv = Convexity.STRICTLY_CONVEX if signed > 0 else Convexity.STRICTLY_CONCAVE
-    return ShapeInfo(conv, mono)
+    # sign(h'') = sign(g') * sign(N)
+    convex = (1 in signs) == g.increasing
+    return ShapeInfo(Convexity.STRICTLY_CONVEX if convex else Convexity.STRICTLY_CONCAVE, mono)
 
 
 # ---------------------------------------------------------------------------

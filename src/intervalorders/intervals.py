@@ -110,8 +110,8 @@ def interval_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# File formats.  CSV: one `lo,hi` row per interval, read as UTF-8 with an
-# optional byte-order mark; blank rows are skipped, fields after the second
+# File formats, read as UTF-8 with an optional byte-order mark.  CSV: one
+# `lo,hi` row per interval; blank rows are skipped, fields after the second
 # are ignored, and a first row that does not parse is a header.  JSON: an
 # array of two-element arrays.  Readers return validated (lo, hi) float64
 # arrays, as `interval_grid` does, with endpoints snapped as `Interval`
@@ -173,7 +173,7 @@ def read_intervals_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_intervals_json(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -192,7 +192,7 @@ def read_intervals_json(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise DataError(f"{path}: entry {k} is not a two-element array: {entry!r}")
         try:
             a, b = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
             _checked(lo, hi, where)
             raise DataError(f"{path}: entry {k}: {exc}") from exc
         lo.append(a)

@@ -125,6 +125,46 @@ class TestEqualWeights:
         assert_valid_witness(v, k_mean(0.5), k_mean(0.5))
 
 
+# Pairs whose composite has parameters next to a root of the registry's N
+# = R_g - R_f, with their (outcome, rule, note), the same in both
+# orientations:
+# - x^(1+1e-10) vs e^x: N = -(x - 1)(x - 1e-10) changes sign inside (0,1),
+#   so the composite is not strictly convex;
+# - K_1/2 vs the x^(1+1e-13) mean: N = 1e-13 (1 - x) > 0, so the composite
+#   is strictly convex and no collision exists;
+# - at unequal weights no row of the weight-order table matches the first
+#   pair's mixed composite, nor a convex composite with w1 > w2.
+NEAR_DEGENERATE_PAIRS = [
+    ("power(1+1e-10) vs exponential(1)",
+     (quasi_linear_mean(power(1 + 1e-10), 0.5), quasi_linear_mean(exponential(1.0), 0.5)),
+     (Outcome.NOT_ADMISSIBLE, "equal-weights-shape",
+      "composite certified neither strictly convex nor strictly concave")),
+    ("k_mean(0.5) vs power(1+1e-13)",
+     (k_mean(0.5), quasi_linear_mean(power(1 + 1e-13), 0.5)),
+     (Outcome.ADMISSIBLE, "equal-weights-shape", "")),
+    ("power(1+1e-10, w=0.3) vs exponential(1, w=0.7)",
+     (quasi_linear_mean(power(1 + 1e-10), 0.3), quasi_linear_mean(exponential(1.0), 0.7)),
+     (Outcome.UNKNOWN, "rules", "no criterion matched; oracle disabled")),
+    ("k_mean(0.7) vs power(1+1e-13, w=0.3)",
+     (k_mean(0.7), quasi_linear_mean(power(1 + 1e-13), 0.3)),
+     (Outcome.UNKNOWN, "rules", "no criterion matched; oracle disabled")),
+]
+
+
+class TestNearDegenerateShapes:
+    """Verdicts that rest on the exact sign pattern of the registry's N."""
+
+    @pytest.mark.parametrize("a, b, expected", [
+        pytest.param(a, b, expected, id=f"{label}{suffix}")
+        for label, (p, q), expected in NEAR_DEGENERATE_PAIRS
+        for a, b, suffix in ((p, q, ""), (q, p, " reversed"))
+    ])
+    def test_check_pair(self, a, b, expected):
+        v = check_pair(a, b, use_oracle=False)
+        assert (v.outcome, v.rule, v.note) == expected
+        assert v.witness is None
+
+
 class TestUnequalWeights:
     def test_root_power_exponents_straddling_zero(self):
         v = rule_quasi_unequal_weights(power(-1.0), power(2.0), 0.2, 0.8)

@@ -100,6 +100,26 @@ class TestRank:
             b"index,lo,hi\n2,0.1,0.2\n3,0.0,0.5\n0,0.2,0.9\n1,-0.0,1.0\n")
 
 
+    def test_json_with_byte_order_mark(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"order": {"kind": "alpha_beta", "alpha": 0.5, "beta": 1.0}})
+        data = tmp_path / "items.json"
+        data.write_bytes(b"\xef\xbb\xbf[[0.3, 0.4], [0.1, 0.2]]")
+        assert main(["rank", "--config", cfg, "--input", str(data)]) == 0
+        assert capsys.readouterr().out == "index,lo,hi\n1,0.1,0.2\n0,0.3,0.4\n"
+
+    def test_json_integer_too_large_for_a_float(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"order": {"kind": "alpha_beta", "alpha": 0.5, "beta": 1.0}})
+        data = tmp_path / "items.json"
+        data.write_text(f"[[0.1, 1{'0' * 400}]]")
+        assert main(["rank", "--config", cfg, "--input", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"i/o error: {data}: entry 0: int too large to convert to float\n")
+
+
 class TestFindCounterexample:
     def test_collision_pair_yields_witness(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", COLLISION_CONFIG)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from intervalorders import (
     GeneratorError,
     Monotonicity,
     ScanOutcome,
+    ShapeInfo,
+    build_battery,
     classify_convexity_numeric,
     collision_gap,
     collision_scan,
@@ -28,7 +31,9 @@ from intervalorders import (
     registry_composite_shape,
     validate_generator,
 )
+from intervalorders.admissibility import quasi_view
 from intervalorders.generators import bisect_root
+from registry_reference import reference_composite_shape
 
 ALL_BUILTINS = [
     power(2.0), power(0.5), power(-1.0), exponential(1.0), exponential(-1.0),
@@ -134,6 +139,14 @@ class TestBuiltins:
     def test_config_missing_parameter(self):
         with pytest.raises(GeneratorError, match="gamma"):
             generator_from_config({"kind": "exponential"})
+
+    @pytest.mark.parametrize("make", [power, exponential])
+    @pytest.mark.parametrize("param", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, make, param):
+        with pytest.raises(GeneratorError, match="finite"):
+            make(param)
+        with pytest.raises(GeneratorError, match="finite"):
+            generator_from_config({"kind": make.__name__, "gamma": str(param)})
 
 
 def _ulp_distance(a, b) -> np.ndarray:
@@ -261,6 +274,115 @@ class TestRegistryShapes:
             at_one=1.0,
         )
         assert registry_composite_shape(custom, identity()) is None
+
+
+# Builtin generators for the differential test against the float reference:
+# the parameters of every quasi view in the battery, and more
+REGISTRY_TABLE = [
+    *(power(p) for p in (-3.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0, 4.0)),
+    *(exponential(r) for r in (-4.0, -3.0, -2.5, -2.0, -1.5, -1.0, -0.8, -0.5, -0.2, -0.05,
+                               0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+    logarithm(), logit(), negated_log(), negated_log_complement(), one_minus(), identity(),
+]
+
+ABOVE_ONE = [1 + 1e-8, 1 + 1e-10, 1 + 1e-13, math.nextafter(1.0, 2.0)]
+BELOW_ONE = [1 - 1e-8, 1 - 1e-10, 1 - 1e-13, math.nextafter(1.0, 0.0)]
+TINY = [1e-8, 1e-10, 1e-13, math.ulp(0.0)]
+CONVEX, CONCAVE, MIXED = Convexity.STRICTLY_CONVEX, Convexity.STRICTLY_CONCAVE, Convexity.MIXED
+
+# (f, g, convexity, increasing?) next to a root of N = R_g - R_f, derived by
+# hand:
+# - f = power(1+e), g = exponential(1): N = -(x - 1)(x - e), a root at e;
+# - f = identity, g = power(1+e): N = e(1 - x);
+# - f = exponential(e), g = identity: N = -e x(1 - x);
+# - f = power(1/2), g = exponential(c): N = (1 - x)(1/2 + c x), a double
+#   root at 1 for c = -1/2 and an interior root -1/(2c) for c < -1/2.
+NEAR_DEGENERATE = [
+    *((power(p), exponential(1.0), MIXED, True) for p in ABOVE_ONE),
+    *((exponential(1.0), power(p), MIXED, True) for p in ABOVE_ONE),
+    *((power(p), exponential(1.0), CONVEX, True) for p in BELOW_ONE),
+    *((exponential(1.0), power(p), CONCAVE, True) for p in BELOW_ONE),
+    *((identity(), power(p), CONVEX, True) for p in ABOVE_ONE),
+    *((identity(), power(p), CONCAVE, True) for p in BELOW_ONE),
+    *((exponential(e), identity(), CONCAVE, True) for e in TINY),
+    *((exponential(-e), identity(), CONVEX, False) for e in TINY),
+    (power(0.5), exponential(math.nextafter(-0.5, -1.0)), MIXED, False),
+    (power(0.5), exponential(-0.5), CONCAVE, False),
+    (power(0.5), exponential(math.nextafter(-0.5, 0.0)), CONCAVE, False),
+]
+
+
+def _label(gen: Generator) -> str:
+    return gen.kind if gen.param is None else f"{gen.kind}({gen.param!r})"
+
+
+def _exact_r(gen: Generator, x: Fraction) -> Fraction:
+    """R(x) = x(1-x) f''(x)/f'(x), from each kind's closed form."""
+    if gen.kind == "power":
+        return (Fraction(gen.param) - 1) * (1 - x)
+    if gen.kind == "exponential":
+        return Fraction(gen.param) * x * (1 - x)
+    return {"identity": Fraction(0), "one_minus": Fraction(0), "logarithm": x - 1,
+            "negated_log": x - 1, "negated_log_complement": x, "logit": 2 * x - 1}[gen.kind]
+
+
+near_one = st.floats(1 - 1e-6, 1 + 1e-6)
+shape_param = st.one_of(
+    st.floats(-50.0, 50.0).filter(bool), near_one, near_one.map(lambda v: v - 1.5),
+    st.floats(-1e-6, 1e-6).filter(bool), st.sampled_from([-0.5, 1.0, math.ulp(0.0)]),
+)
+builtin_generator = st.one_of(
+    st.builds(power, shape_param), st.builds(exponential, shape_param),
+    st.sampled_from([logarithm(), logit(), negated_log(), negated_log_complement(),
+                     one_minus(), identity()]),
+)
+open_unit_float = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+open_unit_point = st.one_of(
+    st.fractions(0, 1, max_denominator=10**6).filter(lambda x: 0 < x < 1),
+    open_unit_float.map(Fraction), open_unit_float.map(lambda t: 1 - Fraction(t)),
+)
+
+
+class TestExactRegistry:
+    """The registry decides the signs of N on (0,1) exactly, in Fractions."""
+
+    def test_table_covers_the_battery(self):
+        table = {(gen.kind, gen.param) for gen in REGISTRY_TABLE}
+        views = {quasi_view(af) for case in build_battery() for af in (case.a, case.b)}
+        battery = {(view[0].kind, view[0].param) for view in views if view is not None}
+        assert battery <= table
+        assert len(table) >= 32
+
+    def test_matches_the_float_reference_away_from_degenerate_parameters(self):
+        moved = [(f.name, g.name) for f in REGISTRY_TABLE for g in REGISTRY_TABLE
+                 if registry_composite_shape(f, g) != reference_composite_shape(f, g)]
+        assert moved == []
+
+    @pytest.mark.parametrize(
+        "f,g,conv,inc", NEAR_DEGENERATE,
+        ids=[f"{_label(f)}->{_label(g)}" for f, g, _, _ in NEAR_DEGENERATE],
+    )
+    def test_near_degenerate_parameters(self, f, g, conv, inc):
+        expected_mono = (
+            Monotonicity.STRICTLY_INCREASING if inc else Monotonicity.STRICTLY_DECREASING
+        )
+        assert registry_composite_shape(f, g) == ShapeInfo(conv, expected_mono)
+
+    @settings(max_examples=400, deadline=None)
+    @given(builtin_generator, builtin_generator, st.lists(open_unit_point, min_size=1, max_size=8))
+    def test_every_sign_of_n_is_in_the_shape(self, f, g, xs):
+        shape = registry_composite_shape(f, g)
+        # sign(h'') = sign(g') * sign(N)
+        along_g = 1 if g.increasing else -1
+        allowed = {
+            Convexity.AFFINE: set(),
+            Convexity.MIXED: {1, -1},
+            Convexity.STRICTLY_CONVEX: {along_g},
+            Convexity.STRICTLY_CONCAVE: {-along_g},
+        }[shape.convexity]
+        for x in xs:
+            n = _exact_r(g, x) - _exact_r(f, x)
+            assert n == 0 or (1 if n > 0 else -1) in allowed
 
 
 class TestComposite:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from intervalorders import (
     AggregationError,
+    DataError,
     DomainError,
     Interval,
     PartialComparison,
@@ -185,6 +186,18 @@ class TestFileFormats:
         p.write_text(json.dumps([[0.2, 0.9], [0.0, 0.5]]))
         lo, hi = load_intervals(p)
         assert (lo.tolist(), hi.tolist()) == ([0.2, 0.0], [0.9, 0.5])
+
+    def test_json_byte_order_mark_dropped(self, tmp_path):
+        p = tmp_path / "items.json"
+        p.write_bytes(b"\xef\xbb\xbf[[0.1, 0.2], [0.3, 0.4]]")
+        lo, hi = load_intervals(p)
+        assert (lo.tolist(), hi.tolist()) == ([0.1, 0.3], [0.2, 0.4])
+
+    def test_json_integer_too_large_for_a_float(self, tmp_path):
+        p = tmp_path / "items.json"
+        p.write_text(f"[[0.1, 0.2], [0.1, 1{'0' * 400}]]")
+        with pytest.raises(DataError, match=r"entry 1: int too large to convert to float"):
+            load_intervals(p)
 
     def test_ranked_csv_written_with_indices(self, tmp_path):
         p = tmp_path / "ranked.csv"

@@ -135,8 +135,8 @@ def make_witness(a: AggregationFunction, b: AggregationFunction,
                  u: Interval, x: Interval, tol: float = WITNESS_TOL) -> Witness | None:
     """Validate a candidate collision: both residuals within ``tol`` and the
     endpoints at least ``WITNESS_GAP`` apart; None when it fails."""
-    ra = abs(a(u) - a(x))
-    rb = abs(b(u) - b(x))
+    lo, hi = np.array([u.lo, x.lo]), np.array([u.hi, x.hi])
+    ra, rb = (abs(float(v[0]) - float(v[1])) for v in (a.values(lo, hi), b.values(lo, hi)))
     w = Witness(u, x, ra, rb)
     if ra <= tol and rb <= tol and w.endpoint_gap >= WITNESS_GAP:
         return w
@@ -576,16 +576,18 @@ def _refine_candidate(a: AggregationFunction, b: AggregationFunction, u: Interva
     interpolated root lands within half the distinctness floor of u (the
     trivial solution x = u) is skipped, and the others are polished by
     :func:`bisect_root` on the B-residual along the curve and confirmed to
-    ``ORACLE_CONFIRM`` in both residuals.  Exact zeros of the residual come
-    last.  Returns the first confirmed interval, or None.
+    ``ORACLE_CONFIRM`` in both residuals.  The residual takes an array of x1:
+    one :func:`_level_hi` call and one ``b.values`` call per tree of
+    midpoints, NaN where the level curve is not bracketed.  Exact zeros of
+    the residual come last.  Returns the first confirmed interval, or None.
     """
     def on_curve(x1: float) -> Interval | None:
         x2, ok1 = _level_hi(a, np.array([x1]), target_a)
         return Interval(x1, float(x2[0])) if ok1[0] else None
 
-    def residual(x1: float) -> float:
-        cand = on_curve(x1)
-        return math.nan if cand is None else b(cand) - target_b
+    def residual(x1s: np.ndarray) -> np.ndarray:
+        x2s, ok = _level_hi(a, x1s, target_a)
+        return np.where(ok, b.values(x1s, x2s) - target_b, np.nan)
 
     def polish(x1a: float, x1b: float) -> Interval | None:
         cand = on_curve(bisect_root(residual, x1a, x1b).mid)
@@ -680,20 +682,19 @@ def _refine_block(a: AggregationFunction, b: AggregationFunction,
     return None
 
 
-_NEIGHBOURS = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-
 def _candidate_pairs(va: np.ndarray, vb: np.ndarray, quantum: float
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (m, n), m < n, of grid intervals whose (A, B) values fall
     in the same or adjacent ``quantum`` buckets and differ by at most 1.5
     quanta in both, ordered by (m, n).
 
-    Buckets are keyed by one int64 per interval and found by sorting; each
-    interval is paired with the members after it in its own bucket and with
-    all members of the canonical half (``_NEIGHBOURS``) of its
-    8-neighbourhood, so every pair at key distance at most one per
-    coordinate comes out exactly once.
+    Buckets are keyed by one int64 per interval, ka * row + kb, and found by
+    sorting.  The canonical half of an interval's 8-neighbourhood is then two
+    runs of the sorted keys: the members after it in its own bucket plus
+    bucket (ka, kb + 1), and buckets (ka + 1, kb - 1 .. kb + 1).  Each
+    interval is paired with both runs, three ``searchsorted`` calls in all,
+    so every pair at key distance at most one per coordinate comes out
+    exactly once.
     """
     ka = np.floor(va / quantum).astype(np.int64)
     kb = np.floor(vb / quantum).astype(np.int64)
@@ -703,23 +704,22 @@ def _candidate_pairs(va: np.ndarray, vb: np.ndarray, quantum: float
     order = np.argsort(key, kind="stable")
     skey = key[order]
     pos = np.arange(skey.size)
-    bounds = [(pos + 1, np.searchsorted(skey, skey, "right"))]
-    for di, dj in _NEIGHBOURS:
-        nb = skey + di * row + dj
-        bounds.append((np.searchsorted(skey, nb, "left"), np.searchsorted(skey, nb, "right")))
-    ms, ns = [], []
+    runs = [(pos + 1, np.searchsorted(skey, skey + 1, "right")),
+            (np.searchsorted(skey, skey + (row - 1), "left"),
+             np.searchsorted(skey, skey + (row + 1), "right"))]
+    pairs = []
     limit = quantum * 1.5
-    for first, last in bounds:
+    for first, last in runs:
         count = last - first
         rows = np.repeat(pos, count)
         cols = np.repeat(first - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
         m, n = order[rows], order[cols]
         keep = ~((np.abs(va[m] - va[n]) > limit) | (np.abs(vb[m] - vb[n]) > limit))
-        ms.append(np.minimum(m[keep], n[keep]))
-        ns.append(np.maximum(m[keep], n[keep]))
-    m, n = np.concatenate(ms), np.concatenate(ns)
-    idx = np.lexsort((n, m))
-    return m[idx], n[idx]
+        m, n = m[keep], n[keep]
+        # one int64 per pair, m * size + n, sorts in the order of (m, n)
+        pairs.append(np.minimum(m, n) * skey.size + np.maximum(m, n))
+    pairs = np.sort(np.concatenate(pairs))
+    return pairs // skey.size, pairs % skey.size
 
 
 def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
@@ -728,14 +728,16 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
 
     All grid intervals are bucketed by their (A, B) values rounded to
     ``ORACLE_QUANTUM``; pairs in the same or adjacent buckets whose values differ
-    by at most 1.5 quanta are candidates, in lexicographic order of (u, x).
-    A candidate whose values already agree to ``ORACLE_CONFIRM`` is a direct
-    hit.  The candidates before the first direct hit are refined along the
-    closed-form A-level curve through u, ``REFINE_BLOCK`` at a time
-    (:func:`_refine_block`), and confirmed to ~1e-10 before being accepted.
-    Returns the first confirmed pair, then the direct hit, or None.  An
-    empty result is evidence at this resolution, not a proof of
-    admissibility.
+    by at most 1.5 quanta are candidates, in lexicographic order of (u, x),
+    read off the sorted bucket keys as two ranges per interval
+    (:func:`_candidate_pairs`).  A candidate whose values already agree to
+    ``ORACLE_CONFIRM`` is a direct hit.  The candidates before the first
+    direct hit are refined along the closed-form A-level curve through u,
+    ``REFINE_BLOCK`` at a time (:func:`_refine_block`), each sign flip that
+    survives polished by the array-valued :func:`bisect_root`, and confirmed
+    to ~1e-10 before being accepted.  Returns the first confirmed pair, then
+    the direct hit, or None.  An empty result is evidence at this
+    resolution, not a proof of admissibility.
     """
     if resolution < 50:
         raise ValueError("oracle resolution must be at least 50")

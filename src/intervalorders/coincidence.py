@@ -435,8 +435,10 @@ def _convex_disagreement(f: Generator, alpha: float) -> tuple[Interval, Interval
         )
 
     # push u1 upward while the f-sum stays strictly under the target
-    def budget(t: float) -> float:
-        return float(f.fn(u1 + t)) + float(f.fn(u2)) - target
+    f_u2 = float(f.fn(u2))
+
+    def budget(t):
+        return np.asarray(f.fn(u1 + t), dtype=float) + f_u2 - target
 
     hi_t = u2 - u1
     if budget(hi_t) < 0:
@@ -444,7 +446,7 @@ def _convex_disagreement(f: Generator, alpha: float) -> tuple[Interval, Interval
     else:
         # bisect the sign of the budget, which is never exactly 0, so a
         # budget of 0 counts as spent and the lower end keeps budget < 0
-        t_star = bisect_root(lambda t: -1.0 if budget(t) < 0 else 1.0, 0.0, hi_t).lo
+        t_star = bisect_root(lambda t: np.where(budget(t) < 0, -1.0, 1.0), 0.0, hi_t).lo
     u_hat = Interval(u1 + 0.5 * t_star, u2)
     x = Interval(x1, x2)
 

@@ -43,11 +43,13 @@ zeros: over caller-ordered endpoint pairs, given as two arrays, it yields
 each zero of G inside a pair, then one zero of the full-deformation gap
 chased across pairs.  The pairs are sampled ``COLLISION_BLOCK`` at a time:
 one pass evaluates h once per side on every deformation of the block and
-classifies each pair's row of gap samples with array operations, so only
-the zeros it yields cost scalar work (a bisection of ``collision_gap``).
-``find_collision`` takes the first candidate and the admissibility rules
+classifies each pair's row of gap samples with array operations.  Each zero
+it yields is bisected by ``bisect_root``, the package's one root finder,
+which evaluates the gap on a tree of ``BISECT_DEPTH`` halvings per call of
+h.  ``find_collision`` takes the first candidate and the admissibility rules
 validate candidates as witnesses; ``collision_scan`` runs the same block
-pass and reports whether G keeps one sign instead.
+pass and reports whether G keeps one sign instead.  ``collision_gap``
+evaluates G at one point; the search itself evaluates G on arrays only.
 """
 
 from __future__ import annotations
@@ -582,30 +584,71 @@ class Bracket(NamedTuple):
         return 0.5 * (self.lo + self.hi)
 
 
+# bisect_root evaluates the midpoints of this many halvings in one call of fn.
+BISECT_DEPTH = 7
+BISECT_HALVINGS = 200
+
+
+def _halving_points(a: float, b: float, depth: int) -> np.ndarray:
+    """a, b and the midpoint of every bracket that ``depth`` halvings of
+    [a, b] can reach, in increasing order: 2**depth + 1 points.
+
+    The bracket [pts[l], pts[r]] has its midpoint at pts[(l + r) // 2],
+    computed as 0.5 * (pts[l] + pts[r]), level by level, just as a single
+    halving of that bracket computes it."""
+    size = 1 << depth
+    pts = np.empty(size + 1)
+    pts[0], pts[size] = a, b
+    step = size
+    while step > 1:
+        pts[step // 2::step] = 0.5 * (pts[:-1:step] + pts[step::step])
+        step //= 2
+    return pts
+
+
+@np.errstate(all="ignore")
 def bisect_root(fn, lo: float, hi: float, target: float = 0.0) -> Bracket:
     """Bisect [lo, hi] for fn(x) = target, fn continuous with fn(lo) and
     fn(hi) on opposite sides of ``target``.
 
-    The bracket's ``lo`` end keeps the side of fn(lo) and its ``hi`` end
-    the other side, so a caller that needs a point strictly on one side
-    takes that end instead of ``mid``.  A midpoint where fn meets the target
-    exactly, or is not finite, ends the search at once with both ends at
-    that midpoint.  Otherwise the search runs until no float lies strictly
-    inside the bracket, for at most 200 halvings.
+    ``fn`` maps a float64 array to an array of the same shape, element by
+    element.  The bracket's ``lo`` end keeps the side of fn(lo) and its
+    ``hi`` end the other side, so a caller that needs a point strictly on
+    one side takes that end instead of ``mid``.  A midpoint where fn meets
+    the target exactly, or is not finite, ends the search at once with both
+    ends at that midpoint.  Otherwise the search runs until no float lies
+    strictly inside the bracket, for at most 200 halvings.
+
+    One call of fn takes the 2**``BISECT_DEPTH`` - 1 midpoints that the
+    next ``BISECT_DEPTH`` halvings can reach (the first call takes lo as
+    well), and the halvings then walk down that tree.  The brackets are
+    exactly those of halving one midpoint at a time; the points off the
+    walked path are evaluated and ignored.
     """
-    start_above = float(fn(lo)) > target
     a, b = lo, hi
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        v = float(fn(m))
-        if v == target or not math.isfinite(v):
-            return Bracket(m, m)
-        if (v > target) == start_above:
-            a = m
-        else:
-            b = m
+    start_above = None
+    done = 0
+    while done < BISECT_HALVINGS:
+        depth = min(BISECT_DEPTH, BISECT_HALVINGS - done)
+        pts = _halving_points(a, b, depth)
+        skip = 0 if start_above is None else 1  # pts[0] is lo in the first call
+        vs = np.asarray(fn(pts[skip:-1]), dtype=float).tolist()
+        if start_above is None:
+            start_above = vs[0] > target
+        pts = pts.tolist()
+        left, right = 0, len(pts) - 1
+        for _ in range(depth):
+            i = (left + right) // 2
+            m, v = pts[i], vs[i - skip]
+            if m == a or m == b:
+                return Bracket(a, b)
+            if v == target or not math.isfinite(v):
+                return Bracket(m, m)
+            if (v > target) == start_above:
+                a, left = m, i
+            else:
+                b, right = m, i
+        done += depth
     return Bracket(a, b)
 
 
@@ -627,10 +670,15 @@ def collision_gap(x: float, t1: float, t2: float, v1: float, v2: float, h) -> fl
         raise ValueError("weights v1, v2 must lie in (0,1)")
     if not 0.0 <= x <= (t2 - t1) * (1.0 + 1e-12):
         raise ValueError(f"deformation x={x!r} outside [0, t2-t1]")
-    x = min(float(x), t2 - t1)
-    a = float(h(t1 + v1 * x)) - float(h(t1))
-    b = float(h(t2 - (1.0 - v1) * x)) - float(h(t2))
-    return (1.0 - v2) * a + v2 * b
+    x = np.float64(min(float(x), t2 - t1))
+    return float(_gap(h, x, t1, t2, v1, v2, float(h(t1)), float(h(t2))))
+
+
+def _gap(h, x, t1, t2, v1: float, v2: float, h1, h2):
+    """G(x, t1, t2) element by element over numpy arrays or scalars, with
+    h(t1) and h(t2) given as h1 and h2."""
+    return ((1.0 - v2) * (_call_vectorized(h, t1 + v1 * x) - h1)
+            + v2 * (_call_vectorized(h, t2 - (1.0 - v1) * x) - h2))
 
 
 class ScanOutcome(Enum):
@@ -687,8 +735,8 @@ class _GapBlock:
         xs[:, -1] = width
         up = _call_vectorized(h, (t1[:, None] + v1 * xs).ravel()).reshape(xs.shape)
         dn = _call_vectorized(h, (t2[:, None] - (1.0 - v1) * xs).ravel()).reshape(xs.shape)
-        gs = ((1.0 - v2) * (up - _call_vectorized(h, t1)[:, None])
-              + v2 * (dn - _call_vectorized(h, t2)[:, None]))
+        self.h1, self.h2 = _call_vectorized(h, t1), _call_vectorized(h, t2)
+        gs = (1.0 - v2) * (up - self.h1[:, None]) + v2 * (dn - self.h2[:, None])
         tol = ScanResult.ZERO_TOL
         self.xs, self.gs = xs, gs
         self.pos, self.neg = gs > tol, gs < -tol
@@ -699,14 +747,15 @@ class _GapBlock:
 
     def candidate(self, i: int) -> tuple[float, float, float]:
         """(x, t1, t2) of row i's zero: the middle deformation of a flat row,
-        else the bisected first flip."""
+        else the first flip bisected by :func:`bisect_root` on the array
+        gap, with the row's h(t1) and h(t2) from the block pass."""
         t1, t2 = float(self.t1[i]), float(self.t2[i])
         xs = self.xs[i]
         if self.flat[i]:
             return float(xs[len(xs) // 2]), t1, t2
         k = int(np.flatnonzero(self.flips[i])[0])
-        v1, v2, h = self.v1, self.v2, self.h
-        x0 = bisect_root(lambda x: collision_gap(x, t1, t2, v1, v2, h),
+        v1, v2, h, h1, h2 = self.v1, self.v2, self.h, self.h1[i], self.h2[i]
+        x0 = bisect_root(lambda x: _gap(h, x, t1, t2, v1, v2, h1, h2),
                          float(xs[k]), float(xs[k + 1])).mid
         return x0, t1, t2
 
@@ -751,14 +800,14 @@ def collision_candidates(h, t1, t2, v1: float, v2: float, n_x: int):
         return
     (a1, a2), (b1, b2) = start, end
 
-    def along(lmb: float) -> tuple[float, float, float]:
+    def along(lmb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t1 = (1.0 - lmb) * a1 + lmb * b1
         t2 = (1.0 - lmb) * a2 + lmb * b2
-        if t2 <= t1:
-            return t1, t2, math.nan
-        return t1, t2, collision_gap(t2 - t1, t1, t2, v1, v2, h)
+        u = _gap(h, t2 - t1, t1, t2, v1, v2, _call_vectorized(h, t1), _call_vectorized(h, t2))
+        return t1, t2, np.where(t2 > t1, u, np.nan)
 
-    t1, t2, u = along(bisect_root(lambda lmb: along(lmb)[2], 0.0, 1.0).mid)
+    lmb = bisect_root(lambda lmb: along(lmb)[2], 0.0, 1.0).mid
+    t1, t2, u = (float(v[0]) for v in along(np.array([lmb])))
     if math.isfinite(u) and t2 > t1:
         yield t2 - t1, t1, t2
 

@@ -2,9 +2,9 @@
 
 This is the per-pair loop the collision-gap engine ran before it evaluated a
 block of endpoint pairs at a time: each pair samples its own deformations,
-makes its own four calls of h and is classified on its own.  The block pass
-must yield the same candidates ``(x, t1, t2)`` and the same ``ScanResult``,
-bit for bit.
+makes its own four calls of h, is classified on its own and bisects its
+zero one scalar gap at a time.  The block pass must yield the same
+candidates ``(x, t1, t2)`` and the same ``ScanResult``, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from itertools import combinations
 
 import numpy as np
 
+from bisect_reference import reference_bisect_root
 from intervalorders.generators import (
     ScanOutcome,
     ScanResult,
     _call_vectorized,
     _domain_samples,
-    bisect_root,
     collision_gap,
 )
 
@@ -44,7 +44,7 @@ def in_pair_zero(h, t1: float, t2: float, v1: float, v2: float,
     if not flips.size:
         return gs, None
     k = int(flips[0])
-    return gs, bisect_root(lambda x: collision_gap(x, t1, t2, v1, v2, h),
+    return gs, reference_bisect_root(lambda x: collision_gap(x, t1, t2, v1, v2, h),
                            float(xs[k]), float(xs[k + 1])).mid
 
 
@@ -71,7 +71,7 @@ def reference_collision_candidates(h, pairs, v1: float, v2: float, n_x: int):
             return t1, t2, math.nan
         return t1, t2, collision_gap(t2 - t1, t1, t2, v1, v2, h)
 
-    t1, t2, u = along(bisect_root(lambda lmb: along(lmb)[2], 0.0, 1.0).mid)
+    t1, t2, u = along(reference_bisect_root(lambda lmb: along(lmb)[2], 0.0, 1.0).mid)
     if math.isfinite(u) and t2 > t1:
         yield t2 - t1, t1, t2
 

@@ -2,8 +2,10 @@
 
 This is the per-candidate loop ``oracle_search`` ran before it refined
 candidates a block at a time: each candidate samples its own A-level-curve
-window, evaluates B there and walks its own sign flips.  The block pass must
-give the same found/``None``, ``u`` and ``x``, bit for bit.
+window, evaluates B there, walks its own sign flips and polishes a flip one
+scalar residual at a time.  Its candidates come from the five-offset bucket
+builder that ``_candidate_pairs`` used before it read two key ranges.  The
+block pass must give the same found/``None``, ``u`` and ``x``, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,16 +14,50 @@ import math
 
 import numpy as np
 
+from bisect_reference import reference_bisect_root
 from intervalorders import Interval
 from intervalorders.admissibility import (
     ORACLE_CONFIRM,
     ORACLE_QUANTUM,
     WITNESS_GAP,
-    _candidate_pairs,
     _level_hi,
 )
-from intervalorders.generators import bisect_root
 from intervalorders.intervals import interval_grid
+
+_NEIGHBOURS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def reference_candidate_pairs(va: np.ndarray, vb: np.ndarray, quantum: float
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate pairs from one range per neighbouring bucket: the
+    members after each interval in its own bucket, then all members of each
+    of the four buckets of the canonical half-neighbourhood (``_NEIGHBOURS``),
+    nine ``searchsorted`` calls in all."""
+    ka = np.floor(va / quantum).astype(np.int64)
+    kb = np.floor(vb / quantum).astype(np.int64)
+    kb -= kb.min()
+    row = int(kb.max()) + 2
+    key = ka * row + kb
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    pos = np.arange(skey.size)
+    bounds = [(pos + 1, np.searchsorted(skey, skey, "right"))]
+    for di, dj in _NEIGHBOURS:
+        nb = skey + di * row + dj
+        bounds.append((np.searchsorted(skey, nb, "left"), np.searchsorted(skey, nb, "right")))
+    ms, ns = [], []
+    limit = quantum * 1.5
+    for first, last in bounds:
+        count = last - first
+        rows = np.repeat(pos, count)
+        cols = np.repeat(first - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
+        m, n = order[rows], order[cols]
+        keep = ~((np.abs(va[m] - va[n]) > limit) | (np.abs(vb[m] - vb[n]) > limit))
+        ms.append(np.minimum(m[keep], n[keep]))
+        ns.append(np.maximum(m[keep], n[keep]))
+    m, n = np.concatenate(ms), np.concatenate(ns)
+    idx = np.lexsort((n, m))
+    return m[idx], n[idx]
 
 
 def reference_refine_candidate(a, b, u: Interval, x: Interval, window: float,
@@ -44,7 +80,7 @@ def reference_refine_candidate(a, b, u: Interval, x: Interval, window: float,
         return math.nan if cand is None else b(cand) - target_b
 
     def polish(x1a: float, x1b: float) -> Interval | None:
-        cand = on_curve(bisect_root(residual, x1a, x1b).mid)
+        cand = on_curve(reference_bisect_root(residual, x1a, x1b).mid)
         if cand is None:
             return None
         gap = max(abs(cand.lo - u.lo), abs(cand.hi - u.hi))
@@ -80,7 +116,7 @@ def reference_oracle_search(a, b, *, resolution: int = 200
     va = a.values(lo, hi)
     vb = b.values(lo, hi)
     window = 2.5 / resolution
-    ms, ns = _candidate_pairs(va, vb, ORACLE_QUANTUM)
+    ms, ns = reference_candidate_pairs(va, vb, ORACLE_QUANTUM)
     for m, n in zip(ms.tolist(), ns.tolist()):
         u = Interval(float(lo[m]), float(hi[m]))
         x = Interval(float(lo[n]), float(hi[n]))
@@ -116,7 +152,7 @@ def reference_tail_rows(a, b, *, resolution: int) -> set:
     va = a.values(lo, hi)
     vb = b.values(lo, hi)
     window = 2.5 / resolution
-    ms, ns = _candidate_pairs(va, vb, ORACLE_QUANTUM)
+    ms, ns = reference_candidate_pairs(va, vb, ORACLE_QUANTUM)
     rows = set()
     for m, n in zip(ms.tolist(), ns.tolist()):
         u = Interval(float(lo[m]), float(hi[m]))

@@ -50,7 +50,12 @@ from intervalorders.admissibility import (
     quasi_view,
 )
 from intervalorders.intervals import interval_grid
-from oracle_reference import reference_keeps_row, reference_oracle_search, reference_tail_rows
+from oracle_reference import (
+    reference_candidate_pairs,
+    reference_keeps_row,
+    reference_oracle_search,
+    reference_tail_rows,
+)
 
 
 def assert_valid_witness(verdict, a, b, tol=1e-9):
@@ -521,6 +526,53 @@ class TestCandidatePairs:
         m, n = _candidate_pairs(va, vb, 1e-4)
         assert list(zip(m.tolist(), n.tolist())) == \
             _reference_candidate_pairs(lo, hi, va, vb, 1e-4)
+
+
+def assert_same_as_five_offset_builder(va, vb, quantum):
+    m, n = _candidate_pairs(va, vb, quantum)
+    want_m, want_n = reference_candidate_pairs(va, vb, quantum)
+    assert m.dtype == want_m.dtype and n.dtype == want_n.dtype
+    assert np.array_equal(m, want_m) and np.array_equal(n, want_n)
+
+
+class TestCandidatePairsMatchFiveOffsetBuilder:
+    """The two key ranges give the arrays that one range per neighbouring
+    bucket gave."""
+
+    @pytest.mark.parametrize("resolution", [50, 100, 141, 200])
+    def test_every_battery_pair(self, resolution):
+        lo, hi = interval_grid(resolution)
+        for case in build_battery():
+            va, vb = case.a.values(lo, hi), case.b.values(lo, hi)
+            for quantum in (1e-4, 1e-3):
+                assert_same_as_five_offset_builder(va, vb, quantum)
+
+    def test_saturated_tnorms_and_a_constant_value(self):
+        lo, hi = interval_grid(50)
+        t = tnorm(one_minus()).values(lo, hi)  # zero on most of the grid
+        s = tconorm(identity()).values(lo, hi)  # one on most of the grid
+        for va, vb in ((t, s), (s, t), (np.zeros_like(t), s), (t, np.full_like(t, 0.25))):
+            for quantum in (1e-4, 1e-2):
+                assert_same_as_five_offset_builder(va, vb, quantum)
+
+    def test_single_interval_and_single_cell(self):
+        one = np.array([0.5])
+        assert_same_as_five_offset_builder(one, one, 1e-4)
+        m, n = _candidate_pairs(one, one, 1e-4)
+        assert m.size == n.size == 0
+        cell = np.linspace(0.30001, 0.30009, 7)
+        assert_same_as_five_offset_builder(cell, cell[::-1].copy(), 1e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_keys_in_the_first_and_last_b_columns(self, seed):
+        # B's buckets crowd 0 and the top one, where the (ka, kb + 1) and
+        # (ka + 1, kb - 1) neighbours fall into the empty key column
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 400))
+        va = rng.integers(0, 8, size) * 0.6e-4
+        vb = rng.choice([0.0, 1e-4, 2.4e-4, 2.9e-4], size) + rng.random(size) * 0.5e-4
+        assert_same_as_five_offset_builder(va, vb, 1e-4)
 
 
 class TestOracle:

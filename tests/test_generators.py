@@ -32,7 +32,8 @@ from intervalorders import (
     validate_generator,
 )
 from intervalorders.admissibility import quasi_view
-from intervalorders.generators import bisect_root
+from bisect_reference import reference_bisect_root
+from intervalorders.generators import BISECT_DEPTH, bisect_root
 from registry_reference import reference_composite_shape
 
 ALL_BUILTINS = [
@@ -558,15 +559,121 @@ class TestCollisionScan:
         assert abs(collision_gap(x0, t1, t2, 0.45, 0.5, math.sqrt)) < 1e-10
 
 
+def _brackets(fn, lo, hi, target=0.0):
+    """float.hex of the engine's bracket and of the scalar reference's, which
+    calls fn on one float per halving."""
+    with np.errstate(all="ignore"):
+        want = reference_bisect_root(fn, lo, hi, target)
+    got = bisect_root(fn, lo, hi, target)
+    return [float(v).hex() for v in got], [float(v).hex() for v in want]
+
+
+def _cube(x):
+    return x * x * x
+
+
+def _exact_hit_cases():
+    # the root is the midpoint of node j at depth k of the halving tree of
+    # [0, 1], reached on the walk: rightmost, leftmost (decreasing fn) and a
+    # zigzag path, at every depth of the first three calls and the next one
+    cases = []
+    for k in range(3 * BISECT_DEPTH + 2):
+        right = 1.0 - 2.0 ** -(k + 1)
+        left = 2.0 ** -(k + 1)
+        zigzag = (2 * ((2 ** k) // 3) + 1) / 2.0 ** (k + 1)
+        cases += [
+            pytest.param(lambda x, r=right: x - r, 0.0, 1.0, 0.0, id=f"hit-right-depth{k}"),
+            pytest.param(lambda x, r=left: r - x, 0.0, 1.0, 0.0, id=f"hit-left-depth{k}"),
+            pytest.param(lambda x, r=zigzag: x - r, 0.0, 1.0, 0.0, id=f"hit-zigzag-depth{k}"),
+        ]
+    return cases
+
+
+_TINY = 5e-324
+ADVERSARIAL = _exact_hit_cases() + [
+    # not finite at a midpoint, in a region or at lo itself
+    pytest.param(lambda x: np.where(x < 0.3, -1.0, np.nan), 0.0, 1.0, 0.0, id="nan-right"),
+    pytest.param(lambda x: np.where(x < 0.7, -1.0, np.inf), 0.0, 1.0, 0.0, id="inf-deeper"),
+    pytest.param(lambda x: np.where(x > 0.2, -np.inf, 1.0), 0.0, 1.0, 0.0, id="neg-inf-region"),
+    pytest.param(lambda x: np.where((x > 0.39) & (x < 0.41), np.nan, x - 0.4), 0.0, 1.0, 0.0,
+                 id="nan-around-root"),
+    pytest.param(lambda x: 1.0 / np.asarray(x) - 3.0, 0.0, 1.0, 0.0, id="inf-at-lo"),
+    pytest.param(lambda x: np.where(x == 0.0, np.nan, x - 1.0 / 3.0), 0.0, 1.0, 0.0,
+                 id="nan-at-lo"),
+    # brackets a few ulps wide, empty, subnormal, across zero
+    pytest.param(lambda x: x - 0.3, 0.3, np.nextafter(0.3, 1.0), 0.0, id="one-ulp"),
+    pytest.param(lambda x: x - 0.31, 0.3, 0.3 + 2 * np.spacing(0.3), 0.0, id="two-ulps"),
+    pytest.param(lambda x: x - 0.31, 0.3, 0.3 + 3 * np.spacing(0.3), 0.0, id="three-ulps"),
+    pytest.param(lambda x: x - 0.3, 0.3, 0.3, 0.0, id="lo-equals-hi"),
+    pytest.param(lambda x: x - _TINY, 0.0, 4 * _TINY, 0.0, id="subnormal-hit"),
+    pytest.param(lambda x: x - 2.5 * _TINY, 0.0, 5 * _TINY, 0.0, id="subnormal-miss"),
+    pytest.param(lambda x: x - 1e-321, -1e-320, 1e-320, 0.0, id="subnormal-across-zero"),
+    pytest.param(lambda x: x - 1e-310, 1e-310 - 3 * _TINY, 1e-310 + 3 * _TINY, 0.0,
+                 id="subnormal-ulps"),
+    # decreasing functions and targets off zero
+    pytest.param(lambda x: 1.0 - x * x, 0.0, 1.0, 0.5, id="decreasing-target"),
+    pytest.param(_cube, -1.0, 1.0, 0.2, id="cube-target"),
+    pytest.param(lambda x: -_cube(x), -1.0, 1.0, -0.3, id="decreasing-cube-target"),
+    pytest.param(lambda x: np.floor(x * 1024.0) - 300.0, 0.0, 1.0, 0.5, id="steps-target"),
+    # a root at 1e-300 takes about 1000 halvings from [0, 1]: the cap ends it
+    pytest.param(lambda x: x - 1e-300, 0.0, 1.0, 0.0, id="halving-cap"),
+]
+
+
 class TestBisectRoot:
+    @pytest.mark.parametrize("fn, lo, hi, target", ADVERSARIAL)
+    def test_matches_the_scalar_reference(self, fn, lo, hi, target):
+        got, want = _brackets(fn, lo, hi, target)
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-10.0, 10.0), st.floats(1e-12, 20.0), st.floats(0.0, 1.0),
+           st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 2.0), st.integers(0, 60))
+    def test_matches_the_scalar_reference_on_random_cubes_and_steps(
+            self, lo, width, where, sign, target, steps_log2):
+        hi = lo + width
+        root = lo + where * width
+        got, want = _brackets(lambda x: sign * _cube(x - root), lo, hi, target)
+        assert got == want
+        # a staircase has exact hits and long runs of equal values
+        scale = 2.0 ** steps_log2
+        got, want = _brackets(lambda x: sign * np.floor((x - root) * scale), lo, hi, target)
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_matches_the_scalar_reference_next_to_a_non_finite_region(self, root, edge, bad):
+        got, want = _brackets(lambda x: np.where(x > edge, bad, x - root), 0.0, 1.0)
+        assert got == want
+
+    def test_halving_cap_leaves_the_bracket_after_200_halvings(self):
+        assert bisect_root(lambda x: x - 1e-300, 0.0, 1.0) == (0.0, 2.0 ** -200)
+
+    def test_fn_sees_one_array_per_tree_of_midpoints(self):
+        sizes = []
+
+        def fn(x):
+            sizes.append(x.shape)
+            return x - 1.0 / 3.0
+
+        bisect_root(fn, 0.0, 1.0)
+        # lo and 2**depth - 1 midpoints first, then the midpoints only; 54
+        # halvings leave two adjacent floats around 1/3, and the next stops
+        assert sizes[0] == (2 ** BISECT_DEPTH,)
+        assert set(sizes[1:]) == {(2 ** BISECT_DEPTH - 1,)}
+        assert len(sizes) == math.ceil(55 / BISECT_DEPTH)
+
     def test_exact_zero_ends_at_once(self):
+        assert bisect_root(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 0.5)
+
+    def test_reference_stops_at_the_first_exact_zero(self):
         calls = []
 
         def fn(x):
             calls.append(x)
             return x - 0.5
 
-        assert bisect_root(fn, 0.0, 1.0) == (0.5, 0.5)
+        assert reference_bisect_root(fn, 0.0, 1.0) == (0.5, 0.5)
         assert calls == [0.0, 0.5]
 
     def test_decreasing_function_to_a_target(self):
@@ -578,12 +685,12 @@ class TestBisectRoot:
 
     def test_lower_end_keeps_the_side_of_the_start(self):
         for start in (-1.0, 1.0):
-            br = bisect_root(lambda t, s=start: s if t < 0.3 else -s, 0.0, 1.0)
+            br = bisect_root(lambda t, s=start: np.where(t < 0.3, s, -s), 0.0, 1.0)
             assert br.lo < 0.3 <= br.hi
             assert np.nextafter(br.lo, 1.0) == br.hi
 
     def test_non_finite_value_ends_at_once(self):
-        br = bisect_root(lambda x: -1.0 if x < 0.5 else math.nan, 0.0, 1.0)
+        br = bisect_root(lambda x: np.where(x < 0.5, -1.0, np.nan), 0.0, 1.0)
         assert br == (0.5, 0.5)
 
 

@@ -117,18 +117,15 @@ def _cmd_coincide(rc: RunConfig) -> int:
     order1 = order_from_config(specs[0])
     order2 = order_from_config(specs[1])
     dump_path = rc.config.get("disagreements_csv")
+    grid: list = []
     rep = orders_coincide(order1, order2, resolution=rc.resolution,
-                          collect_all=dump_path is not None)
+                          collect_all=dump_path is not None, _cells=grid)
     if dump_path:
+        (cells,) = grid
         with open(dump_path, "w") as fh:
-            fh.write("u_lo,u_hi,x_lo,x_hi,order1,order2\n")
-            for w in rep.disagreements:
-                fh.write(
-                    f"{w.u.lo!r},{w.u.hi!r},{w.x.lo!r},{w.x.hi!r},"
-                    f"{w.first.name.lower()},{w.second.name.lower()}\n"
-                )
-        if len(rep.disagreements) < rep.disagreement_count:
-            sys.stderr.write(f"note: {dump_path} holds the first {len(rep.disagreements)} "
+            cells.write_csv(fh)
+        if cells.rows.size < rep.disagreement_count:
+            sys.stderr.write(f"note: {dump_path} holds the first {cells.rows.size} "
                              f"of {rep.disagreement_count} disagreements\n")
     _emit(json.dumps(rep.to_json_dict(), sort_keys=True, indent=2), rc.output_path)
     return 0

@@ -10,9 +10,9 @@ orders.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .aggregators import (
     schur_pair_mean,
 )
 from .generators import Convexity, Generator, bisect_root, identity, registry_composite_shape
-from .intervals import Interval, interval_grid
+from .intervals import WRITE_BLOCK, Interval, interval_grid
 from .orders import (
     AlphaBetaOrder,
     GeneratedPairOrder,
@@ -107,12 +107,6 @@ def _alpha_notes(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
     return (threshold,) if threshold is not None else ()
 
 
-def _first_cells(mask: np.ndarray, offset: int, limit: int) -> list[tuple[int, int]]:
-    """Row-major grid positions of the first ``limit`` True cells of a block."""
-    rows, cols = np.nonzero(mask)
-    return list(zip((offset + rows[:limit]).tolist(), (offset + cols[:limit]).tolist()))
-
-
 def _inversions(a: np.ndarray) -> int:
     """Pairs i < j with a[i] > a[j] in an array of non-negative integers.
 
@@ -154,11 +148,82 @@ def _disagreement_counts(k1: np.ndarray, k2: np.ndarray) -> tuple[int, int]:
     return _inversions(b), _tied_pairs(np.bincount(k1)) + _tied_pairs(np.bincount(k2)) - 2 * both
 
 
+# How each order ranks u against x in a disagreements CSV, by key sign + 1.
+_DIRECTIONS = ("less", "equal", "greater")
+
+
+class DisagreementCells(NamedTuple):
+    """Grid disagreements as index arrays: hit k pairs grid intervals
+    u = (lo[rows[k]], hi[rows[k]]) and x = (lo[cols[k]], hi[cols[k]]), with
+    rows[k] < cols[k], in row-major order; k1 and k2 are the two orders'
+    ``tie_classes`` keys over the grid."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def witnesses(self) -> tuple[DisagreementWitness, ...]:
+        i, j = self.rows, self.cols
+        return tuple(
+            DisagreementWitness(Interval(a, b), Interval(c, d), Ordering(s1), Ordering(s2))
+            for a, b, c, d, s1, s2 in zip(
+                self.lo[i].tolist(), self.hi[i].tolist(), self.lo[j].tolist(),
+                self.hi[j].tolist(), np.sign(self.k1[i] - self.k1[j]).tolist(),
+                np.sign(self.k2[i] - self.k2[j]).tolist()))
+
+    def write_csv(self, fh: TextIO) -> None:
+        """Write the header, then one `u_lo,u_hi,x_lo,x_hi,order1,order2`
+        row per hit (endpoints as repr, directions as less/equal/greater),
+        ``WRITE_BLOCK`` rows per write."""
+        fh.write("u_lo,u_hi,x_lo,x_hi,order1,order2\n")
+        ends = [f"{a!r},{b!r}" for a, b in zip(self.lo.tolist(), self.hi.tolist())]
+        for start in range(0, self.rows.size, WRITE_BLOCK):
+            i, j = self.rows[start:start + WRITE_BLOCK], self.cols[start:start + WRITE_BLOCK]
+            d1 = np.sign(self.k1[i] - self.k1[j]) + 1
+            d2 = np.sign(self.k2[i] - self.k2[j]) + 1
+            fh.write("".join(
+                f"{ends[a]},{ends[b]},{_DIRECTIONS[s1]},{_DIRECTIONS[s2]}\n"
+                for a, b, s1, s2 in zip(i.tolist(), j.tolist(), d1.tolist(), d2.tolist())))
+
+
+def _witness_cells(k1: np.ndarray, k2: np.ndarray, strict: bool,
+                   limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major grid positions (rows, cols as int64) of the first ``limit``
+    pairs i < j that the keys rank in opposite directions (``strict``), else
+    tie in one order only.
+
+    Rows are scanned in blocks of 1, 2, 4, ... up to 256 rows, each against
+    every later column, and the scan stops at the block that completes
+    ``limit`` hits: a last hit in row r costs at most 2(r + 1) rows of key
+    signs.  The cells come out in row-major order however the rows are
+    split, so the blocks decide cost only.
+    """
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    found, start, size = 0, 0, 1
+    while found < limit:
+        stop = min(start + size, k1.size)
+        # rows start..stop-1 against columns start..n-1, kept where j > i
+        s1, s2 = (_key_signs(k[start:stop], k[start:]) for k in (k1, k2))
+        hit = s1 * s2 < 0 if strict else s1 != s2
+        hit[:, :stop - start] = np.triu(hit[:, :stop - start], k=1)
+        r, c = np.nonzero(hit)
+        rows.append(start + r[:limit - found])
+        cols.append(start + c[:limit - found])
+        found += rows[-1].size
+        start, size = stop, min(2 * size, 256)
+    return (np.concatenate(rows).astype(np.int64, copy=False),
+            np.concatenate(cols).astype(np.int64, copy=False))
+
+
 def orders_coincide(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
                     resolution: int = 100,
                     candidates: list[tuple[Interval, Interval]] | None = None,
                     collect_all: bool = False,
-                    max_collected: int = 100000) -> CoincidenceReport:
+                    max_collected: int = 100000, *,
+                    _cells: list | None = None) -> CoincidenceReport:
     """Compare two total orders on candidate pairs and a full endpoint grid.
 
     Candidate pairs (when given) are examined first, in order; the first pair
@@ -168,8 +233,16 @@ def orders_coincide(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
     ``coincide=True`` is grid-level evidence.  The disagreements are counted
     from one sort of the two orders' ``tie_classes`` keys (strict ones as a
     Kendall distance, the rest from tie-class sizes).  Only witnesses need a
-    scan: 256-row blocks of key signs, stopping at the last witness wanted
-    and never run when the orders coincide, so memory stays O(n).
+    scan (``_witness_cells``): row blocks that grow from one row to 256,
+    stopping at the block that holds the last witness wanted and never run
+    when the orders coincide, so memory stays O(n) and a witness in an early
+    row costs a few rows.  The scan yields index arrays; ``disagreements``
+    is built from them only with ``collect_all``.
+
+    ``_cells`` serves CLI ``coincide``'s CSV dump: a list given there
+    receives the grid scan's ``DisagreementCells`` (no hits when the orders
+    coincide), and ``disagreements`` stays empty, so no witness object is
+    built per row.
     """
     if resolution < 50:
         raise ValueError("resolution must be at least 50")
@@ -184,31 +257,22 @@ def orders_coincide(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
     lo, hi = interval_grid(resolution)
     k1, k2 = (tie_classes(order, lo, hi) for order in (order1, order2))
     strict, tie_only = _disagreement_counts(k1, k2)
+    # witnesses are strict disagreements when there are any, else tie-only ones
+    limit = min(max(1, max_collected) if collect_all else 1, strict or tie_only)
+    cells = DisagreementCells(lo, hi, k1, k2, *_witness_cells(k1, k2, bool(strict), limit))
+    if _cells is not None:
+        _cells.append(cells)
     if strict + tie_only == 0:
         return CoincidenceReport(coincide=True)
 
-    # witnesses are strict disagreements when there are any, else tie-only ones
-    limit = min(max(1, max_collected) if collect_all else 1, strict or tie_only)
-    hits: list[tuple[int, int]] = []
-    for start in range(0, lo.size, 256):
-        stop = min(start + 256, lo.size)
-        # rows start..stop-1 against columns start..n-1, kept where j > i
-        s1, s2 = (_key_signs(k[start:stop], k[start:]) for k in (k1, k2))
-        hit = s1 * s2 < 0 if strict else s1 != s2
-        hit[:, :stop - start] = np.triu(hit[:, :stop - start], k=1)
-        hits += _first_cells(hit, start, limit - len(hits))
-        if len(hits) == limit:
-            break
-
-    collected = [DisagreementWitness(
-        Interval(float(lo[i]), float(hi[i])), Interval(float(lo[j]), float(hi[j])),
-        Ordering(int(np.sign(k1[i] - k1[j]))), Ordering(int(np.sign(k2[i] - k2[j]))),
-    ) for i, j in hits]
+    built = collect_all and _cells is None
+    collected = (cells if built else
+                 cells._replace(rows=cells.rows[:1], cols=cells.cols[:1])).witnesses()
     return CoincidenceReport(
         coincide=False, witness=collected[0],
         alpha_thresholds=_alpha_notes(order1, order2, collected[0]),
         disagreement_count=strict + tie_only,
-        disagreements=tuple(collected) if collect_all else (),
+        disagreements=collected if built else (),
     )
 
 

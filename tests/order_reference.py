@@ -2,7 +2,9 @@
 
 These are the pairwise-tolerance comparator, its ``cmp_to_key`` sort, its
 sign table and the two-sign-table ``orders_coincide`` that the package used
-before every comparison read ``tie_classes`` keys.  The pairwise rule is not
+before every comparison read ``tie_classes`` keys, and the per-witness
+disagreements CSV writer that CLI ``coincide`` used before it wrote the rows
+from index arrays.  The pairwise rule is not
 transitive on chains of near-ties (consecutive gaps within ``TIE_TOL``, ends
 further apart); away from such chains it must give the same answers as the
 package.
@@ -91,6 +93,16 @@ def reference_orders_coincide(order1, order2, resolution: int = 100,
         coincide=False, witness=witness, alpha_thresholds=thresholds,
         disagreement_count=count, disagreements=tuple(collected),
     )
+
+
+def reference_disagreements_csv(fh, report: CoincidenceReport) -> None:
+    """The disagreements CSV, one row per witness of ``report.disagreements``."""
+    fh.write("u_lo,u_hi,x_lo,x_hi,order1,order2\n")
+    for w in report.disagreements:
+        fh.write(
+            f"{w.u.lo!r},{w.u.hi!r},{w.x.lo!r},{w.x.hi!r},"
+            f"{w.first.name.lower()},{w.second.name.lower()}\n"
+        )
 
 
 def has_near_tie_chain(order, lo, hi) -> bool:

@@ -1,13 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from intervalorders import cli
 from intervalorders.cli import RunConfig, main
+from intervalorders.coincidence import orders_coincide
+from intervalorders.orders import order_from_config
+from order_reference import reference_disagreements_csv
 
 PAIR_CONFIG = {
     "pair": {
@@ -181,6 +186,90 @@ class TestCoincide:
         assert count == 557845
         assert len(dump.read_text().splitlines()) == 1 + 100000
         assert captured.err == f"note: {dump} holds the first 100000 of {count} disagreements\n"
+
+
+def alpha_beta(alpha: float, beta: float) -> dict:
+    return {"kind": "alpha_beta", "alpha": alpha, "beta": beta}
+
+
+SQUARE_SQRT_ORDER = {
+    "kind": "pair", "verify": False,
+    "a": {"family": "schur_pair", "f": {"kind": "power", "gamma": 2.0}},
+    "b": {"family": "schur_pair", "f": {"kind": "power", "gamma": 0.5}},
+}
+# the order pairs of test_coincidence.COINCIDE_PAIRS as config specs
+COINCIDE_SPECS = {
+    "square-sqrt-vs-0.7": [SQUARE_SQRT_ORDER, alpha_beta(0.7, 1.0)],
+    "lexicographic-vs-antilexicographic": [alpha_beta(0.0, 1.0), alpha_beta(1.0, 0.0)],
+    "midpoint-twice-vs-0.5": [
+        {"kind": "pair", "verify": False,
+         "a": {"family": "k", "w": 0.5}, "b": {"family": "k", "w": 0.5}},
+        alpha_beta(0.5, 1.0)],
+    "reduced-projections": [alpha_beta(0.5, 1.0), alpha_beta(0.5, 0.9)],
+}
+BYTES_CASES = [(pair, r) for pair in COINCIDE_SPECS for r in (60, 101)] + [
+    ("square-sqrt-vs-0.7", 140)]
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts, else a failure that names the first differing line
+    (pytest's own diff of two 100,000-row files would take minutes)."""
+    if got != want:
+        a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        k = next((k for k, pair in enumerate(zip(a, b)) if pair[0] != pair[1]),
+                 min(len(a), len(b)))
+        pytest.fail(f"line {k + 1}: got {a[k:k + 1]!r}, want {b[k:k + 1]!r} "
+                    f"({len(a)} and {len(b)} lines)")
+
+
+class TestCoincideBytesMatchReferenceWriter:
+    """stdout, --output, stderr and the disagreements CSV of CLI coincide are
+    the bytes of orders_coincide(..., collect_all=True)'s report, its CSV
+    written row by row from ``disagreements`` by the reference writer."""
+
+    @pytest.mark.parametrize("pair,resolution", BYTES_CASES,
+                             ids=[f"{p}-{r}" for p, r in BYTES_CASES])
+    def test_bytes_equal(self, tmp_path, capsys, pair, resolution):
+        specs = COINCIDE_SPECS[pair]
+        dump = tmp_path / "dump.csv"
+        rep = orders_coincide(*(order_from_config(s) for s in specs),
+                              resolution=resolution, collect_all=True)
+        report = json.dumps(rep.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        rows = io.StringIO()
+        reference_disagreements_csv(rows, rep)
+        note = ("" if len(rep.disagreements) == rep.disagreement_count else
+                f"note: {dump} holds the first {len(rep.disagreements)} "
+                f"of {rep.disagreement_count} disagreements\n")
+        cfg = write_json(tmp_path / "cfg.json", {"orders": specs, "disagreements_csv": str(dump)})
+        argv = ["coincide", "--config", cfg, "--resolution", str(resolution)]
+
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (report, note)
+        assert_same_text(dump.read_text(), rows.getvalue())
+        dump.unlink()
+        out = tmp_path / "report.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", note)
+        assert out.read_text() == report
+        assert_same_text(dump.read_text(), rows.getvalue())
+
+
+class TestCoincideDumpMemory:
+    def test_peak_stays_below_20_mib(self, tmp_path):
+        # one DisagreementWitness per row peaked at 55 MiB here
+        dump = tmp_path / "dump.csv"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "orders": COINCIDE_SPECS["square-sqrt-vs-0.7"], "disagreements_csv": str(dump)})
+        tracemalloc.start()
+        try:
+            assert main(["coincide", "--config", cfg, "--resolution", "140"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dump.read_text().splitlines()) == 1 + 100000
+        assert peak < 20 * 2**20
 
 
 # run with every scipy import failing: the package must import, decide a

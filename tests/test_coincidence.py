@@ -288,7 +288,15 @@ class TestMixedTiesMatchTwoTableReference:
             assert rep == ref, (pair, max_collected)
 
 
+def grid_row(lo, hi, z: Interval) -> int:
+    """Position of the grid interval z in ``interval_grid`` order."""
+    return int(np.flatnonzero((lo == z.lo) & (hi == z.hi))[0])
+
+
 class TestWitnessScanStopsEarly:
+    """Blocks grow 1, 2, 4, ... rows, so the scan ends with the block that
+    holds the last wanted hit, after at most 2 (row + 1) rows."""
+
     @pytest.fixture
     def key_sign_calls(self, monkeypatch):
         calls = []
@@ -300,6 +308,15 @@ class TestWitnessScanStopsEarly:
         monkeypatch.setattr(coincidence, "_key_signs", counting)
         return calls
 
+    @staticmethod
+    def assert_scan_ends_at_row(calls, row):
+        # two orders' signs per block, over the same rows
+        assert calls[::2] == calls[1::2]
+        blocks = calls[::2]
+        scanned = sum(blocks)
+        assert scanned - blocks[-1] <= row < scanned
+        assert scanned <= 2 * (row + 1)
+
     def test_coinciding_pair_scans_no_block(self, key_sign_calls):
         rep = midpoint_order_coincidence(schur_pair_mean(power(2.0)), resolution=100)
         assert rep.coincide and rep.certainty == "proved"
@@ -308,16 +325,124 @@ class TestWitnessScanStopsEarly:
     def test_scan_stops_at_the_block_of_the_first_strict_hit(self, key_sign_calls):
         rep = orders_coincide(square_sqrt_order(), AlphaBetaOrder(0.7, 1.0), resolution=140)
         lo, hi = interval_grid(140)
-        first = int(np.flatnonzero((lo == rep.witness.u.lo) & (hi == rep.witness.u.hi))[0])
-        # two orders' signs per block, through the block that holds row `first`
-        assert len(key_sign_calls) == 2 * (first // 256 + 1)
-        assert len(key_sign_calls) < 2 * math.ceil(lo.size / 256)
+        self.assert_scan_ends_at_row(key_sign_calls, grid_row(lo, hi, rep.witness.u))
 
     def test_collection_stops_once_it_holds_max_collected(self, key_sign_calls):
         rep = orders_coincide(AlphaBetaOrder(0.0, 1.0), AlphaBetaOrder(1.0, 0.0),
                               resolution=60, collect_all=True, max_collected=7)
         assert len(rep.disagreements) == 7
-        assert len(key_sign_calls) == 2
+        lo, hi = interval_grid(60)
+        self.assert_scan_ends_at_row(key_sign_calls,
+                                     grid_row(lo, hi, rep.disagreements[-1].u))
+
+    @pytest.mark.parametrize("pair,resolution,max_collected", [
+        ("lexicographic-vs-antilexicographic", 60, 300),
+        ("lexicographic-vs-antilexicographic", 60, 100000),
+        # every hit in the last rows: the scan passes row 511
+        ("band-0.96-vs-0.5", 50, 1),
+        ("band-0.96-vs-0.5", 50, 1000),
+    ])
+    def test_blocks_stop_growing_at_256_rows(self, key_sign_calls, pair, resolution,
+                                             max_collected):
+        make = COINCIDE_PAIRS.get(pair) or WITNESS_ROW_PAIRS[pair]
+        rep = orders_coincide(*make(), resolution=resolution, collect_all=True,
+                              max_collected=max_collected)
+        lo, hi = interval_grid(resolution)
+        self.assert_scan_ends_at_row(key_sign_calls,
+                                     grid_row(lo, hi, rep.disagreements[-1].u))
+        blocks = key_sign_calls[::2]
+        assert blocks[:9] == [2**k for k in range(len(blocks[:9]))]
+        assert all(size == 256 for size in blocks[9:-1])
+
+
+class ReversedOrder(GeneratedPairOrder):
+    """The (0.5, 1)-order turned upside down: every pair it does not tie is
+    ranked opposite to (0.5, 1), row 0 of the grid included."""
+
+    def __init__(self):
+        pass
+
+    def stage_values(self, lo, hi):
+        return -0.5 * (lo + hi), -hi
+
+
+class FlippedTieBreakOrder(GeneratedPairOrder):
+    """The (0.5, 1)-order, except that intervals whose lower end lies in
+    [first, last] break midpoint ties by -hi.  Pairs whose lower ends both
+    lie below ``first`` are ranked as (0.5, 1) ranks them, so the first
+    disagreement lies in a row with lo >= first."""
+
+    def __init__(self, first: float, last: float):
+        self.first, self.last = first, last
+
+    def stage_values(self, lo, hi):
+        band = (lo >= self.first) & (lo <= self.last)
+        return 0.5 * (lo + hi), np.where(band, -hi, hi)
+
+
+# first witness in row 0, mid-grid and in the last rows of the R=50 grid;
+# the last pair ties some grid pairs in one order only and ranks none
+# oppositely
+WITNESS_ROW_PAIRS = {
+    "reversed-vs-0.5": lambda: (ReversedOrder(), AlphaBetaOrder(0.5, 1.0)),
+    "band-0.4-vs-0.5": lambda: (FlippedTieBreakOrder(0.4, 0.5), AlphaBetaOrder(0.5, 1.0)),
+    "band-0.96-vs-0.5": lambda: (FlippedTieBreakOrder(0.96, 1.0), AlphaBetaOrder(0.5, 1.0)),
+    "midpoint-twice-vs-0.5": COINCIDE_PAIRS["midpoint-twice-vs-0.5"],
+}
+MAX_COLLECTED = [1, 2, 3, 7, 255, 256, 257, 1000]
+
+
+class TestGrowingScanMatchesTwoTableReference:
+    """The growing row blocks report exactly what the two n x n sign tables
+    report, whatever row the first witness is in and however many are
+    collected."""
+
+    @pytest.mark.parametrize("pair", list(WITNESS_ROW_PAIRS), ids=list(WITNESS_ROW_PAIRS))
+    def test_reports_equal(self, pair):
+        order1, order2 = WITNESS_ROW_PAIRS[pair]()
+        for max_collected in [None, *MAX_COLLECTED]:
+            kwargs = ({} if max_collected is None
+                      else {"collect_all": True, "max_collected": max_collected})
+            rep = orders_coincide(order1, order2, resolution=50, **kwargs)
+            assert rep == reference_orders_coincide(order1, order2, 50, **kwargs), max_collected
+
+    def test_rows_of_the_first_witnesses(self):
+        lo, hi = interval_grid(50)
+        rows = {pair: grid_row(lo, hi, orders_coincide(*make(), resolution=50).witness.u)
+                for pair, make in WITNESS_ROW_PAIRS.items()}
+        assert rows["reversed-vs-0.5"] == 0
+        assert 0.25 * lo.size < rows["band-0.4-vs-0.5"] < 0.75 * lo.size
+        assert rows["band-0.96-vs-0.5"] >= lo.size - 6
+
+    def test_tie_only_pair_has_no_strict_disagreement(self):
+        order1, order2 = WITNESS_ROW_PAIRS["midpoint-twice-vs-0.5"]()
+        lo, hi = interval_grid(50)
+        k1, k2 = (tie_classes(order, lo, hi) for order in (order1, order2))
+        strict, tie_only = _disagreement_counts(k1, k2)
+        assert strict == 0 and tie_only > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 20), min_size=4, max_size=4),
+           st.sampled_from(MAX_COLLECTED))
+    def test_alpha_beta_orders(self, weights, max_collected):
+        a1, b1, a2, b2 = (k / 20 for k in weights)
+        assume(a1 != b1 and a2 != b2)
+        order1, order2 = AlphaBetaOrder(a1, b1), AlphaBetaOrder(a2, b2)
+        kwargs = {"collect_all": True, "max_collected": max_collected}
+        rep = orders_coincide(order1, order2, resolution=50, **kwargs)
+        assert rep == reference_orders_coincide(order1, order2, 50, **kwargs)
+
+
+class TestWitnessScanMemory:
+    def test_early_witness_costs_a_few_rows(self):
+        # 256-row blocks against every later column peaked at 10 MiB here
+        tracemalloc.start()
+        try:
+            orders_coincide(square_sqrt_order(), AlphaBetaOrder(0.7, 1.0), resolution=140)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestSchurClassify:

@@ -26,9 +26,10 @@ The decision engine layers three kinds of evidence, strongest first:
     intervals.  Candidate pairs come from sorted (A, B) value buckets and
     are refined along A's level curves, which every builtin family gives in
     closed form through its generator's inverse (``solve_hi`` on the
-    descriptor; bisection is the fallback).  A confirmed witness proves
-    non-admissibility outright; an empty scan is evidence, not proof, and
-    is labelled as such.
+    descriptor; bisection is the fallback).  A root found there is accepted
+    only through ``make_witness`` at ``ORACLE_CONFIRM``, and such a witness
+    proves non-admissibility outright; an empty scan is evidence, not proof,
+    and is labelled as such.
 
 Verdicts from (A, B) and (B, A) always agree in outcome because the defining
 condition is symmetric in the two components.
@@ -564,77 +565,20 @@ def _level_hi(a: AggregationFunction, x1s: np.ndarray, target
     return x2s, ok
 
 
-def _refine_candidate(a: AggregationFunction, b: AggregationFunction, u: Interval,
-                      x1s: np.ndarray, x2s: np.ndarray, res: np.ndarray,
-                      target_a: float, target_b: float) -> Interval | None:
-    """The scalar end of one candidate's refinement along the A-level curve
-    through u, whose values A(u) and B(u) are ``target_a`` and ``target_b``.
-
-    ``x1s``, ``x2s`` and ``res`` are the candidate's bracketed samples of
-    that curve and their B-residuals, from :func:`_refine_block`.  Each sign
-    change of the residual is a potential simultaneous collision; one whose
-    interpolated root lands within half the distinctness floor of u (the
-    trivial solution x = u) is skipped, and the others are polished by
-    :func:`bisect_root` on the B-residual along the curve and confirmed to
-    ``ORACLE_CONFIRM`` in both residuals.  The residual takes an array of x1:
-    one :func:`_level_hi` call and one ``b.values`` call per tree of
-    midpoints, NaN where the level curve is not bracketed.  Exact zeros of
-    the residual come last.  Returns the first confirmed interval, or None.
-    """
-    def on_curve(x1: float) -> Interval | None:
-        x2, ok1 = _level_hi(a, np.array([x1]), target_a)
-        return Interval(x1, float(x2[0])) if ok1[0] else None
-
-    def residual(x1s: np.ndarray) -> np.ndarray:
-        x2s, ok = _level_hi(a, x1s, target_a)
-        return np.where(ok, b.values(x1s, x2s) - target_b, np.nan)
-
-    def polish(x1a: float, x1b: float) -> Interval | None:
-        cand = on_curve(bisect_root(residual, x1a, x1b).mid)
-        if cand is None:
-            return None
-        gap = max(abs(cand.lo - u.lo), abs(cand.hi - u.hi))
-        if gap < WITNESS_GAP:
-            return None
-        if abs(a(cand) - target_a) <= ORACLE_CONFIRM and abs(b(cand) - target_b) <= ORACLE_CONFIRM:
-            return cand
-        return None
-
-    flips = np.nonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]
-    for k in flips:
-        x1a, x1b = float(x1s[k]), float(x1s[k + 1])
-        # cheap rejection of the trivial root x == u
-        root_est = x1a + (x1b - x1a) * abs(res[k]) / (abs(res[k]) + abs(res[k + 1]))
-        x2_est = float(np.interp(root_est, x1s, x2s))
-        gap_est = max(abs(root_est - u.lo), abs(x2_est - u.hi))
-        if gap_est < 0.5 * WITNESS_GAP:
-            continue
-        cand = polish(x1a, x1b)
-        if cand is not None:
-            return cand
-    # exact-on-grid roots
-    zeros = np.nonzero(res == 0.0)[0]
-    for k in zeros:
-        cand = Interval(float(x1s[k]), float(x2s[k]))
-        gap = max(abs(cand.lo - u.lo), abs(cand.hi - u.hi))
-        if gap >= WITNESS_GAP and abs(a(cand) - target_a) <= ORACLE_CONFIRM:
-            return cand
-    return None
-
-
-def _live_rows(rows: np.ndarray, x1s: np.ndarray, x2s: np.ndarray, res: np.ndarray,
-               ulo: np.ndarray, uhi: np.ndarray) -> np.ndarray:
-    """The sorted rows that :func:`_refine_candidate` may confirm something
-    on, as arrays: those with a sign flip between consecutive samples of the
-    row whose estimated root is not certainly the trivial one, or with an
+def _root_brackets(rows: np.ndarray, x1s: np.ndarray, x2s: np.ndarray, res: np.ndarray,
+                   ulo: np.ndarray, uhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sample index pairs (first, last) that may bracket a collision
+    along the level curves of a block: (k, k + 1) for a sign flip of the
+    B-residual ``res`` between consecutive samples of a row, (k, k) for an
     exact zero at least ``WITNESS_GAP`` from u = [ulo, uhi] of its row.
+    They come by row, then flips before zeros, each in sample order.
 
-    ``rows`` labels each sample (non-decreasing).  The root estimate is
-    :func:`_refine_candidate`'s: linear in the residual, then ``np.interp``
-    for x2, which this formula matches up to its last rounding while the root
-    stays below the flip's upper sample.  A flip is rejected only there and
-    1e-12 inside the ``gap_est`` bound, so no row that
-    :func:`_refine_candidate` would keep is dropped.
+    ``rows`` labels each sample (non-decreasing).  A flip is dropped as the
+    trivial root x = u when its root, estimated linearly in the residual
+    and then in x2, lies below the flip's upper sample and within half the
+    distinctness floor of u, with 1e-12 to spare for rounding: so no flip
+    is dropped that the per-candidate reference loop, which estimates x2
+    with ``np.interp``, would polish.
     """
     sign = np.sign(res)
     k = np.flatnonzero((rows[:-1] == rows[1:]) & (sign[:-1] * sign[1:] < 0))
@@ -644,9 +588,39 @@ def _live_rows(rows: np.ndarray, x1s: np.ndarray, x2s: np.ndarray, res: np.ndarr
     x2_est = (x2s[k + 1] - x2s[k]) / (x1b - x1a) * (root - x1a) + x2s[k]
     r = rows[k]
     gap_est = np.maximum(np.abs(root - ulo[r]), np.abs(x2_est - uhi[r]))
-    trivial = (root < x1b) & (gap_est < 0.5 * WITNESS_GAP - 1e-12)
+    flips = k[~((root < x1b) & (gap_est < 0.5 * WITNESS_GAP - 1e-12))]
     gap = np.maximum(np.abs(x1s - ulo[rows]), np.abs(x2s - uhi[rows]))
-    return np.union1d(r[~trivial], rows[(res == 0.0) & (gap >= WITNESS_GAP)])
+    zeros = np.flatnonzero((res == 0.0) & (gap >= WITNESS_GAP))
+    first = np.concatenate([flips, zeros])
+    # a stable sort by row keeps flips before zeros, each in sample order
+    order = np.argsort(rows[first], kind="stable")
+    return first[order], np.concatenate([flips + 1, zeros])[order]
+
+
+def _level_curve_witness(a: AggregationFunction, b: AggregationFunction, u: Interval,
+                         target_a: float, target_b: float,
+                         x1a: float, x1b: float, x2: float) -> Witness | None:
+    """Accept one root of the B-residual B - ``target_b`` along A's level
+    curve A([x1, x2]) = ``target_a`` through u, bracketed by the samples at
+    x1a and x1b.
+
+    :func:`bisect_root` polishes the root, one :func:`_level_hi` call and
+    one ``b.values`` call per tree of midpoints (NaN where the curve is not
+    bracketed); x1a == x1b marks an exact zero at the sample [x1a, x2],
+    taken as it is.  The interval x on the curve is accepted only through
+    ``make_witness(a, b, u, x, ORACLE_CONFIRM)``.
+    """
+    if x1a != x1b:
+        def residual(x1s: np.ndarray) -> np.ndarray:
+            x2s, ok = _level_hi(a, x1s, target_a)
+            return np.where(ok, b.values(x1s, x2s) - target_b, np.nan)
+
+        x1a = bisect_root(residual, x1a, x1b).mid
+        x2s, ok = _level_hi(a, np.array([x1a]), target_a)
+        if not ok[0]:
+            return None
+        x2 = float(x2s[0])
+    return make_witness(a, b, u, Interval(x1a, x2), ORACLE_CONFIRM)
 
 
 def _refine_block(a: AggregationFunction, b: AggregationFunction,
@@ -654,14 +628,13 @@ def _refine_block(a: AggregationFunction, b: AggregationFunction,
                   ms: np.ndarray, ns: np.ndarray, window: float
                   ) -> tuple[Interval, Interval] | None:
     """Refine the candidates (u, x) = (grid[m], grid[n]) of one block in
-    array passes; the first, in block order, that :func:`_refine_candidate`
-    confirms wins.
+    array passes; the first root, in :func:`_root_brackets` order, that
+    :func:`_level_curve_witness` accepts through ``make_witness`` at
+    ``ORACLE_CONFIRM`` wins.
 
     Each candidate samples A's level curve through u at 201 x1 values in a
     window around x.lo; the whole block takes one ``linspace``, one
     :func:`_level_hi` call with per-row targets and one ``b.values`` call.
-    Only the rows :func:`_live_rows` keeps go on to
-    :func:`_refine_candidate`.
     """
     ulo, uhi, ta, tb = lo[ms], hi[ms], va[ms], vb[ms]
     xlo = lo[ns]
@@ -672,13 +645,14 @@ def _refine_block(a: AggregationFunction, b: AggregationFunction,
     x2s, ok = _level_hi(a, x1s, ta[rows])
     x1s, x2s, rows = x1s[ok], x2s[ok], rows[ok]
     res = b.values(x1s, x2s) - tb[rows]
-    for i in _live_rows(rows, x1s, x2s, res, ulo, uhi).tolist():
-        s, e = np.searchsorted(rows, (i, i + 1))
-        u = Interval(float(ulo[i]), float(uhi[i]))
-        cand = _refine_candidate(a, b, u, x1s[s:e], x2s[s:e], res[s:e],
-                                 float(ta[i]), float(tb[i]))
-        if cand is not None:
-            return u, cand
+    first, last = _root_brackets(rows, x1s, x2s, res, ulo, uhi)
+    for i, j in zip(first.tolist(), last.tolist()):
+        r = rows[i]
+        u = Interval(float(ulo[r]), float(uhi[r]))
+        w = _level_curve_witness(a, b, u, float(ta[r]), float(tb[r]),
+                                 float(x1s[i]), float(x1s[j]), float(x2s[i]))
+        if w is not None:
+            return u, w.x
     return None
 
 
@@ -733,9 +707,10 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
     (:func:`_candidate_pairs`).  A candidate whose values already agree to
     ``ORACLE_CONFIRM`` is a direct hit.  The candidates before the first
     direct hit are refined along the closed-form A-level curve through u,
-    ``REFINE_BLOCK`` at a time (:func:`_refine_block`), each sign flip that
-    survives polished by the array-valued :func:`bisect_root`, and confirmed
-    to ~1e-10 before being accepted.  Returns the first confirmed pair, then
+    ``REFINE_BLOCK`` at a time (:func:`_refine_block`); each root that is
+    not certainly the trivial one is polished by the array-valued
+    :func:`bisect_root` and accepted only through ``make_witness`` at
+    ``ORACLE_CONFIRM``.  Returns the first accepted pair, then
     the direct hit, or None.  An empty result is evidence at this
     resolution, not a proof of admissibility.
     """

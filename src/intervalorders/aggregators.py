@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import Generator, generator_from_config, identity, validate_generator
+from .generators import Generator, config_float, generator_from_config, identity, validate_generator
 from .intervals import Interval
 
 INF = math.inf
@@ -382,11 +382,12 @@ def aggregator_from_config(spec: dict) -> AggregationFunction:
     if family == "k":
         if "w" not in spec:
             raise AggregationError("family 'k' requires a 'w' weight")
-        return k_mean(float(spec["w"]))
+        return k_mean(config_float(spec, "w", AggregationError))
     if family == "quasi_linear":
         if "generator" not in spec or "weight" not in spec:
             raise AggregationError("family 'quasi_linear' requires 'generator' and 'weight'")
-        return quasi_linear_mean(generator_from_config(spec["generator"]), float(spec["weight"]))
+        return quasi_linear_mean(generator_from_config(spec["generator"]),
+                                 config_float(spec, "weight", AggregationError))
     if family == "schur_pair":
         if "f" not in spec:
             raise AggregationError("family 'schur_pair' requires an 'f' generator spec")

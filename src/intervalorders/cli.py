@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from .admissibility import check_pair, make_witness, oracle_search
 from .aggregators import AggregationError, aggregator_from_config
 from .battery import format_battery_table, run_battery
 from .coincidence import orders_coincide
-from .generators import GeneratorError
+from .generators import GeneratorError, config_float
 from .intervals import DataError, DomainError, load_intervals, write_ranked_csv
 from .orders import OrderSpecError, order_from_config, rank_indices
 
@@ -38,10 +39,11 @@ class RunConfig:
     cross_check: bool = False
 
     def validate(self) -> None:
-        if self.resolution < 16:
-            raise ConfigError(f"resolution must be at least 16, got {self.resolution}")
-        if not self.tol > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tol}")
+        r = self.resolution
+        if not isinstance(r, int) or r < 16:
+            raise ConfigError(f"resolution must be an integer of at least 16, got {r!r}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -58,6 +60,15 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return cfg
+
+
+def _config_path(cfg: dict, key: str) -> str | None:
+    """cfg[key] as a file name, None when absent or null.  Only a string
+    names a file: open() takes an integer as a file descriptor."""
+    value = cfg.get(key)
+    if value is None or isinstance(value, str):
+        return value
+    raise ConfigError(f"{key!r} must be a file name, got {value!r}")
 
 
 def _emit(payload: str, output_path: str | None) -> None:
@@ -116,10 +127,10 @@ def _cmd_coincide(rc: RunConfig) -> int:
         raise ConfigError("config needs an 'orders' array with exactly two order specs")
     order1 = order_from_config(specs[0])
     order2 = order_from_config(specs[1])
-    dump_path = rc.config.get("disagreements_csv")
+    dump_path = _config_path(rc.config, "disagreements_csv")
     grid: list = []
     rep = orders_coincide(order1, order2, resolution=rc.resolution,
-                          collect_all=dump_path is not None, _cells=grid)
+                          collect_all=bool(dump_path), _cells=grid)
     if dump_path:
         (cells,) = grid
         with open(dump_path, "w") as fh:
@@ -184,17 +195,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config)
         rc = RunConfig(
             config=cfg,
-            input_path=args.input or cfg.get("input"),
-            output_path=args.output or cfg.get("output"),
+            input_path=args.input or _config_path(cfg, "input"),
+            output_path=args.output or _config_path(cfg, "output"),
             cross_check=bool(getattr(args, "cross_check", False)),
         )
-        # a flag overrides the config, which overrides RunConfig's default
-        for key, kind in (("resolution", int), ("tol", float)):
-            value = getattr(args, key)
-            if value is None and key in cfg:
-                value = kind(cfg[key])
-            if value is not None:
-                setattr(rc, key, value)
+        # a flag overrides the config, which overrides RunConfig's default;
+        # validate() checks the config's resolution, null included
+        if args.resolution is not None or "resolution" in cfg:
+            rc.resolution = cfg["resolution"] if args.resolution is None else args.resolution
+        if args.tol is not None or "tol" in cfg:
+            rc.tol = config_float(cfg, "tol", ConfigError) if args.tol is None else args.tol
         rc.validate()
         # every grid scan needs at least 50 points a side
         rc.resolution = max(50, rc.resolution)

@@ -195,11 +195,13 @@ def _witness_cells(k1: np.ndarray, k2: np.ndarray, strict: bool,
     pairs i < j that the keys rank in opposite directions (``strict``), else
     tie in one order only.
 
-    Rows are scanned in blocks of 1, 2, 4, ... up to 256 rows, each against
-    every later column, and the scan stops at the block that completes
-    ``limit`` hits: a last hit in row r costs at most 2(r + 1) rows of key
-    signs.  The cells come out in row-major order however the rows are
-    split, so the blocks decide cost only.
+    Rows are scanned in blocks of 1, 2, 4, ... rows, each against every
+    later column, until a block would pass 2**20 cells (rows times columns
+    left, and at least one row), so a block's key signs take O(1) memory
+    whatever n is.  The scan stops at the block that completes ``limit``
+    hits: a last hit in row r costs at most 2(r + 1) rows of key signs.
+    The cells come out in row-major order however the rows are split, so
+    the blocks decide cost only.
     """
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     found, start, size = 0, 0, 1
@@ -213,7 +215,7 @@ def _witness_cells(k1: np.ndarray, k2: np.ndarray, strict: bool,
         rows.append(start + r[:limit - found])
         cols.append(start + c[:limit - found])
         found += rows[-1].size
-        start, size = stop, min(2 * size, 256)
+        start, size = stop, max(1, min(2 * size, 2**20 // max(1, k1.size - stop)))
     return (np.concatenate(rows).astype(np.int64, copy=False),
             np.concatenate(cols).astype(np.int64, copy=False))
 
@@ -233,11 +235,12 @@ def orders_coincide(order1: GeneratedPairOrder, order2: GeneratedPairOrder,
     ``coincide=True`` is grid-level evidence.  The disagreements are counted
     from one sort of the two orders' ``tie_classes`` keys (strict ones as a
     Kendall distance, the rest from tie-class sizes).  Only witnesses need a
-    scan (``_witness_cells``): row blocks that grow from one row to 256,
-    stopping at the block that holds the last witness wanted and never run
-    when the orders coincide, so memory stays O(n) and a witness in an early
-    row costs a few rows.  The scan yields index arrays; ``disagreements``
-    is built from them only with ``collect_all``.
+    scan (``_witness_cells``): row blocks that grow from one row up to a
+    fixed number of cells, stopping at the block that holds the last
+    witness wanted and never run when the orders coincide, so memory stays
+    O(n) and a witness in an early row costs a few rows.  The scan yields
+    index arrays; ``disagreements`` is built from them only with
+    ``collect_all``.
 
     ``_cells`` serves CLI ``coincide``'s CSV dump: a list given there
     receives the grid scan's ``DisagreementCells`` (no hits when the orders
@@ -336,8 +339,8 @@ def schur_classify(af: AggregationFunction, resolution: int = 100) -> SchurClass
 
     Strict classes are emitted only by the closed-form registry (pairwise
     means of generators with certified strict convexity, and endpoint
-    projections); the diagonal scan alone yields non-strict classes, NEITHER,
-    or UNKNOWN.
+    projections); the diagonal scan alone yields non-strict classes or
+    NEITHER.
     """
     if resolution < 50:
         raise ValueError("resolution must be at least 50")
@@ -346,7 +349,6 @@ def schur_classify(af: AggregationFunction, resolution: int = 100) -> SchurClass
         return closed
 
     nondec = noninc = True
-    varies = False
     for sigma in np.linspace(0.02, 1.98, resolution):
         hi_lo = 0.5 * sigma
         hi_hi = min(1.0, sigma)
@@ -360,17 +362,11 @@ def schur_classify(af: AggregationFunction, resolution: int = 100) -> SchurClass
             nondec = False
         if np.any(diffs > SCHUR_TOL):
             noninc = False
-            varies = True
         if not nondec and not noninc:
             return SchurClass.NEITHER
-    if nondec and noninc:
-        # constant along every diagonal: both classes hold non-strictly
-        return SchurClass.SCHUR_CONVEX
-    if nondec and varies:
-        return SchurClass.SCHUR_CONVEX
-    if noninc:
-        return SchurClass.SCHUR_CONCAVE
-    return SchurClass.UNKNOWN
+    # constant along every diagonal (noninc as well): both classes hold
+    # non-strictly; report the convex label
+    return SchurClass.SCHUR_CONVEX if nondec else SchurClass.SCHUR_CONCAVE
 
 
 # ---------------------------------------------------------------------------

@@ -329,19 +329,31 @@ BUILTIN_KINDS = {
 _PARAMETRIC_KINDS = {"power": "gamma", "exponential": "gamma"}
 
 
+def config_float(spec: dict, key: str, error: type[ValueError]) -> float:
+    """``spec[key]`` as ``float`` reads it, numeric strings included; a bool
+    or any value ``float`` refuses raises ``error``, the reader's own class."""
+    value = spec[key]
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise error(f"{key!r} must be a number, got {value!r}")
+
+
 def generator_from_config(spec: dict) -> Generator:
     """Build a builtin generator from a config mapping like {"kind": "power", "gamma": 2.0}."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GeneratorError(f"generator spec must be a mapping with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
-    if kind not in BUILTIN_KINDS:
+    if not isinstance(kind, str) or kind not in BUILTIN_KINDS:
         known = ", ".join(sorted(BUILTIN_KINDS))
         raise GeneratorError(f"unknown generator kind {kind!r}; supported kinds: {known}")
     if kind in _PARAMETRIC_KINDS:
         pname = _PARAMETRIC_KINDS[kind]
         if pname not in spec:
             raise GeneratorError(f"generator kind {kind!r} requires a {pname!r} parameter")
-        return BUILTIN_KINDS[kind](float(spec[pname]))
+        return BUILTIN_KINDS[kind](config_float(spec, pname, GeneratorError))
     return BUILTIN_KINDS[kind]()
 
 

@@ -20,6 +20,7 @@ from enum import IntEnum
 import numpy as np
 
 from .aggregators import AggregationFunction, aggregator_from_config, k_mean
+from .generators import config_float
 from .intervals import Interval, interval_grid
 
 # Tie tolerance of both stages, read only by ``tie_classes``.  Ties must be
@@ -173,11 +174,14 @@ def order_from_config(spec: dict) -> GeneratedPairOrder:
     if kind == "alpha_beta":
         if "alpha" not in spec or "beta" not in spec:
             raise OrderSpecError("alpha_beta order requires 'alpha' and 'beta'")
-        return AlphaBetaOrder(float(spec["alpha"]), float(spec["beta"]))
+        return AlphaBetaOrder(*(config_float(spec, k, OrderSpecError) for k in ("alpha", "beta")))
     if kind == "pair":
         if "a" not in spec or "b" not in spec:
             raise OrderSpecError("pair order requires 'a' and 'b' aggregator specs")
+        verify = spec.get("verify", True)
+        if not isinstance(verify, bool):
+            raise OrderSpecError(f"'verify' must be true or false, got {verify!r}")
         a = aggregator_from_config(spec["a"])
         b = aggregator_from_config(spec["b"])
-        return GeneratedPairOrder(a, b, verify_admissible=bool(spec.get("verify", True)))
+        return GeneratedPairOrder(a, b, verify_admissible=verify)
     raise OrderSpecError(f"unknown order kind {kind!r}; supported kinds: alpha_beta, pair")

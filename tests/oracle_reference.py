@@ -130,30 +130,32 @@ def reference_oracle_search(a, b, *, resolution: int = 200
     return None
 
 
-def reference_keeps_row(ulo: float, uhi: float, x1s, x2s, res) -> bool:
-    """Whether the per-candidate loop would polish or confirm something on
-    this row of bracketed samples: a sign flip whose estimated root passes
-    the ``gap_est`` test, or an exact zero at least ``WITNESS_GAP`` from u."""
-    for k in np.nonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]:
+def reference_row_roots(ulo: float, uhi: float, x1s, x2s, res) -> list[tuple[int, int]]:
+    """The sample pairs (first, last) of one row of bracketed samples that
+    the per-candidate loop would polish or confirm, in its order: (k, k + 1)
+    for each sign flip whose estimated root passes the ``gap_est`` test,
+    then (k, k) for each exact zero at least ``WITNESS_GAP`` from u."""
+    roots = []
+    for k in np.nonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0].tolist():
         x1a, x1b = float(x1s[k]), float(x1s[k + 1])
         root_est = x1a + (x1b - x1a) * abs(res[k]) / (abs(res[k]) + abs(res[k + 1]))
         x2_est = float(np.interp(root_est, x1s, x2s))
         if max(abs(root_est - ulo), abs(x2_est - uhi)) >= 0.5 * WITNESS_GAP:
-            return True
-    return any(max(abs(x1s[k] - ulo), abs(x2s[k] - uhi)) >= WITNESS_GAP
-               for k in np.nonzero(res == 0.0)[0])
+            roots.append((k, k + 1))
+    return roots + [(k, k) for k in np.nonzero(res == 0.0)[0].tolist()
+                    if max(abs(x1s[k] - ulo), abs(x2s[k] - uhi)) >= WITNESS_GAP]
 
 
-def reference_tail_rows(a, b, *, resolution: int) -> set:
-    """The candidates before the first direct hit on which the per-candidate
-    loop would polish or confirm something (:func:`reference_keeps_row`),
-    each keyed by u's endpoints and the bytes of its bracketed x1s."""
+def reference_tail_roots(a, b, *, resolution: int) -> set:
+    """The roots that the per-candidate loop would polish or confirm
+    (:func:`reference_row_roots`) on the candidates before the first direct
+    hit, each keyed by u's endpoints and the x1 of its two samples."""
     lo, hi = interval_grid(resolution)
     va = a.values(lo, hi)
     vb = b.values(lo, hi)
     window = 2.5 / resolution
     ms, ns = reference_candidate_pairs(va, vb, ORACLE_QUANTUM)
-    rows = set()
+    roots = set()
     for m, n in zip(ms.tolist(), ns.tolist()):
         u = Interval(float(lo[m]), float(hi[m]))
         x = Interval(float(lo[n]), float(hi[n]))
@@ -165,6 +167,6 @@ def reference_tail_rows(a, b, *, resolution: int) -> set:
         x2s, ok = _level_hi(a, x1s, float(va[m]))
         x1s, x2s = x1s[ok], x2s[ok]
         res = b.values(x1s, x2s) - float(vb[m])
-        if reference_keeps_row(u.lo, u.hi, x1s, x2s, res):
-            rows.add((u.as_tuple(), x1s.tobytes()))
-    return rows
+        roots.update((u.as_tuple(), float(x1s[i]), float(x1s[j]))
+                     for i, j in reference_row_roots(u.lo, u.hi, x1s, x2s, res))
+    return roots

@@ -45,16 +45,16 @@ from intervalorders import (
 from intervalorders import admissibility
 from intervalorders.admissibility import (
     _candidate_pairs,
-    _live_rows,
+    _root_brackets,
     _saturation_verdict,
     quasi_view,
 )
 from intervalorders.intervals import interval_grid
 from oracle_reference import (
     reference_candidate_pairs,
-    reference_keeps_row,
     reference_oracle_search,
-    reference_tail_rows,
+    reference_row_roots,
+    reference_tail_roots,
 )
 
 
@@ -650,13 +650,15 @@ class TestOracleBlocks:
     """The block refinement against the per-candidate loop it replaced."""
 
     # blocks of 1 and 7 put block boundaries mid-list; rows never share a flip
-    @pytest.mark.parametrize("resolution, block", [(60, None), (100, None), (60, 1), (60, 7)])
-    def test_battery_matches_the_per_candidate_loop(self, resolution, block, monkeypatch):
+    @pytest.mark.parametrize("resolution, block, swap", [
+        (60, None, False), (100, None, False), (100, None, True), (60, 1, False), (60, 7, False)])
+    def test_battery_matches_the_per_candidate_loop(self, resolution, block, swap, monkeypatch):
         if block is not None:
             monkeypatch.setattr(admissibility, "REFINE_BLOCK", block)
         for case in build_battery():
-            assert _bits(oracle_search(case.a, case.b, resolution=resolution)) == \
-                _bits(reference_oracle_search(case.a, case.b, resolution=resolution)), case.label
+            a, b = (case.b, case.a) if swap else (case.a, case.b)
+            assert _bits(oracle_search(a, b, resolution=resolution)) == \
+                _bits(reference_oracle_search(a, b, resolution=resolution)), case.label
 
     @pytest.mark.parametrize("w", [0.26, 0.27, 0.28, 0.3])
     def test_weights_near_the_threshold(self, w):
@@ -676,21 +678,21 @@ class TestOracleBlocks:
         assert _bits(oracle_search(plain, b, resolution=60)) == \
             _bits(reference_oracle_search(plain, b, resolution=60))
 
-    def test_array_rejections_keep_every_row_the_scalar_test_keeps(self, monkeypatch):
-        passed = set()
+    def test_array_rejections_keep_every_root_the_scalar_test_polishes(self, monkeypatch):
+        tried = set()
 
-        def record(a, b, u, x1s, x2s, res, target_a, target_b):
-            passed.add((u.as_tuple(), x1s.tobytes()))
+        def record(a, b, u, target_a, target_b, x1a, x1b, x2):
+            tried.add((u.as_tuple(), x1a, x1b))
             return None
 
-        monkeypatch.setattr(admissibility, "_refine_candidate", record)
+        monkeypatch.setattr(admissibility, "_level_curve_witness", record)
         kept = 0
         for case in build_battery():
-            passed.clear()
+            tried.clear()
             oracle_search(case.a, case.b, resolution=60)
-            rows = reference_tail_rows(case.a, case.b, resolution=60)
-            assert rows <= passed, case.label
-            kept += len(rows)
+            roots = reference_tail_roots(case.a, case.b, resolution=60)
+            assert roots <= tried, case.label
+            kept += len(roots)
         assert kept > 0
 
     @settings(max_examples=400, deadline=None)
@@ -710,11 +712,24 @@ class TestOracleBlocks:
         rows, res = np.array(rows), np.array(res)
         x1s, x2s = np.concatenate(x1s), np.concatenate(x2s)
         ulo, uhi = np.array(ulo), np.array(uhi)
-        live = set(_live_rows(rows, x1s, x2s, res, ulo, uhi).tolist())
+        first, last = _root_brackets(rows, x1s, x2s, res, ulo, uhi)
+        got = list(zip(first.tolist(), last.tolist()))
+        # each pair is a flip of one row or an exact zero, by row, then
+        # flips before zeros, each in sample order
+        keys = [(int(rows[i]), i == j, i) for i, j in got]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        for i, j in got:
+            if i == j:
+                assert res[i] == 0.0
+            else:
+                assert j == i + 1 and rows[i] == rows[j] and np.sign(res[i]) * np.sign(res[j]) < 0
         for i in range(len(drawn)):
-            on = rows == i
-            if reference_keeps_row(ulo[i], uhi[i], x1s[on], x2s[on], res[on]):
-                assert i in live
+            on = np.flatnonzero(rows == i)
+            want = [(int(on[0]) + f, int(on[0]) + l) for f, l in
+                    reference_row_roots(ulo[i], uhi[i], x1s[on], x2s[on], res[on])]
+            # every root the reference polishes, in the reference's order
+            remaining = iter(got)
+            assert all(root in remaining for root in want)
 
 
 class TestWeightOrderDiagnostic:

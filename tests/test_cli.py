@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from intervalorders import cli
+from intervalorders.aggregators import AggregationError, aggregator_from_config
 from intervalorders.cli import RunConfig, main
 from intervalorders.coincidence import orders_coincide
-from intervalorders.orders import order_from_config
+from intervalorders.generators import GeneratorError, generator_from_config
+from intervalorders.orders import OrderSpecError, order_from_config
 from order_reference import reference_disagreements_csv
 
 PAIR_CONFIG = {
@@ -27,6 +29,13 @@ COLLISION_CONFIG = {
         "b": {"family": "quasi_linear", "generator": {"kind": "logarithm"}, "weight": 0.7},
     }
 }
+
+
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def write_json(path, payload):
@@ -298,10 +307,8 @@ assert not loaded, loaded
 class TestRunsWithoutScipy:
     def test_import_verdict_and_coincide(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", TestCoincide.CONFIG)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, cfg, str(tmp_path / "out.json")],
-                             env=env, capture_output=True, text=True, timeout=120)
+                             env=src_env(), capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
 
 
@@ -346,6 +353,116 @@ class TestExitCodes:
         data = tmp_path / "items.csv"
         data.write_text("0.1,0.2\n")
         assert main(["rank", "--config", cfg, "--input", str(data)]) == 1
+
+
+def pair_text(a: str, extra: str = "") -> str:
+    """check-pair config text with A's raw JSON spec ``a`` and B = K_0.7."""
+    return '{"pair": {"a": %s, "b": {"family": "k", "w": 0.7}}%s}' % (a, extra)
+
+
+K_03 = '{"family": "k", "w": 0.3}'
+# command, config text and whether it needs --input; one value of the wrong
+# type in each
+BAD_CONFIGS = {
+    "resolution-null": ("check-pair", pair_text(K_03, ', "resolution": null'), False),
+    "resolution-1e400": ("check-pair", pair_text(K_03, ', "resolution": 1e400'), False),
+    "resolution-100.7": ("check-pair", pair_text(K_03, ', "resolution": 100.7'), False),
+    "tol-list": ("check-pair", pair_text(K_03, ', "tol": [1]'), False),
+    "k-w-null": ("check-pair", pair_text('{"family": "k", "w": null}'), False),
+    "k-w-huge-integer": ("check-pair", pair_text('{"family": "k", "w": 1%s}' % ("0" * 400)), False),
+    "weight-null": ("check-pair", pair_text(
+        '{"family": "quasi_linear", "generator": {"kind": "logit"}, "weight": null}'), False),
+    "gamma-list": ("check-pair", pair_text(
+        '{"family": "schur_pair", "f": {"kind": "power", "gamma": [2]}}'), False),
+    "kind-list": ("check-pair", pair_text('{"family": "tnorm", "generator": {"kind": []}}'), False),
+    "input-integer": (
+        "rank", '{"order": {"kind": "alpha_beta", "alpha": 0.5, "beta": 1.0}, "input": 3}', False),
+    "alpha-null": ("rank", '{"order": {"kind": "alpha_beta", "alpha": null, "beta": 1.0}}', True),
+    "verify-string": ("rank", '{"order": {"kind": "pair", "a": %s, "b": {"family": "k", "w": 0.7}, '
+                              '"verify": "no"}}' % K_03, True),
+}
+
+# binds fd 3 to a file, runs main and reports whether fd 3 is still open
+FD3_SCRIPT = """
+import os, sys
+from intervalorders.cli import main
+os.dup2(os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 3)
+code = main(sys.argv[2:])
+os.fstat(3)
+sys.exit(code)
+"""
+
+
+class TestBadConfigValues:
+    """A config value of the wrong type is one configuration error line and
+    exit 1: no traceback, no silent truncation, no numbered descriptor."""
+
+    @staticmethod
+    def assert_one_config_error(err: str) -> None:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error: "), err
+
+    @pytest.mark.parametrize("case", list(BAD_CONFIGS))
+    def test_exits_1_with_one_line(self, tmp_path, capsys, case):
+        command, text, needs_input = BAD_CONFIGS[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg)]
+        if needs_input:
+            data = tmp_path / "items.csv"
+            data.write_text("0.1,0.2\n")
+            argv += ["--input", str(data)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self.assert_one_config_error(captured.err)
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tolerance_flag_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        cfg = write_json(tmp_path / "cfg.json", PAIR_CONFIG)
+        assert main(["check-pair", "--config", cfg, "--tol", tol]) == 1
+        self.assert_one_config_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, key",
+                             [("rank", "output"), ("coincide", "disagreements_csv")])
+    def test_integer_path_writes_no_descriptor(self, tmp_path, command, key):
+        payload = ({"order": alpha_beta(0.5, 1.0)} if command == "rank"
+                   else {"orders": COINCIDE_SPECS["lexicographic-vs-antilexicographic"]})
+        cfg = write_json(tmp_path / "cfg.json", {**payload, key: 3})
+        data = tmp_path / "items.csv"
+        data.write_text("0.1,0.2\n0.3,0.4\n")
+        fd3 = tmp_path / "fd3"
+        argv = [command, "--config", cfg, "--input", str(data), "--resolution", "50"]
+        run = subprocess.run([sys.executable, "-c", FD3_SCRIPT, str(fd3), *argv],
+                             env=src_env(), capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        self.assert_one_config_error(run.stderr)
+        assert fd3.read_bytes() == b""
+
+    def test_readers_raise_their_own_error(self):
+        with pytest.raises(AggregationError, match="'w' must be a number"):
+            aggregator_from_config({"family": "k", "w": None})
+        with pytest.raises(GeneratorError, match="'gamma' must be a number"):
+            generator_from_config({"kind": "power", "gamma": [2]})
+        with pytest.raises(OrderSpecError, match="'alpha' must be a number"):
+            order_from_config({"kind": "alpha_beta", "alpha": None, "beta": 1.0})
+
+    def test_disagreements_are_collected_only_for_a_csv(self, tmp_path, capsys, monkeypatch):
+        collected = []
+
+        def recording(*args, **kwargs):
+            collected.append(kwargs["collect_all"])
+            return orders_coincide(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "orders_coincide", recording)
+        dump = tmp_path / "dump.csv"
+        for name in ("", None, str(dump)):
+            cfg = write_json(tmp_path / "cfg.json", {
+                "orders": COINCIDE_SPECS["lexicographic-vs-antilexicographic"],
+                "disagreements_csv": name})
+            assert main(["coincide", "--config", cfg, "--resolution", "50"]) == 0
+        assert collected == [False, False, True]
+        assert dump.exists()
 
 
 class TestSettings:

@@ -288,6 +288,10 @@ class TestMixedTiesMatchTwoTableReference:
             assert rep == ref, (pair, max_collected)
 
 
+# cells of key signs per block of coincidence._witness_cells
+CELL_CAP = 2**20
+
+
 def grid_row(lo, hi, z: Interval) -> int:
     """Position of the grid interval z in ``interval_grid`` order."""
     return int(np.flatnonzero((lo == z.lo) & (hi == z.hi))[0])
@@ -341,9 +345,11 @@ class TestWitnessScanStopsEarly:
         # every hit in the last rows: the scan passes row 511
         ("band-0.96-vs-0.5", 50, 1),
         ("band-0.96-vs-0.5", 50, 1000),
+        # 10,011 columns: the cap stops the doubling after 64 rows
+        ("band-0.96-vs-0.5", 140, 1),
     ])
-    def test_blocks_stop_growing_at_256_rows(self, key_sign_calls, pair, resolution,
-                                             max_collected):
+    def test_blocks_double_until_the_cell_cap(self, key_sign_calls, pair, resolution,
+                                              max_collected):
         make = COINCIDE_PAIRS.get(pair) or WITNESS_ROW_PAIRS[pair]
         rep = orders_coincide(*make(), resolution=resolution, collect_all=True,
                               max_collected=max_collected)
@@ -351,8 +357,18 @@ class TestWitnessScanStopsEarly:
         self.assert_scan_ends_at_row(key_sign_calls,
                                      grid_row(lo, hi, rep.disagreements[-1].u))
         blocks = key_sign_calls[::2]
-        assert blocks[:9] == [2**k for k in range(len(blocks[:9]))]
-        assert all(size == 256 for size in blocks[9:-1])
+        starts = np.cumsum([0] + blocks[:-1])
+        assert blocks[:7] == [2**k for k in range(len(blocks[:7]))]
+        for k in range(1, len(blocks)):
+            # rows times columns left stays within the cap; only the last
+            # block may be cut short by the end of the grid
+            cap = max(1, CELL_CAP // (lo.size - starts[k]))
+            assert blocks[k] <= min(2 * blocks[k - 1], cap)
+            if k < len(blocks) - 1:
+                assert blocks[k] == min(2 * blocks[k - 1], cap)
+        if resolution == 140:
+            # the cap binds: the eighth block holds 106 rows, not 128
+            assert blocks[7] == CELL_CAP // (lo.size - 127) < 128
 
 
 class ReversedOrder(GeneratedPairOrder):
@@ -443,6 +459,18 @@ class TestWitnessScanMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_late_witness_stays_within_the_cell_cap(self):
+        # the scan passes nearly every row; 256-row blocks against every
+        # later column peaked at 14.4 MiB here
+        order1, order2 = WITNESS_ROW_PAIRS["band-0.96-vs-0.5"]()
+        tracemalloc.start()
+        try:
+            orders_coincide(order1, order2, resolution=140)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSchurClassify:

@@ -38,6 +38,7 @@ condition is symmetric in the two components.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,8 +72,12 @@ WITNESS_TOL = 1e-9
 WITNESS_GAP = 1e-4
 ORACLE_QUANTUM = 1e-4
 ORACLE_CONFIRM = 1e-10
-# oracle_search refines its candidates this many at a time.
-REFINE_BLOCK = 128
+# The oracle expands its candidate pairs this many at a time.
+CANDIDATE_SLICE = 4096
+# The oracle refines REFINE_FIRST candidates first, then blocks twice as
+# large each time, up to REFINE_BLOCK.
+REFINE_FIRST = 8
+REFINE_BLOCK = 64
 # The composite collision search decodes f-images of COLLISION_POINTS points
 # of [COLLISION_MARGIN, 1 - COLLISION_MARGIN].
 COLLISION_POINTS = 33
@@ -101,6 +106,10 @@ class Witness:
     @property
     def endpoint_gap(self) -> float:
         return max(abs(self.u.lo - self.x.lo), abs(self.u.hi - self.x.hi))
+
+    def within(self, tol: float) -> bool:
+        """Both residuals at most ``tol``."""
+        return self.residual_a <= tol and self.residual_b <= tol
 
     def swapped(self) -> "Witness":
         return Witness(self.u, self.x, self.residual_b, self.residual_a)
@@ -139,7 +148,7 @@ def make_witness(a: AggregationFunction, b: AggregationFunction,
     lo, hi = np.array([u.lo, x.lo]), np.array([u.hi, x.hi])
     ra, rb = (abs(float(v[0]) - float(v[1])) for v in (a.values(lo, hi), b.values(lo, hi)))
     w = Witness(u, x, ra, rb)
-    if ra <= tol and rb <= tol and w.endpoint_gap >= WITNESS_GAP:
+    if w.within(tol) and w.endpoint_gap >= WITNESS_GAP:
         return w
     return None
 
@@ -500,12 +509,9 @@ def check_pair(a: AggregationFunction, b: AggregationFunction, *,
     if v is not None:
         return v
     if use_oracle:
-        found = oracle_search(a, b, resolution=resolution)
-        if found is not None:
-            u, x = found
-            w = make_witness(a, b, u, x, tol=tol)
-            if w is not None:
-                return Verdict(Outcome.NOT_ADMISSIBLE, "oracle", witness=w)
+        w = _oracle_witness(a, b, resolution)
+        if w is not None and w.within(tol):
+            return Verdict(Outcome.NOT_ADMISSIBLE, "oracle", witness=w)
         return Verdict(
             Outcome.UNKNOWN, "oracle",
             note=f"no collision found at resolution {resolution} (evidence, not proof)",
@@ -625,8 +631,7 @@ def _level_curve_witness(a: AggregationFunction, b: AggregationFunction, u: Inte
 
 def _refine_block(a: AggregationFunction, b: AggregationFunction,
                   lo: np.ndarray, hi: np.ndarray, va: np.ndarray, vb: np.ndarray,
-                  ms: np.ndarray, ns: np.ndarray, window: float
-                  ) -> tuple[Interval, Interval] | None:
+                  ms: np.ndarray, ns: np.ndarray, window: float) -> Witness | None:
     """Refine the candidates (u, x) = (grid[m], grid[n]) of one block in
     array passes; the first root, in :func:`_root_brackets` order, that
     :func:`_level_curve_witness` accepts through ``make_witness`` at
@@ -652,24 +657,30 @@ def _refine_block(a: AggregationFunction, b: AggregationFunction,
         w = _level_curve_witness(a, b, u, float(ta[r]), float(tb[r]),
                                  float(x1s[i]), float(x1s[j]), float(x2s[i]))
         if w is not None:
-            return u, w.x
+            return w
     return None
 
 
-def _candidate_pairs(va: np.ndarray, vb: np.ndarray, quantum: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (m, n), m < n, of grid intervals whose (A, B) values fall
-    in the same or adjacent ``quantum`` buckets and differ by at most 1.5
-    quanta in both, ordered by (m, n).
+def _candidate_slices(va: np.ndarray, vb: np.ndarray, quantum: float
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every index pair (m, n), m < n, of grid intervals whose (A, B) values
+    fall in the same or adjacent ``quantum`` buckets and differ by at most
+    1.5 quanta in both, as one int64 key per pair, m * size + n, which sorts
+    in the order of (m, n).  The keys come in slices of at most
+    ``CANDIDATE_SLICE`` pairs, in no particular order; each slice is (keys,
+    close), where ``close`` holds the keys of the pairs whose values agree
+    to ``ORACLE_CONFIRM`` in both.
 
     Buckets are keyed by one int64 per interval, ka * row + kb, and found by
     sorting.  The canonical half of an interval's 8-neighbourhood is then two
     runs of the sorted keys: the members after it in its own bucket plus
     bucket (ka, kb + 1), and buckets (ka + 1, kb - 1 .. kb + 1).  Each
-    interval is paired with both runs, three ``searchsorted`` calls in all,
-    so every pair at key distance at most one per coordinate comes out
-    exactly once.
+    interval is paired with both runs, found by three ``searchsorted``
+    calls over all intervals, so every pair at key distance at most one per
+    coordinate comes out exactly once.  The pairs of a run, listed interval
+    by interval, are expanded a slice of that list at a time.
     """
+    size = va.size
     ka = np.floor(va / quantum).astype(np.int64)
     kb = np.floor(vb / quantum).astype(np.int64)
     kb -= kb.min()
@@ -677,43 +688,62 @@ def _candidate_pairs(va: np.ndarray, vb: np.ndarray, quantum: float
     key = ka * row + kb
     order = np.argsort(key, kind="stable")
     skey = key[order]
-    pos = np.arange(skey.size)
+    pos = np.arange(size)
     runs = [(pos + 1, np.searchsorted(skey, skey + 1, "right")),
             (np.searchsorted(skey, skey + (row - 1), "left"),
              np.searchsorted(skey, skey + (row + 1), "right"))]
-    pairs = []
     limit = quantum * 1.5
     for first, last in runs:
         count = last - first
-        rows = np.repeat(pos, count)
-        cols = np.repeat(first - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
-        m, n = order[rows], order[cols]
-        keep = ~((np.abs(va[m] - va[n]) > limit) | (np.abs(vb[m] - vb[n]) > limit))
-        m, n = m[keep], n[keep]
-        # one int64 per pair, m * size + n, sorts in the order of (m, n)
-        pairs.append(np.minimum(m, n) * skey.size + np.maximum(m, n))
-    pairs = np.sort(np.concatenate(pairs))
-    return pairs // skey.size, pairs % skey.size
+        ends = np.cumsum(count)
+        offset = first - ends + count  # pair j of position p pairs it with offset[p] + j
+        total = int(ends[-1])
+        for j0 in range(0, total, CANDIDATE_SLICE):
+            j1 = min(j0 + CANDIDATE_SLICE, total)
+            # the positions whose pairs meet j0 .. j1 - 1, and how many of each
+            p0, p1 = np.searchsorted(ends, [j0, j1 - 1], "right").tolist()
+            c = count[p0:p1 + 1].copy()
+            c[0] = ends[p0] - j0
+            c[-1] -= ends[p1] - j1
+            p = np.repeat(np.arange(p0, p1 + 1), c)
+            m, n = order[p], order[offset[p] + np.arange(j0, j1)]
+            pair = np.minimum(m, n) * size + np.maximum(m, n)
+            da, db = np.abs(va[m] - va[n]), np.abs(vb[m] - vb[n])
+            keep = ~((da > limit) | (db > limit))
+            yield pair[keep], pair[keep & (da <= ORACLE_CONFIRM) & (db <= ORACLE_CONFIRM)]
 
 
-def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
-                  resolution: int = 200) -> tuple[Interval, Interval] | None:
-    """Exhaustive quantized scan for a simultaneous collision of A and B.
+def _candidate_pairs(lo: np.ndarray, hi: np.ndarray, va: np.ndarray, vb: np.ndarray,
+                     quantum: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
+    """The candidate pairs of :func:`_candidate_slices` before the first
+    direct hit, ordered by (m, n), and that hit's (m, n), or None.
 
-    All grid intervals are bucketed by their (A, B) values rounded to
-    ``ORACLE_QUANTUM``; pairs in the same or adjacent buckets whose values differ
-    by at most 1.5 quanta are candidates, in lexicographic order of (u, x),
-    read off the sorted bucket keys as two ranges per interval
-    (:func:`_candidate_pairs`).  A candidate whose values already agree to
-    ``ORACLE_CONFIRM`` is a direct hit.  The candidates before the first
-    direct hit are refined along the closed-form A-level curve through u,
-    ``REFINE_BLOCK`` at a time (:func:`_refine_block`); each root that is
-    not certainly the trivial one is polished by the array-valued
-    :func:`bisect_root` and accepted only through ``make_witness`` at
-    ``ORACLE_CONFIRM``.  Returns the first accepted pair, then
-    the direct hit, or None.  An empty result is evidence at this
-    resolution, not a proof of admissibility.
+    A direct hit is a candidate whose values agree to ``ORACLE_CONFIRM`` in
+    both and whose endpoints are at least ``WITNESS_GAP`` apart.  Only the
+    pairs below the smallest direct-hit key seen so far are kept, and they
+    are sorted at the end, so memory beyond the grid is one slice plus the
+    candidates before the first direct hit.
     """
+    size = va.size
+    stop = size * size  # the key of the first direct hit seen so far
+    kept = [np.empty(0, np.int64)]
+    for pair, close in _candidate_slices(va, vb, quantum):
+        if close.size:
+            m, n = np.divmod(close, size)
+            gap = np.maximum(np.abs(lo[m] - lo[n]), np.abs(hi[m] - hi[n]))
+            hit = int(close[gap >= WITNESS_GAP].min(initial=stop))
+            if hit < stop:
+                stop = hit
+                kept = [k[k < stop] for k in kept]
+        kept.append(pair[pair < stop])
+    pair = np.sort(np.concatenate(kept))
+    return pair // size, pair % size, (divmod(stop, size) if stop < size * size else None)
+
+
+def _oracle_witness(a: AggregationFunction, b: AggregationFunction,
+                    resolution: int) -> Witness | None:
+    """The witness :func:`oracle_search` reports, accepted by
+    ``make_witness`` at ``ORACLE_CONFIRM``; None when there is none."""
     if resolution < 50:
         raise ValueError("oracle resolution must be at least 50")
     lo, hi = interval_grid(resolution)
@@ -722,21 +752,48 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
     window = 2.5 / resolution
     # interval_grid is in lexicographic order of (lo, hi), so the index
     # order of the candidates is the lexicographic order of (u, x)
-    ms, ns = _candidate_pairs(va, vb, ORACLE_QUANTUM)
-    gap = np.maximum(np.abs(lo[ms] - lo[ns]), np.abs(hi[ms] - hi[ns]))
-    direct = np.flatnonzero((gap >= WITNESS_GAP)
-                            & (np.abs(va[ms] - va[ns]) <= ORACLE_CONFIRM)
-                            & (np.abs(vb[ms] - vb[ns]) <= ORACLE_CONFIRM))
-    stop = int(direct[0]) if direct.size else ms.size
-    for start in range(0, stop, REFINE_BLOCK):
-        block = slice(start, min(start + REFINE_BLOCK, stop))
-        found = _refine_block(a, b, lo, hi, va, vb, ms[block], ns[block], window)
-        if found is not None:
-            return found
-    if direct.size:
-        m, n = ms[stop], ns[stop]
-        return Interval(float(lo[m]), float(hi[m])), Interval(float(lo[n]), float(hi[n]))
-    return None
+    ms, ns, hit = _candidate_pairs(lo, hi, va, vb, ORACLE_QUANTUM)
+    start, block = 0, min(REFINE_FIRST, REFINE_BLOCK)
+    while start < ms.size:
+        w = _refine_block(a, b, lo, hi, va, vb, ms[start:start + block],
+                          ns[start:start + block], window)
+        if w is not None:
+            return w
+        start += block
+        block = min(2 * block, REFINE_BLOCK)
+    if hit is None:
+        return None
+    m, n = hit
+    return make_witness(a, b, Interval(float(lo[m]), float(hi[m])),
+                        Interval(float(lo[n]), float(hi[n])), ORACLE_CONFIRM)
+
+
+def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
+                  resolution: int = 200) -> tuple[Interval, Interval] | None:
+    """Exhaustive quantized scan for a simultaneous collision of A and B.
+
+    All grid intervals are bucketed by their (A, B) values rounded to
+    ``ORACLE_QUANTUM``; pairs in the same or adjacent buckets whose values
+    differ by at most 1.5 quanta are candidates, in lexicographic order of
+    (u, x), read off the sorted bucket keys as two ranges per interval and
+    expanded ``CANDIDATE_SLICE`` pairs at a time (:func:`_candidate_slices`).
+    A candidate whose values already agree to ``ORACLE_CONFIRM`` is a direct
+    hit; the candidates at and after the first one are dropped slice by
+    slice, before any sort (:func:`_candidate_pairs`).  The candidates
+    before it are refined along the closed-form A-level curve through u,
+    ``REFINE_FIRST`` first, then in blocks that double up to
+    ``REFINE_BLOCK`` (:func:`_refine_block`); each root that is not
+    certainly the trivial one is polished by the array-valued
+    :func:`bisect_root`.  Returns the first refined pair, then the direct
+    hit, that ``make_witness`` accepts at ``ORACLE_CONFIRM``, or None.  An
+    empty result is evidence at this resolution, not a proof of
+    admissibility.
+
+    Memory beyond the grid's arrays is one slice, the candidates before the
+    first direct hit and one refine block, not the full candidate list.
+    """
+    w = _oracle_witness(a, b, resolution)
+    return None if w is None else (w.u, w.x)
 
 
 # ---------------------------------------------------------------------------

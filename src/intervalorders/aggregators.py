@@ -205,9 +205,13 @@ def quasi_linear_mean(gen: Generator, weight: float) -> AggregationFunction:
             a = np.asarray(gen.fn(lo), dtype=float)
             b = np.asarray(gen.fn(hi), dtype=float)
             s = (1.0 - w) * a + w * b
-            # -inf dominates +inf
-            s = np.where(np.isneginf(a) | np.isneginf(b), -INF, s)
+            if neg_end is not None:
+                # -inf dominates +inf; without a -inf end, an s that would be
+                # -inf here is -inf or NaN already, and both give 0
+                s = np.where(np.isneginf(a) | np.isneginf(b), -INF, s)
             finite = np.isfinite(s)
+            if finite.all():
+                return np.asarray(gen.inv(s), dtype=float)
             core = np.asarray(gen.inv(np.where(finite, s, 0.5)), dtype=float)
             out = np.where(finite, core, 0.0)
             if neg_end is not None:

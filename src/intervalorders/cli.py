@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .admissibility import check_pair, make_witness, oracle_search
+from .admissibility import _oracle_witness, check_pair, oracle_search
 from .aggregators import AggregationError, aggregator_from_config
 from .battery import format_battery_table, run_battery
 from .coincidence import orders_coincide
@@ -111,12 +111,11 @@ def _cmd_rank(rc: RunConfig) -> int:
 
 def _cmd_find_counterexample(rc: RunConfig) -> int:
     a, b = _pair_from_config(rc.config)
-    found = oracle_search(a, b, resolution=rc.resolution)
-    if found is None:
+    w = _oracle_witness(a, b, rc.resolution)
+    if w is None:
         payload = {"witness": None, "note": f"none at resolution {rc.resolution}"}
     else:
-        w = make_witness(a, b, *found, tol=rc.tol)
-        payload = {"witness": None if w is None else w.to_json_dict()}
+        payload = {"witness": w.to_json_dict() if w.within(rc.tol) else None}
     _emit(json.dumps(payload, sort_keys=True, indent=2), rc.output_path)
     return 0
 

@@ -239,11 +239,16 @@ def logarithm() -> Generator:
 
 def _logit(x: np.ndarray):
     # scipy.special.logit's formulas: log(x/(1-x)) loses precision near 1/2,
-    # where log1p(s) - log1p(-s) with s = 2(x - 1/2) keeps it; [()] gives a
-    # 0-d input a numpy scalar back, as a ufunc does
-    s = 2.0 * (x - 0.5)
+    # where log1p(s) - log1p(-s) with s = 2(x - 1/2) keeps it; each is
+    # evaluated on its own elements only; [()] gives a 0-d input a numpy
+    # scalar back, as a ufunc does
+    out = np.empty_like(x)
     near_half = (x >= 0.3) & (x <= 0.65)
-    return np.where(near_half, np.log1p(s) - np.log1p(-s), np.log(x / (1.0 - x)))[()]
+    s = 2.0 * (x[near_half] - 0.5)
+    out[near_half] = np.log1p(s) - np.log1p(-s)
+    far = x[~near_half]
+    out[~near_half] = np.log(far / (1.0 - far))
+    return out[()]
 
 
 def logit() -> Generator:

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +46,10 @@ from intervalorders import (
 )
 from intervalorders import admissibility
 from intervalorders.admissibility import (
+    ORACLE_CONFIRM,
+    WITNESS_GAP,
     _candidate_pairs,
+    _candidate_slices,
     _root_brackets,
     _saturation_verdict,
     quasi_view,
@@ -500,6 +505,22 @@ def _reference_candidate_pairs(lo, hi, va, vb, quantum):
     return sorted(oriented, key=lambda p: (lo[p[0]], hi[p[0]], lo[p[1]], hi[p[1]]))
 
 
+def all_candidate_pairs(va, vb, quantum):
+    """Every slice of :func:`_candidate_slices`, untruncated, as (m, n)
+    sorted by (m, n)."""
+    keys = [pair for pair, _ in _candidate_slices(va, vb, quantum)]
+    key = np.sort(np.concatenate([np.empty(0, np.int64), *keys]))
+    return key // va.size, key % va.size
+
+
+def in_slices(check, *args):
+    """``check(*args)`` with ``CANDIDATE_SLICE`` patched to 1, then to 7:
+    such slices split an interval's runs mid-way."""
+    for size in (1, 7):
+        with mock.patch.object(admissibility, "CANDIDATE_SLICE", size):
+            check(*args)
+
+
 class TestCandidatePairs:
     @pytest.mark.parametrize("a, b", [
         (geometric_mean(0.5), geometric_mean(0.5)),
@@ -511,7 +532,7 @@ class TestCandidatePairs:
         lo, hi = interval_grid(60)
         va, vb = a.values(lo, hi), b.values(lo, hi)
         for quantum in (1e-4, 1e-2):
-            m, n = _candidate_pairs(va, vb, quantum)
+            m, n = all_candidate_pairs(va, vb, quantum)
             assert list(zip(m.tolist(), n.tolist())) == \
                 _reference_candidate_pairs(lo, hi, va, vb, quantum)
 
@@ -523,21 +544,47 @@ class TestCandidatePairs:
         lo, hi = interval_grid(12)
         va = rng.integers(0, 6, lo.size) * 0.7e-4
         vb = rng.integers(0, 6, lo.size) * 0.9e-4
-        m, n = _candidate_pairs(va, vb, 1e-4)
-        assert list(zip(m.tolist(), n.tolist())) == \
-            _reference_candidate_pairs(lo, hi, va, vb, 1e-4)
+        want = _reference_candidate_pairs(lo, hi, va, vb, 1e-4)
+
+        def check():
+            m, n = all_candidate_pairs(va, vb, 1e-4)
+            assert list(zip(m.tolist(), n.tolist())) == want
+
+        check()
+        in_slices(check)
 
 
 def assert_same_as_five_offset_builder(va, vb, quantum):
-    m, n = _candidate_pairs(va, vb, quantum)
+    m, n = all_candidate_pairs(va, vb, quantum)
     want_m, want_n = reference_candidate_pairs(va, vb, quantum)
     assert m.dtype == want_m.dtype and n.dtype == want_n.dtype
     assert np.array_equal(m, want_m) and np.array_equal(n, want_n)
 
 
+def saturated_values(lo, hi):
+    """(A, B) value pairs on the grid (lo, hi) with many exact ties."""
+    t = tnorm(one_minus()).values(lo, hi)  # zero on most of the grid
+    s = tconorm(identity()).values(lo, hi)  # one on most of the grid
+    return (t, s), (s, t), (np.zeros_like(t), s), (t, np.full_like(t, 0.25))
+
+
+def assert_cut_at_the_first_direct_hit(lo, hi, va, vb, quantum):
+    """:func:`_candidate_pairs` is the full sorted list up to its first
+    direct hit, and that hit."""
+    m, n, hit = _candidate_pairs(lo, hi, va, vb, quantum)
+    want_m, want_n = reference_candidate_pairs(va, vb, quantum)
+    gap = np.maximum(np.abs(lo[want_m] - lo[want_n]), np.abs(hi[want_m] - hi[want_n]))
+    direct = np.flatnonzero((gap >= WITNESS_GAP)
+                            & (np.abs(va[want_m] - va[want_n]) <= ORACLE_CONFIRM)
+                            & (np.abs(vb[want_m] - vb[want_n]) <= ORACLE_CONFIRM))
+    stop = int(direct[0]) if direct.size else want_m.size
+    assert np.array_equal(m, want_m[:stop]) and np.array_equal(n, want_n[:stop])
+    assert hit == (None if stop == want_m.size else (want_m[stop], want_n[stop]))
+
+
 class TestCandidatePairsMatchFiveOffsetBuilder:
-    """The two key ranges give the arrays that one range per neighbouring
-    bucket gave."""
+    """The two key ranges, expanded a slice at a time, give the arrays that
+    one range per neighbouring bucket gave."""
 
     @pytest.mark.parametrize("resolution", [50, 100, 141, 200])
     def test_every_battery_pair(self, resolution):
@@ -546,22 +593,31 @@ class TestCandidatePairsMatchFiveOffsetBuilder:
             va, vb = case.a.values(lo, hi), case.b.values(lo, hi)
             for quantum in (1e-4, 1e-3):
                 assert_same_as_five_offset_builder(va, vb, quantum)
+            assert_cut_at_the_first_direct_hit(lo, hi, va, vb, 1e-4)
 
     def test_saturated_tnorms_and_a_constant_value(self):
         lo, hi = interval_grid(50)
-        t = tnorm(one_minus()).values(lo, hi)  # zero on most of the grid
-        s = tconorm(identity()).values(lo, hi)  # one on most of the grid
-        for va, vb in ((t, s), (s, t), (np.zeros_like(t), s), (t, np.full_like(t, 0.25))):
+        for va, vb in saturated_values(lo, hi):
             for quantum in (1e-4, 1e-2):
                 assert_same_as_five_offset_builder(va, vb, quantum)
+                assert_cut_at_the_first_direct_hit(lo, hi, va, vb, quantum)
+
+    def test_saturated_values_in_small_slices(self):
+        # a coarser grid than above: there, one-pair slices would number 10^6
+        lo, hi = interval_grid(12)
+        for va, vb in saturated_values(lo, hi):
+            for quantum in (1e-4, 1e-2):
+                in_slices(assert_same_as_five_offset_builder, va, vb, quantum)
+                in_slices(assert_cut_at_the_first_direct_hit, lo, hi, va, vb, quantum)
 
     def test_single_interval_and_single_cell(self):
         one = np.array([0.5])
         assert_same_as_five_offset_builder(one, one, 1e-4)
-        m, n = _candidate_pairs(one, one, 1e-4)
+        m, n = all_candidate_pairs(one, one, 1e-4)
         assert m.size == n.size == 0
         cell = np.linspace(0.30001, 0.30009, 7)
         assert_same_as_five_offset_builder(cell, cell[::-1].copy(), 1e-4)
+        in_slices(assert_same_as_five_offset_builder, cell, cell[::-1].copy(), 1e-4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -660,6 +716,42 @@ class TestOracleBlocks:
             assert _bits(oracle_search(a, b, resolution=resolution)) == \
                 _bits(reference_oracle_search(a, b, resolution=resolution)), case.label
 
+    # first blocks of 1 and 3 put the growing blocks' boundaries elsewhere;
+    # a first block above the cap starts at the cap
+    @pytest.mark.parametrize("first, cap", [(1, 4), (3, 64), (16, 5)])
+    def test_growing_blocks_match_the_per_candidate_loop(self, first, cap, monkeypatch):
+        monkeypatch.setattr(admissibility, "REFINE_FIRST", first)
+        monkeypatch.setattr(admissibility, "REFINE_BLOCK", cap)
+        for case in build_battery():
+            assert _bits(oracle_search(case.a, case.b, resolution=60)) == \
+                _bits(reference_oracle_search(case.a, case.b, resolution=60)), case.label
+
+    @pytest.mark.parametrize("first, cap, sizes", [
+        (None, None, [8, 16, 32, 64, 64, 64, 30]),
+        (1, 4, [1, 2, 4] + [4] * 67 + [3]),
+        (100, 128, [100, 128, 50]),
+    ])
+    def test_blocks_double_from_the_first_to_the_cap(self, first, cap, sizes, monkeypatch):
+        if first is not None:
+            monkeypatch.setattr(admissibility, "REFINE_FIRST", first)
+            monkeypatch.setattr(admissibility, "REFINE_BLOCK", cap)
+        refined = []
+
+        def record(a, b, lo, hi, va, vb, ms, ns, window):
+            refined.append((ms, ns))
+            return None
+
+        monkeypatch.setattr(admissibility, "_refine_block", record)
+        # 278 candidates and no direct hit at R=60
+        a, b = root_power_mean(3.0, 0.9), root_power_mean(3.0, 0.4)
+        assert oracle_search(a, b, resolution=60) is None
+        assert [ms.size for ms, _ in refined] == sizes
+        lo, hi = interval_grid(60)
+        want_m, want_n = reference_candidate_pairs(a.values(lo, hi), b.values(lo, hi),
+                                                   admissibility.ORACLE_QUANTUM)
+        assert np.array_equal(np.concatenate([ms for ms, _ in refined]), want_m)
+        assert np.array_equal(np.concatenate([ns for _, ns in refined]), want_n)
+
     @pytest.mark.parametrize("w", [0.26, 0.27, 0.28, 0.3])
     def test_weights_near_the_threshold(self, w):
         a, b = k_mean(w), exponential_mean(-1.0, 0.5)
@@ -730,6 +822,23 @@ class TestOracleBlocks:
             # every root the reference polishes, in the reference's order
             remaining = iter(got)
             assert all(root in remaining for root in want)
+
+
+class TestOracleMemory:
+    @pytest.mark.parametrize("label", [
+        "projection(0.5) vs projection(0.5)", "Lukasiewicz t-norm vs bounded sum"])
+    def test_pairs_after_the_first_direct_hit_are_never_held(self, label):
+        # both pairs have 671,650 candidates at R=200 and a direct hit at the
+        # third interval; holding every candidate took 28 MiB
+        case = next(c for c in build_battery() if c.label == label)
+        tracemalloc.start()
+        try:
+            found = oracle_search(case.a, case.b, resolution=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == (Interval(0.0, 0.01), Interval(0.005, 0.005))
+        assert peak <= 8 * 2**20
 
 
 class TestWeightOrderDiagnostic:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from intervalorders import (
     tnorm,
 )
 from intervalorders.admissibility import _bisect_hi, _level_hi
+from intervalorders.aggregators import _infinite_endpoint
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 weight = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
@@ -148,6 +150,64 @@ class TestQuasiLinear:
         af = exponential_mean(1.0, w)
         v = af(Interval(lo, hi))
         assert lo - 1e-9 <= v <= hi + 1e-9
+
+
+def reference_quasi_values(gen, w, lo, hi):
+    """M_{f,w} on endpoint arrays with every masking pass on every call: the
+    formula ``quasi_linear_mean`` evaluated before it skipped the passes
+    that cannot change its result."""
+    neg_end = _infinite_endpoint(gen, -1) if -math.inf in (gen.at_zero, gen.at_one) else None
+    pos_end = _infinite_endpoint(gen, +1) if math.inf in (gen.at_zero, gen.at_one) else None
+    with np.errstate(all="ignore"):
+        a = np.asarray(gen.fn(lo), dtype=float)
+        b = np.asarray(gen.fn(hi), dtype=float)
+        s = (1.0 - w) * a + w * b
+        s = np.where(np.isneginf(a) | np.isneginf(b), -math.inf, s)
+        finite = np.isfinite(s)
+        core = np.asarray(gen.inv(np.where(finite, s, 0.5)), dtype=float)
+        out = np.where(finite, core, 0.0)
+        if neg_end is not None:
+            out = np.where(np.isneginf(s), neg_end, out)
+        if pos_end is not None:
+            out = np.where(np.isposinf(s), pos_end, out)
+    return out
+
+
+QUASI_GENERATORS = [power(2.0), power(0.5), power(-1.0), exponential(1.5), exponential(-2.0),
+                    logarithm(), logit(), negated_log(), negated_log_complement(),
+                    identity(), one_minus()]
+# the endpoints, where generators can be infinite, NaN and values just inside
+QUASI_EDGES = [0.0, -0.0, 1.0, math.nan, 5e-324, 1.0 - 2.0**-53, 0.3, 0.65]
+
+
+class TestQuasiLinearValuesMatchFullFormula:
+    """``values`` skips the -inf pass without a -inf generator end and the
+    masking passes when every s is finite; the bits stay those of the full
+    formula."""
+
+    @staticmethod
+    def assert_same_bits(gen, w, lo, hi):
+        got = quasi_linear_mean(gen, w)._values(lo, hi)
+        want = reference_quasi_values(gen, w, lo, hi)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+    @pytest.mark.parametrize("gen", QUASI_GENERATORS, ids=lambda g: g.name)
+    def test_edges(self, gen):
+        lo, hi = (np.array(v) for v in zip(*itertools.product(QUASI_EDGES, repeat=2)))
+        for w in (0.3, 0.5):
+            self.assert_same_bits(gen, w, lo, hi)
+            self.assert_same_bits(gen, w, lo[-4:], hi[-4:])  # inside (0, 1) only
+            for x, y in zip(lo.tolist(), hi.tolist()):
+                self.assert_same_bits(gen, w, np.asarray(x), np.asarray(y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(QUASI_GENERATORS), weight,
+           st.lists(st.tuples(st.one_of(unit, st.sampled_from(QUASI_EDGES)), unit),
+                    min_size=1, max_size=24))
+    def test_draws(self, gen, w, ends):
+        lo, hi = (np.array(v) for v in zip(*ends))
+        self.assert_same_bits(gen, w, lo, hi)
 
 
 class TestSchurPairMean:

@@ -208,6 +208,43 @@ class TestLogitMatchesScipy:
         self.check(ys, inverse=True)
 
 
+def reference_logit(x):
+    """logit with both formulas evaluated on every element, as
+    ``generators._logit`` did before it split them."""
+    with np.errstate(all="ignore"):
+        x = np.asarray(x, dtype=float)
+        s = 2.0 * (x - 0.5)
+        near_half = (x >= 0.3) & (x <= 0.65)
+        return np.where(near_half, np.log1p(s) - np.log1p(-s), np.log(x / (1.0 - x)))[()]
+
+
+class TestLogitBranches:
+    """Each formula of logit is evaluated on its own elements only; the bits
+    stay those of evaluating both everywhere."""
+
+    EDGES = [0.3, 0.65, 0.0, 1.0, math.nan, -0.0, 0.5, 5e-324, 1.0 - 2.0**-53,
+             *(math.nextafter(v, d) for v in (0.3, 0.65) for d in (0.0, 1.0))]
+
+    @staticmethod
+    def assert_same_bits(xs):
+        got, want = logit().fn(xs), reference_logit(xs)
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+    def test_edges(self):
+        self.assert_same_bits(np.array(self.EDGES))
+        for x in self.EDGES:
+            self.assert_same_bits(x)
+        self.assert_same_bits(np.array([0.5, 0.4]))  # one formula only
+        self.assert_same_bits(np.array([0.1, 0.9]))
+        self.assert_same_bits(np.array([]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=48))
+    def test_draws(self, xs):
+        self.assert_same_bits(np.array(xs))
+
+
 EXPECTED_SHAPES = [
     # (f, g, convexity, increasing?)
     (power(2.0), power(0.5), Convexity.STRICTLY_CONCAVE, True),

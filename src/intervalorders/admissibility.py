@@ -22,14 +22,14 @@ The decision engine layers three kinds of evidence, strongest first:
     numeric scan, and the verdict's note says so.  Failed shape criteria
     are converted back into witnesses by locating a zero of the collision
     gap.
-3.  The oracle.  A quantized exhaustive scan over a triangular grid of
-    intervals.  Candidate pairs come from sorted (A, B) value buckets and
-    are refined along A's level curves, which every builtin family gives in
-    closed form through its generator's inverse (``solve_hi`` on the
-    descriptor; bisection is the fallback).  A root found there is accepted
-    only through ``make_witness`` at ``ORACLE_CONFIRM``, and such a witness
-    proves non-admissibility outright; an empty scan is evidence, not proof,
-    and is labelled as such.
+3.  The oracle.  A scan of A's level sets: the exact ties of a triangular
+    grid of intervals first, then B sampled along A's level curves, which
+    every builtin family gives in closed form through its generator's
+    inverse (``solve_hi`` on the descriptor; bisection is the fallback).
+    Each exact tie or turn of B along a curve is polished there and
+    accepted only through ``make_witness`` at ``ORACLE_CONFIRM``, and such
+    a witness proves non-admissibility outright; an empty scan is
+    evidence, not proof, and is labelled as such.
 
 Verdicts from (A, B) and (B, A) always agree in outcome because the defining
 condition is symmetric in the two components.
@@ -38,7 +38,6 @@ condition is symmetric in the two components.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,14 +69,10 @@ from .intervals import Interval, interval_grid
 
 WITNESS_TOL = 1e-9
 WITNESS_GAP = 1e-4
-ORACLE_QUANTUM = 1e-4
 ORACLE_CONFIRM = 1e-10
-# The oracle expands its candidate pairs this many at a time.
-CANDIDATE_SLICE = 4096
-# The oracle refines REFINE_FIRST candidates first, then blocks twice as
-# large each time, up to REFINE_BLOCK.
-REFINE_FIRST = 8
-REFINE_BLOCK = 64
+# The oracle counts a step of B along a level curve only beyond
+# TURN_TOL * max(1, |B|).
+TURN_TOL = 1e-12
 # The composite collision search decodes f-images of COLLISION_POINTS points
 # of [COLLISION_MARGIN, 1 - COLLISION_MARGIN].
 COLLISION_POINTS = 33
@@ -571,36 +566,42 @@ def _level_hi(a: AggregationFunction, x1s: np.ndarray, target
     return x2s, ok
 
 
-def _root_brackets(rows: np.ndarray, x1s: np.ndarray, x2s: np.ndarray, res: np.ndarray,
-                   ulo: np.ndarray, uhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sample index pairs (first, last) that may bracket a collision
-    along the level curves of a block: (k, k + 1) for a sign flip of the
-    B-residual ``res`` between consecutive samples of a row, (k, k) for an
-    exact zero at least ``WITNESS_GAP`` from u = [ulo, uhi] of its row.
-    They come by row, then flips before zeros, each in sample order.
+def _steps(bs: np.ndarray) -> np.ndarray:
+    """The steps of B between consecutive samples of each row of ``bs``:
+    1 up and -1 down where B moves by more than ``TURN_TOL`` * max(1, |B|)
+    at either end, else 0 (a NaN hole included)."""
+    lead, trail = bs[:, :-1], bs[:, 1:]
+    tol = TURN_TOL * np.maximum(1.0, np.maximum(np.abs(lead), np.abs(trail)))
+    d = trail - lead
+    return (d > tol).astype(np.int8) - (d < -tol)
 
-    ``rows`` labels each sample (non-decreasing).  A flip is dropped as the
-    trivial root x = u when its root, estimated linearly in the residual
-    and then in x2, lies below the flip's upper sample and within half the
-    distinctness floor of u, with 1e-12 to spare for rounding: so no flip
-    is dropped that the per-candidate reference loop, which estimates x2
-    with ``np.interp``, would polish.
+
+def _level_roots(bs: np.ndarray, steps: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The roots to try along sampled level curves: ``bs`` holds B at the
+    samples of one curve per row, NaN where the curve has no point, and
+    ``steps`` is ``_steps(bs)``.  Returns parallel arrays (row, u, first,
+    last) of sample indices.
+
+    Two consecutive samples with exactly equal B are an exact tie: u is the
+    first, and first == last the second.  A *turn* is a step up followed by
+    a step down, or the reverse.  Of the turning sample's two neighbours, u
+    is the one whose B is nearer the turning value (the earlier one when
+    both are as near); the step on the far side, (first, last), brackets
+    B = B(u).  Roots come by row, then by the index of their earliest
+    sample.
     """
-    sign = np.sign(res)
-    k = np.flatnonzero((rows[:-1] == rows[1:]) & (sign[:-1] * sign[1:] < 0))
-    x1a, x1b = x1s[k], x1s[k + 1]
-    r0, r1 = np.abs(res[k]), np.abs(res[k + 1])
-    root = x1a + (x1b - x1a) * r0 / (r0 + r1)
-    x2_est = (x2s[k + 1] - x2s[k]) / (x1b - x1a) * (root - x1a) + x2s[k]
-    r = rows[k]
-    gap_est = np.maximum(np.abs(root - ulo[r]), np.abs(x2_est - uhi[r]))
-    flips = k[~((root < x1b) & (gap_est < 0.5 * WITNESS_GAP - 1e-12))]
-    gap = np.maximum(np.abs(x1s - ulo[rows]), np.abs(x2s - uhi[rows]))
-    zeros = np.flatnonzero((res == 0.0) & (gap >= WITNESS_GAP))
-    first = np.concatenate([flips, zeros])
-    # a stable sort by row keeps flips before zeros, each in sample order
-    order = np.argsort(rows[first], kind="stable")
-    return first[order], np.concatenate([flips + 1, zeros])[order]
+    tie_row, tie_k = np.nonzero(bs[:, :-1] == bs[:, 1:])
+    turn_row, turn_k = np.nonzero(steps[:, :-1] * steps[:, 1:] < 0)
+    lead, trail = bs[turn_row, turn_k], bs[turn_row, turn_k + 2]
+    # the nearer neighbour is the higher one at a peak, the lower at a trough
+    near_lead = np.where(steps[turn_row, turn_k] > 0, lead >= trail, lead <= trail)
+    row = np.concatenate([tie_row, turn_row])
+    u = np.concatenate([tie_k, np.where(near_lead, turn_k, turn_k + 2)])
+    first = np.concatenate([tie_k + 1, np.where(near_lead, turn_k + 1, turn_k)])
+    last = np.concatenate([tie_k + 1, first[tie_k.size:] + 1])
+    order = np.lexsort((np.concatenate([tie_k, turn_k]), row))
+    return row[order], u[order], first[order], last[order]
 
 
 def _level_curve_witness(a: AggregationFunction, b: AggregationFunction, u: Interval,
@@ -629,168 +630,110 @@ def _level_curve_witness(a: AggregationFunction, b: AggregationFunction, u: Inte
     return make_witness(a, b, u, Interval(x1a, x2), ORACLE_CONFIRM)
 
 
-def _refine_block(a: AggregationFunction, b: AggregationFunction,
-                  lo: np.ndarray, hi: np.ndarray, va: np.ndarray, vb: np.ndarray,
-                  ms: np.ndarray, ns: np.ndarray, window: float) -> Witness | None:
-    """Refine the candidates (u, x) = (grid[m], grid[n]) of one block in
-    array passes; the first root, in :func:`_root_brackets` order, that
-    :func:`_level_curve_witness` accepts through ``make_witness`` at
-    ``ORACLE_CONFIRM`` wins.
+def _grid_tie(a: AggregationFunction, b: AggregationFunction,
+              lo: np.ndarray, hi: np.ndarray) -> Witness | None:
+    """The first grid pair, in index order, whose A and B values are
+    exactly equal, accepted through ``make_witness``; None when there is
+    none.
 
-    Each candidate samples A's level curve through u at 201 x1 values in a
-    window around x.lo; the whole block takes one ``linspace``, one
-    :func:`_level_hi` call with per-row targets and one ``b.values`` call.
+    One stable ``lexsort`` by (A, B) puts each class of equal values in a
+    run in index order, so the smallest pair (m, n) with m < n is a pair
+    of neighbours in it.
     """
-    ulo, uhi, ta, tb = lo[ms], hi[ms], va[ms], vb[ms]
-    xlo = lo[ns]
-    n_samples = 201
-    x1s = np.linspace(np.maximum(0.0, xlo - window), np.minimum(1.0, xlo + window),
-                      n_samples, axis=1).ravel()
-    rows = np.repeat(np.arange(ms.size), n_samples)
-    x2s, ok = _level_hi(a, x1s, ta[rows])
-    x1s, x2s, rows = x1s[ok], x2s[ok], rows[ok]
-    res = b.values(x1s, x2s) - tb[rows]
-    first, last = _root_brackets(rows, x1s, x2s, res, ulo, uhi)
-    for i, j in zip(first.tolist(), last.tolist()):
-        r = rows[i]
-        u = Interval(float(ulo[r]), float(uhi[r]))
-        w = _level_curve_witness(a, b, u, float(ta[r]), float(tb[r]),
+    va, vb = a.values(lo, hi), b.values(lo, hi)
+    order = np.lexsort((vb, va))
+    m, n = order[:-1], order[1:]
+    gap = np.maximum(np.abs(lo[m] - lo[n]), np.abs(hi[m] - hi[n]))
+    tie = np.flatnonzero((va[m] == va[n]) & (vb[m] == vb[n]) & (gap >= WITNESS_GAP))
+    if tie.size == 0:
+        return None
+    # interval_grid is in lexicographic order of (lo, hi), so index order
+    # is the lexicographic order of (u, x)
+    first = tie[np.argmin(m[tie])]
+    return make_witness(a, b, Interval(float(lo[m[first]]), float(hi[m[first]])),
+                        Interval(float(lo[n[first]]), float(hi[n[first]])), ORACLE_CONFIRM)
+
+
+def _scan_levels(a: AggregationFunction, b: AggregationFunction,
+                 x1: np.ndarray, levels: np.ndarray) -> tuple[Witness | None, np.ndarray]:
+    """Sample A's level curves at ``levels`` at the x1 values ``x1`` (one
+    :func:`_level_hi` call and one ``b.values`` call for all of them) and
+    try their roots (:func:`_level_roots`) in order through
+    :func:`_level_curve_witness`.  Returns the first accepted witness, or
+    None, and each curve's direction: 1 where B only rises along it, -1
+    where it only falls, else 0."""
+    x1s = np.tile(x1, levels.size)
+    x2s, ok = _level_hi(a, x1s, np.repeat(levels, x1.size))
+    bs = np.full(x1s.size, np.nan)
+    bs[ok] = b.values(x1s[ok], x2s[ok])
+    grid = bs.reshape(levels.size, x1.size)
+    steps = _steps(grid)
+    direction = (steps > 0).any(axis=1).astype(np.int8) - (steps < 0).any(axis=1)
+    rows, us, firsts, lasts = _level_roots(grid, steps)
+    for r, k, i, j in zip(rows.tolist(), us.tolist(), firsts.tolist(), lasts.tolist()):
+        k, i, j = (r * x1.size + t for t in (k, i, j))
+        u = Interval(float(x1s[k]), float(x2s[k]))
+        w = _level_curve_witness(a, b, u, float(levels[r]), float(bs[k]),
                                  float(x1s[i]), float(x1s[j]), float(x2s[i]))
         if w is not None:
-            return w
-    return None
-
-
-def _candidate_slices(va: np.ndarray, vb: np.ndarray, quantum: float
-                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every index pair (m, n), m < n, of grid intervals whose (A, B) values
-    fall in the same or adjacent ``quantum`` buckets and differ by at most
-    1.5 quanta in both, as one int64 key per pair, m * size + n, which sorts
-    in the order of (m, n).  The keys come in slices of at most
-    ``CANDIDATE_SLICE`` pairs, in no particular order; each slice is (keys,
-    close), where ``close`` holds the keys of the pairs whose values agree
-    to ``ORACLE_CONFIRM`` in both.
-
-    Buckets are keyed by one int64 per interval, ka * row + kb, and found by
-    sorting.  The canonical half of an interval's 8-neighbourhood is then two
-    runs of the sorted keys: the members after it in its own bucket plus
-    bucket (ka, kb + 1), and buckets (ka + 1, kb - 1 .. kb + 1).  Each
-    interval is paired with both runs, found by three ``searchsorted``
-    calls over all intervals, so every pair at key distance at most one per
-    coordinate comes out exactly once.  The pairs of a run, listed interval
-    by interval, are expanded a slice of that list at a time.
-    """
-    size = va.size
-    ka = np.floor(va / quantum).astype(np.int64)
-    kb = np.floor(vb / quantum).astype(np.int64)
-    kb -= kb.min()
-    row = int(kb.max()) + 2  # the empty last column keeps offsets of -1..1 in their row
-    key = ka * row + kb
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    pos = np.arange(size)
-    runs = [(pos + 1, np.searchsorted(skey, skey + 1, "right")),
-            (np.searchsorted(skey, skey + (row - 1), "left"),
-             np.searchsorted(skey, skey + (row + 1), "right"))]
-    limit = quantum * 1.5
-    for first, last in runs:
-        count = last - first
-        ends = np.cumsum(count)
-        offset = first - ends + count  # pair j of position p pairs it with offset[p] + j
-        total = int(ends[-1])
-        for j0 in range(0, total, CANDIDATE_SLICE):
-            j1 = min(j0 + CANDIDATE_SLICE, total)
-            # the positions whose pairs meet j0 .. j1 - 1, and how many of each
-            p0, p1 = np.searchsorted(ends, [j0, j1 - 1], "right").tolist()
-            c = count[p0:p1 + 1].copy()
-            c[0] = ends[p0] - j0
-            c[-1] -= ends[p1] - j1
-            p = np.repeat(np.arange(p0, p1 + 1), c)
-            m, n = order[p], order[offset[p] + np.arange(j0, j1)]
-            pair = np.minimum(m, n) * size + np.maximum(m, n)
-            da, db = np.abs(va[m] - va[n]), np.abs(vb[m] - vb[n])
-            keep = ~((da > limit) | (db > limit))
-            yield pair[keep], pair[keep & (da <= ORACLE_CONFIRM) & (db <= ORACLE_CONFIRM)]
-
-
-def _candidate_pairs(lo: np.ndarray, hi: np.ndarray, va: np.ndarray, vb: np.ndarray,
-                     quantum: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
-    """The candidate pairs of :func:`_candidate_slices` before the first
-    direct hit, ordered by (m, n), and that hit's (m, n), or None.
-
-    A direct hit is a candidate whose values agree to ``ORACLE_CONFIRM`` in
-    both and whose endpoints are at least ``WITNESS_GAP`` apart.  Only the
-    pairs below the smallest direct-hit key seen so far are kept, and they
-    are sorted at the end, so memory beyond the grid is one slice plus the
-    candidates before the first direct hit.
-    """
-    size = va.size
-    stop = size * size  # the key of the first direct hit seen so far
-    kept = [np.empty(0, np.int64)]
-    for pair, close in _candidate_slices(va, vb, quantum):
-        if close.size:
-            m, n = np.divmod(close, size)
-            gap = np.maximum(np.abs(lo[m] - lo[n]), np.abs(hi[m] - hi[n]))
-            hit = int(close[gap >= WITNESS_GAP].min(initial=stop))
-            if hit < stop:
-                stop = hit
-                kept = [k[k < stop] for k in kept]
-        kept.append(pair[pair < stop])
-    pair = np.sort(np.concatenate(kept))
-    return pair // size, pair % size, (divmod(stop, size) if stop < size * size else None)
+            return w, direction
+    return None, direction
 
 
 def _oracle_witness(a: AggregationFunction, b: AggregationFunction,
                     resolution: int) -> Witness | None:
     """The witness :func:`oracle_search` reports, accepted by
-    ``make_witness`` at ``ORACLE_CONFIRM``; None when there is none."""
+    ``make_witness`` at ``ORACLE_CONFIRM``; None when there is none.
+
+    First the exact ties of the grid (:func:`_grid_tie`), which cover A's
+    levels 0 and 1, where a saturating A's level set is not a curve.  Then
+    the ``resolution`` - 1 interior levels j / ``resolution``, each sampled
+    at ``resolution`` cosine-spaced x1, denser near 0 and 1, where the
+    curves meet the boundary (:func:`_scan_levels`).  Last, where B rises
+    along one of those curves and falls along the next, or the reverse,
+    some level between them has a turn, or equal B at the curve's two
+    ends: the level is bisected, one sampled curve at a time, until a root
+    is accepted, a curve has no single direction or no float is left
+    between the two levels.
+    """
     if resolution < 50:
         raise ValueError("oracle resolution must be at least 50")
-    lo, hi = interval_grid(resolution)
-    va = a.values(lo, hi)
-    vb = b.values(lo, hi)
-    window = 2.5 / resolution
-    # interval_grid is in lexicographic order of (lo, hi), so the index
-    # order of the candidates is the lexicographic order of (u, x)
-    ms, ns, hit = _candidate_pairs(lo, hi, va, vb, ORACLE_QUANTUM)
-    start, block = 0, min(REFINE_FIRST, REFINE_BLOCK)
-    while start < ms.size:
-        w = _refine_block(a, b, lo, hi, va, vb, ms[start:start + block],
-                          ns[start:start + block], window)
-        if w is not None:
-            return w
-        start += block
-        block = min(2 * block, REFINE_BLOCK)
-    if hit is None:
-        return None
-    m, n = hit
-    return make_witness(a, b, Interval(float(lo[m]), float(hi[m])),
-                        Interval(float(lo[n]), float(hi[n])), ORACLE_CONFIRM)
+    w = _grid_tie(a, b, *interval_grid(resolution))
+    if w is not None:
+        return w
+    x1 = 0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, resolution))
+    levels = np.arange(1, resolution) / resolution
+    w, direction = _scan_levels(a, b, x1, levels)
+    if w is not None:
+        return w
+    for j in np.flatnonzero(direction[:-1] * direction[1:] < 0).tolist():
+        lo, hi = float(levels[j]), float(levels[j + 1])
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            w, (d,) = _scan_levels(a, b, x1, np.array([mid]))
+            if w is not None:
+                return w
+            if d == direction[j]:
+                lo = mid
+            elif d == direction[j + 1]:
+                hi = mid
+            else:
+                break
+    return None
 
 
 def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
                   resolution: int = 200) -> tuple[Interval, Interval] | None:
-    """Exhaustive quantized scan for a simultaneous collision of A and B.
+    """Scan for a simultaneous collision of A and B along A's level sets.
 
-    All grid intervals are bucketed by their (A, B) values rounded to
-    ``ORACLE_QUANTUM``; pairs in the same or adjacent buckets whose values
-    differ by at most 1.5 quanta are candidates, in lexicographic order of
-    (u, x), read off the sorted bucket keys as two ranges per interval and
-    expanded ``CANDIDATE_SLICE`` pairs at a time (:func:`_candidate_slices`).
-    A candidate whose values already agree to ``ORACLE_CONFIRM`` is a direct
-    hit; the candidates at and after the first one are dropped slice by
-    slice, before any sort (:func:`_candidate_pairs`).  The candidates
-    before it are refined along the closed-form A-level curve through u,
-    ``REFINE_FIRST`` first, then in blocks that double up to
-    ``REFINE_BLOCK`` (:func:`_refine_block`); each root that is not
-    certainly the trivial one is polished by the array-valued
-    :func:`bisect_root`.  Returns the first refined pair, then the direct
-    hit, that ``make_witness`` accepts at ``ORACLE_CONFIRM``, or None.  An
+    The first pair of ``interval_grid(resolution)`` intervals with exactly
+    equal A and B values wins; otherwise B is sampled along A's closed-form
+    level curves at ``resolution`` - 1 interior levels, each exact tie or
+    turn of B there is polished by the array-valued :func:`bisect_root`,
+    and the level between two curves along which B runs in opposite
+    directions is bisected (:func:`_oracle_witness`).  Returns the first
+    pair that ``make_witness`` accepts at ``ORACLE_CONFIRM``, or None.  An
     empty result is evidence at this resolution, not a proof of
     admissibility.
-
-    Memory beyond the grid's arrays is one slice, the candidates before the
-    first direct hit and one refine block, not the full candidate list.
     """
     w = _oracle_witness(a, b, resolution)
     return None if w is None else (w.u, w.x)

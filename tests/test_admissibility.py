@@ -4,7 +4,6 @@ import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,20 +46,14 @@ from intervalorders import (
 from intervalorders import admissibility
 from intervalorders.admissibility import (
     ORACLE_CONFIRM,
-    WITNESS_GAP,
-    _candidate_pairs,
-    _candidate_slices,
-    _root_brackets,
+    TURN_TOL,
+    _level_roots,
     _saturation_verdict,
+    _scan_levels,
+    _steps,
     quasi_view,
 )
-from intervalorders.intervals import interval_grid
-from oracle_reference import (
-    reference_candidate_pairs,
-    reference_oracle_search,
-    reference_row_roots,
-    reference_tail_roots,
-)
+from coverage_sweep import sweep_pairs
 
 
 def assert_valid_witness(verdict, a, b, tol=1e-9):
@@ -486,149 +479,10 @@ class TestBatteryRules:
             assert got == want
 
 
-def _reference_candidate_pairs(lo, hi, va, vb, quantum):
-    """The oracle's candidate pairs built with dicts of lists, sorted by the
-    lexicographic key of the oriented pair."""
-    ka = np.floor(va / quantum).astype(np.int64)
-    kb = np.floor(vb / quantum).astype(np.int64)
-    buckets: dict = {}
-    for idx in range(lo.size):
-        buckets.setdefault((int(ka[idx]), int(kb[idx])), []).append(idx)
-    pairs = []
-    for (i, j), members in buckets.items():
-        pairs.extend((m, n) for k, m in enumerate(members) for n in members[k + 1:])
-        for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
-            pairs.extend((m, n) for m in members for n in buckets.get((i + di, j + dj), []))
-    pairs = [(m, n) for m, n in pairs
-             if not (abs(va[m] - va[n]) > quantum * 1.5 or abs(vb[m] - vb[n]) > quantum * 1.5)]
-    oriented = [(m, n) if (lo[m], hi[m]) < (lo[n], hi[n]) else (n, m) for m, n in pairs]
-    return sorted(oriented, key=lambda p: (lo[p[0]], hi[p[0]], lo[p[1]], hi[p[1]]))
-
-
-def all_candidate_pairs(va, vb, quantum):
-    """Every slice of :func:`_candidate_slices`, untruncated, as (m, n)
-    sorted by (m, n)."""
-    keys = [pair for pair, _ in _candidate_slices(va, vb, quantum)]
-    key = np.sort(np.concatenate([np.empty(0, np.int64), *keys]))
-    return key // va.size, key % va.size
-
-
-def in_slices(check, *args):
-    """``check(*args)`` with ``CANDIDATE_SLICE`` patched to 1, then to 7:
-    such slices split an interval's runs mid-way."""
-    for size in (1, 7):
-        with mock.patch.object(admissibility, "CANDIDATE_SLICE", size):
-            check(*args)
-
-
-class TestCandidatePairs:
-    @pytest.mark.parametrize("a, b", [
-        (geometric_mean(0.5), geometric_mean(0.5)),
-        (logit_mean(0.5), exponential_mean(1.0, 0.5)),
-        (tnorm(one_minus()), tconorm(negated_log_complement())),
-        (k_mean(0.3), k_mean(0.7)),
-    ], ids=lambda af: af.name)
-    def test_matches_dict_bucketing_on_the_grid(self, a, b):
-        lo, hi = interval_grid(60)
-        va, vb = a.values(lo, hi), b.values(lo, hi)
-        for quantum in (1e-4, 1e-2):
-            m, n = all_candidate_pairs(va, vb, quantum)
-            assert list(zip(m.tolist(), n.tolist())) == \
-                _reference_candidate_pairs(lo, hi, va, vb, quantum)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_matches_dict_bucketing_on_crowded_buckets(self, seed):
-        # values on a coarse lattice put many intervals in few buckets
-        rng = np.random.default_rng(seed)
-        lo, hi = interval_grid(12)
-        va = rng.integers(0, 6, lo.size) * 0.7e-4
-        vb = rng.integers(0, 6, lo.size) * 0.9e-4
-        want = _reference_candidate_pairs(lo, hi, va, vb, 1e-4)
-
-        def check():
-            m, n = all_candidate_pairs(va, vb, 1e-4)
-            assert list(zip(m.tolist(), n.tolist())) == want
-
-        check()
-        in_slices(check)
-
-
-def assert_same_as_five_offset_builder(va, vb, quantum):
-    m, n = all_candidate_pairs(va, vb, quantum)
-    want_m, want_n = reference_candidate_pairs(va, vb, quantum)
-    assert m.dtype == want_m.dtype and n.dtype == want_n.dtype
-    assert np.array_equal(m, want_m) and np.array_equal(n, want_n)
-
-
-def saturated_values(lo, hi):
-    """(A, B) value pairs on the grid (lo, hi) with many exact ties."""
-    t = tnorm(one_minus()).values(lo, hi)  # zero on most of the grid
-    s = tconorm(identity()).values(lo, hi)  # one on most of the grid
-    return (t, s), (s, t), (np.zeros_like(t), s), (t, np.full_like(t, 0.25))
-
-
-def assert_cut_at_the_first_direct_hit(lo, hi, va, vb, quantum):
-    """:func:`_candidate_pairs` is the full sorted list up to its first
-    direct hit, and that hit."""
-    m, n, hit = _candidate_pairs(lo, hi, va, vb, quantum)
-    want_m, want_n = reference_candidate_pairs(va, vb, quantum)
-    gap = np.maximum(np.abs(lo[want_m] - lo[want_n]), np.abs(hi[want_m] - hi[want_n]))
-    direct = np.flatnonzero((gap >= WITNESS_GAP)
-                            & (np.abs(va[want_m] - va[want_n]) <= ORACLE_CONFIRM)
-                            & (np.abs(vb[want_m] - vb[want_n]) <= ORACLE_CONFIRM))
-    stop = int(direct[0]) if direct.size else want_m.size
-    assert np.array_equal(m, want_m[:stop]) and np.array_equal(n, want_n[:stop])
-    assert hit == (None if stop == want_m.size else (want_m[stop], want_n[stop]))
-
-
-class TestCandidatePairsMatchFiveOffsetBuilder:
-    """The two key ranges, expanded a slice at a time, give the arrays that
-    one range per neighbouring bucket gave."""
-
-    @pytest.mark.parametrize("resolution", [50, 100, 141, 200])
-    def test_every_battery_pair(self, resolution):
-        lo, hi = interval_grid(resolution)
-        for case in build_battery():
-            va, vb = case.a.values(lo, hi), case.b.values(lo, hi)
-            for quantum in (1e-4, 1e-3):
-                assert_same_as_five_offset_builder(va, vb, quantum)
-            assert_cut_at_the_first_direct_hit(lo, hi, va, vb, 1e-4)
-
-    def test_saturated_tnorms_and_a_constant_value(self):
-        lo, hi = interval_grid(50)
-        for va, vb in saturated_values(lo, hi):
-            for quantum in (1e-4, 1e-2):
-                assert_same_as_five_offset_builder(va, vb, quantum)
-                assert_cut_at_the_first_direct_hit(lo, hi, va, vb, quantum)
-
-    def test_saturated_values_in_small_slices(self):
-        # a coarser grid than above: there, one-pair slices would number 10^6
-        lo, hi = interval_grid(12)
-        for va, vb in saturated_values(lo, hi):
-            for quantum in (1e-4, 1e-2):
-                in_slices(assert_same_as_five_offset_builder, va, vb, quantum)
-                in_slices(assert_cut_at_the_first_direct_hit, lo, hi, va, vb, quantum)
-
-    def test_single_interval_and_single_cell(self):
-        one = np.array([0.5])
-        assert_same_as_five_offset_builder(one, one, 1e-4)
-        m, n = all_candidate_pairs(one, one, 1e-4)
-        assert m.size == n.size == 0
-        cell = np.linspace(0.30001, 0.30009, 7)
-        assert_same_as_five_offset_builder(cell, cell[::-1].copy(), 1e-4)
-        in_slices(assert_same_as_five_offset_builder, cell, cell[::-1].copy(), 1e-4)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_keys_in_the_first_and_last_b_columns(self, seed):
-        # B's buckets crowd 0 and the top one, where the (ka, kb + 1) and
-        # (ka + 1, kb - 1) neighbours fall into the empty key column
-        rng = np.random.default_rng(seed)
-        size = int(rng.integers(1, 400))
-        va = rng.integers(0, 8, size) * 0.6e-4
-        vb = rng.choice([0.0, 1e-4, 2.4e-4, 2.9e-4], size) + rng.random(size) * 0.5e-4
-        assert_same_as_five_offset_builder(va, vb, 1e-4)
+def _without_closed_form(af):
+    """A with its values but a descriptor that has no ``solve_hi``, so every
+    level curve is bisected with one target per row."""
+    return AggregationFunction(f"plain {af.name}", object(), af._values)
 
 
 class TestOracle:
@@ -662,182 +516,231 @@ class TestOracle:
             oracle_search(k_mean(0.3), k_mean(0.7), resolution=40)
 
     def test_flat_level_set_gives_the_lexicographically_smallest_pair(self):
-        # T = Lukasiewicz is 0 on a whole region; refining there along the
-        # top of that flat level set would return [0, 0.19] vs [0.1, 0.1]
+        # T = Lukasiewicz is 0 on a whole region, where its level set is not
+        # a curve; the first grid pair with exactly equal T and S values
+        # comes back
         a, b = tnorm(one_minus()), tconorm(negated_log_complement())
         u, x = oracle_search(a, b, resolution=100)
-        assert u == Interval(0.0, 0.02)
+        assert (u, x) == (Interval(0.0, 0.19), Interval(0.1, 0.1))
         assert make_witness(a, b, u, x) is not None
 
-    def test_battery_at_resolution_100(self):
+    @pytest.mark.parametrize("resolution", [100, 200])
+    def test_battery_in_both_orientations(self, resolution):
         for case in build_battery():
-            found = oracle_search(case.a, case.b, resolution=100)
-            assert (found is None) == (case.expected is Outcome.ADMISSIBLE), case.label
-            if found is not None:
-                assert make_witness(case.a, case.b, *found) is not None, case.label
-
-
-def _bits(found):
-    """found/None and the exact bits of u and x."""
-    return None if found is None else tuple(v.hex() for z in found for v in z.as_tuple())
-
-
-def _without_closed_form(af):
-    """A with its values but a descriptor that has no ``solve_hi``, so every
-    level curve is bisected with one target per row."""
-    return AggregationFunction(f"plain {af.name}", object(), af._values)
-
-
-# offsets that put u at, just inside and just outside the gap bounds
-# (0.5e-4 for a flip's estimated root, 1e-4 for an exact zero)
-near_bound = st.sampled_from([0.0, 1e-5, 4.9999e-5, 5e-5, 5.0001e-5, 9.9999e-5, 1e-4, 2e-4])
-residual = st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, 1e-300]),
-                     st.floats(min_value=-1e-3, max_value=1e-3))
-# one row of level-curve samples: first x1, x1 step, (x2 - x1, residual) per
-# sample, the sample u sits near, u's offsets from it and their signs
-sample_row = st.tuples(
-    st.floats(min_value=0.0, max_value=0.9), st.sampled_from([1e-5, 4e-5, 1.25e-4, 4e-4]),
-    st.lists(st.tuples(st.floats(min_value=0.0, max_value=0.05), residual),
-             min_size=1, max_size=10),
-    st.integers(0, 9), near_bound, near_bound, st.booleans(), st.booleans())
-
-
-class TestOracleBlocks:
-    """The block refinement against the per-candidate loop it replaced."""
-
-    # blocks of 1 and 7 put block boundaries mid-list; rows never share a flip
-    @pytest.mark.parametrize("resolution, block, swap", [
-        (60, None, False), (100, None, False), (100, None, True), (60, 1, False), (60, 7, False)])
-    def test_battery_matches_the_per_candidate_loop(self, resolution, block, swap, monkeypatch):
-        if block is not None:
-            monkeypatch.setattr(admissibility, "REFINE_BLOCK", block)
-        for case in build_battery():
-            a, b = (case.b, case.a) if swap else (case.a, case.b)
-            assert _bits(oracle_search(a, b, resolution=resolution)) == \
-                _bits(reference_oracle_search(a, b, resolution=resolution)), case.label
-
-    # first blocks of 1 and 3 put the growing blocks' boundaries elsewhere;
-    # a first block above the cap starts at the cap
-    @pytest.mark.parametrize("first, cap", [(1, 4), (3, 64), (16, 5)])
-    def test_growing_blocks_match_the_per_candidate_loop(self, first, cap, monkeypatch):
-        monkeypatch.setattr(admissibility, "REFINE_FIRST", first)
-        monkeypatch.setattr(admissibility, "REFINE_BLOCK", cap)
-        for case in build_battery():
-            assert _bits(oracle_search(case.a, case.b, resolution=60)) == \
-                _bits(reference_oracle_search(case.a, case.b, resolution=60)), case.label
-
-    @pytest.mark.parametrize("first, cap, sizes", [
-        (None, None, [8, 16, 32, 64, 64, 64, 30]),
-        (1, 4, [1, 2, 4] + [4] * 67 + [3]),
-        (100, 128, [100, 128, 50]),
-    ])
-    def test_blocks_double_from_the_first_to_the_cap(self, first, cap, sizes, monkeypatch):
-        if first is not None:
-            monkeypatch.setattr(admissibility, "REFINE_FIRST", first)
-            monkeypatch.setattr(admissibility, "REFINE_BLOCK", cap)
-        refined = []
-
-        def record(a, b, lo, hi, va, vb, ms, ns, window):
-            refined.append((ms, ns))
-            return None
-
-        monkeypatch.setattr(admissibility, "_refine_block", record)
-        # 278 candidates and no direct hit at R=60
-        a, b = root_power_mean(3.0, 0.9), root_power_mean(3.0, 0.4)
-        assert oracle_search(a, b, resolution=60) is None
-        assert [ms.size for ms, _ in refined] == sizes
-        lo, hi = interval_grid(60)
-        want_m, want_n = reference_candidate_pairs(a.values(lo, hi), b.values(lo, hi),
-                                                   admissibility.ORACLE_QUANTUM)
-        assert np.array_equal(np.concatenate([ms for ms, _ in refined]), want_m)
-        assert np.array_equal(np.concatenate([ns for _, ns in refined]), want_n)
-
-    @pytest.mark.parametrize("w", [0.26, 0.27, 0.28, 0.3])
-    def test_weights_near_the_threshold(self, w):
-        a, b = k_mean(w), exponential_mean(-1.0, 0.5)
-        for resolution in (100, 200):
-            assert _bits(oracle_search(a, b, resolution=resolution)) == \
-                _bits(reference_oracle_search(a, b, resolution=resolution))
+            for a, b in ((case.a, case.b), (case.b, case.a)):
+                found = oracle_search(a, b, resolution=resolution)
+                assert (found is None) == (case.expected is Outcome.ADMISSIBLE), case.label
+                if found is not None:
+                    assert make_witness(a, b, *found, ORACLE_CONFIRM) is not None, case.label
 
     @pytest.mark.parametrize("a, b", [
         (root_power_mean(1.5, 0.5), exponential_mean(1.0, 0.5)),
         (geometric_mean(0.4), exponential_mean(-2.0, 0.4)),
         (schur_pair_mean(power(2.0)), schur_pair_mean(power(2.0))),
         (root_power_mean(3.0, 0.9), root_power_mean(3.0, 0.4)),
+        (k_mean(0.3), exponential_mean(-1.0, 0.5)),
     ], ids=lambda af: af.name)
     def test_descriptor_without_closed_form(self, a, b):
+        # bisected level curves find a collision exactly when the closed
+        # form does
         plain = _without_closed_form(a)
-        assert _bits(oracle_search(plain, b, resolution=60)) == \
-            _bits(reference_oracle_search(plain, b, resolution=60))
+        found = oracle_search(plain, b, resolution=60)
+        assert (found is None) == (oracle_search(a, b, resolution=60) is None)
+        if found is not None:
+            assert make_witness(plain, b, *found, ORACLE_CONFIRM) is not None
 
-    def test_array_rejections_keep_every_root_the_scalar_test_polishes(self, monkeypatch):
-        tried = set()
+    def test_roots_are_tried_in_order_and_the_first_accepted_wins(self, monkeypatch):
+        tried = []
+        accept = admissibility._level_curve_witness
 
         def record(a, b, u, target_a, target_b, x1a, x1b, x2):
-            tried.add((u.as_tuple(), x1a, x1b))
+            tried.append((target_a, min(u.lo, x1a, x1b)))
+            if len(tried) == 3:
+                return accept(a, b, u, target_a, target_b, x1a, x1b, x2)
             return None
 
         monkeypatch.setattr(admissibility, "_level_curve_witness", record)
-        kept = 0
-        for case in build_battery():
-            tried.clear()
-            oracle_search(case.a, case.b, resolution=60)
-            roots = reference_tail_roots(case.a, case.b, resolution=60)
-            assert roots <= tried, case.label
-            kept += len(roots)
-        assert kept > 0
+        a, b = k_mean(0.3), exponential_mean(-1.0, 0.5)
+        found = oracle_search(a, b, resolution=60)
+        assert len(tried) == 3 and tried == sorted(tried)
+        assert found is not None and make_witness(a, b, *found, ORACLE_CONFIRM) is not None
+        tried.clear()
+        monkeypatch.setattr(admissibility, "_level_curve_witness",
+                            lambda *args: tried.append(args[3]))
+        assert oracle_search(a, b, resolution=60) is None
+        assert len(tried) > 3 and tried == sorted(tried)
+
+
+class TestOracleThreshold:
+    """K_w against the w=1/2 mean of e^(-x): a collision exists exactly for
+    w above e^-1 / (1 + e^-1) = 0.2689."""
+
+    @pytest.mark.parametrize("resolution", [100, 200])
+    @pytest.mark.parametrize("w, collides", [(0.26, False), (0.27, True), (0.28, True), (0.3, True)])
+    def test_k_mean_vs_exponential(self, w, collides, resolution):
+        a, b = k_mean(w), exponential_mean(-1.0, 0.5)
+        found = oracle_search(a, b, resolution=resolution)
+        assert (found is not None) == collides
+        if collides:
+            assert make_witness(a, b, *found) is not None
+
+
+@pytest.fixture(scope="module")
+def coverage_sweep():
+    with open(Path(__file__).with_name("coverage_sweep.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    pairs = sweep_pairs()
+    assert len(rows) == len(pairs) == 435
+    return list(zip(pairs, rows))
+
+
+class TestCoverageSweep:
+    """The 435 pairs of ``tests/coverage_sweep.py``, against the table
+    written with the bucketed-candidate oracle the level-curve scan
+    replaced."""
+
+    def test_rules_match_the_table(self, coverage_sweep):
+        for (a, b), row in coverage_sweep:
+            assert (a.name, b.name) == (row["a"], row["b"])
+            v = check_pair(a, b, use_oracle=False)
+            assert (v.outcome.value, v.rule) == (row["outcome"], row["rule"]), row
+
+    @pytest.mark.parametrize("resolution", [100, 200])
+    def test_every_collision_found_before_is_found(self, coverage_sweep, resolution):
+        for (a, b), row in coverage_sweep:
+            found = oracle_search(a, b, resolution=resolution)
+            if row[f"oracle_{resolution}"] == "1":
+                assert found is not None, row
+            if row["outcome"] == Outcome.ADMISSIBLE.value:
+                assert found is None, row
+            if found is not None:
+                assert make_witness(a, b, *found, ORACLE_CONFIRM) is not None, row
+
+
+def reference_level_roots(bs):
+    """:func:`_level_roots` one row and one sample at a time."""
+    roots = []
+    for r, row in enumerate(bs.tolist()):
+        for k in range(len(row) - 1):
+            if row[k] == row[k + 1]:
+                roots.append((r, k, k + 1, k + 1))
+            if k + 2 < len(row):
+                lead, turn, trail = row[k:k + 3]
+                tol_rise = TURN_TOL * max(1.0, abs(lead), abs(turn))
+                tol_fall = TURN_TOL * max(1.0, abs(turn), abs(trail))
+                rise, fall = turn - lead, trail - turn
+                if ((rise > tol_rise and fall < -tol_fall)
+                        or (rise < -tol_rise and fall > tol_fall)):
+                    # B is nearer the turning value at the higher neighbour
+                    # of a peak and at the lower neighbour of a trough
+                    if (lead >= trail) if rise > 0 else (lead <= trail):
+                        roots.append((r, k, k + 1, k + 2))
+                    else:
+                        roots.append((r, k + 2, k, k + 1))
+    return roots
+
+
+def level_roots(bs):
+    bs = np.array(bs, dtype=float)
+    return list(zip(*(v.tolist() for v in _level_roots(bs, _steps(bs)))))
+
+
+# B along a synthetic level curve: values that make exact ties, steps of
+# exactly, just under and just over TURN_TOL, and NaN holes common
+curve_value = st.one_of(
+    st.sampled_from([0.0, TURN_TOL, -TURN_TOL, 2 * TURN_TOL, 0.5, 0.5 + 1e-12, 1.0, math.nan]),
+    st.floats(min_value=-1e3, max_value=1e3))
+curves = st.integers(2, 8).flatmap(
+    lambda n: st.lists(st.lists(curve_value, min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+class TestLevelScan:
+    """The roots :func:`_level_roots` picks on synthetic level curves."""
+
+    def test_exact_ties(self):
+        assert level_roots([[0.3, 0.3, 0.3, 0.4]]) == [(0, 0, 1, 1), (0, 1, 2, 2)]
+
+    @pytest.mark.parametrize("curve, root", [
+        ([0.1, 0.5, 0.2], (0, 2, 0, 1)),  # the trailing neighbour is nearer the peak
+        ([0.2, 0.5, 0.1], (0, 0, 1, 2)),  # the leading one is
+        ([0.2, 0.5, 0.2], (0, 0, 1, 2)),  # both are as near: the leading one
+        ([0.9, 0.5, 0.8], (0, 2, 0, 1)),  # a trough
+        ([0.6, 0.5, 0.8], (0, 0, 1, 2)),
+    ])
+    def test_u_is_the_neighbour_nearer_the_turning_value(self, curve, root):
+        assert level_roots([curve]) == [root]
+        _, u, first, last = root
+        # the far step brackets B = B(u)
+        assert (curve[first] - curve[u]) * (curve[last] - curve[u]) <= 0
+
+    def test_nan_holes(self):
+        nan = math.nan
+        assert level_roots([[nan, nan, nan]]) == []
+        assert level_roots([[0.1, nan, 0.1, 0.5, 0.1]]) == [(0, 2, 3, 4)]
+        assert level_roots([[0.1, 0.5, nan, 0.5, 0.1]]) == []
+        assert level_roots([[0.4, 0.4, nan, 0.4]]) == [(0, 0, 1, 1)]
+
+    def test_a_step_of_exactly_turn_tol_does_not_count(self):
+        over = math.nextafter(TURN_TOL, 1.0)
+        assert level_roots([[0.0, TURN_TOL, 0.0]]) == []
+        assert level_roots([[TURN_TOL, 0.0, TURN_TOL]]) == []
+        assert level_roots([[0.0, TURN_TOL, -over]]) == []
+        assert level_roots([[0.0, over, 0.0]]) == [(0, 0, 1, 2)]
+        assert level_roots([[over, 0.0, TURN_TOL]]) == []
+        # the tolerance grows with |B| beyond 1
+        assert level_roots([[1e3, 1e3 + 5e-10, 1e3]]) == []
+        assert level_roots([[1e3, 1e3 + 2e-9, 1e3]]) == [(0, 0, 1, 2)]
+
+    def test_try_order(self):
+        curves = [[0.1, 0.5, 0.2, 0.2, 0.2, 0.9, 0.3], [0.7, 0.7, 0.1] + [math.nan] * 4]
+        assert level_roots(curves) == [
+            (0, 2, 0, 1), (0, 2, 3, 3), (0, 3, 4, 4), (0, 6, 4, 5), (1, 0, 1, 1)]
+
+    def test_a_direction_flip_between_levels_is_bisected(self):
+        # B turns along A's level curve only for 0.6181 < c < 0.6224, which
+        # no level j/120 meets: B falls along the curve at 74/120 and rises
+        # along it at 75/120
+        a, b = logit_mean(0.5), exponential_mean(1.0, 0.5)
+        x1 = 0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, 120))
+        w, direction = _scan_levels(a, b, x1, np.array([74, 75]) / 120)
+        assert w is None and direction.tolist() == [-1, 1]
+        u, x = oracle_search(a, b, resolution=120)
+        assert 74 / 120 < a(u) < 75 / 120
+        assert make_witness(a, b, u, x, ORACLE_CONFIRM) is not None
 
     @settings(max_examples=400, deadline=None)
-    @given(st.lists(sample_row, min_size=1, max_size=6))
-    def test_array_rejections_are_conservative(self, drawn):
-        rows, x1s, x2s, res, ulo, uhi = [], [], [], [], [], []
-        for i, (start, step, samples, j, dlo, dhi, neg_lo, neg_hi) in enumerate(drawn):
-            x1 = start + step * np.arange(len(samples))
-            x2 = x1 + np.array([d for d, _ in samples])
-            j = min(j, len(samples) - 1)
-            rows += [i] * len(samples)
-            x1s.append(x1)
-            x2s.append(x2)
-            res += [r for _, r in samples]
-            ulo.append(x1[j] + (-dlo if neg_lo else dlo))
-            uhi.append(x2[j] + (-dhi if neg_hi else dhi))
-        rows, res = np.array(rows), np.array(res)
-        x1s, x2s = np.concatenate(x1s), np.concatenate(x2s)
-        ulo, uhi = np.array(ulo), np.array(uhi)
-        first, last = _root_brackets(rows, x1s, x2s, res, ulo, uhi)
-        got = list(zip(first.tolist(), last.tolist()))
-        # each pair is a flip of one row or an exact zero, by row, then
-        # flips before zeros, each in sample order
-        keys = [(int(rows[i]), i == j, i) for i, j in got]
-        assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        for i, j in got:
-            if i == j:
-                assert res[i] == 0.0
+    @given(curves)
+    def test_matches_the_per_sample_loop(self, drawn):
+        bs = np.array(drawn, dtype=float)
+        roots = level_roots(bs)
+        assert roots == reference_level_roots(bs)
+        for r, u, first, last in roots:
+            assert last == first + 1 or first == last
+            if first == last:
+                assert bs[r, u] == bs[r, first] and last == u + 1
             else:
-                assert j == i + 1 and rows[i] == rows[j] and np.sign(res[i]) * np.sign(res[j]) < 0
-        for i in range(len(drawn)):
-            on = np.flatnonzero(rows == i)
-            want = [(int(on[0]) + f, int(on[0]) + l) for f, l in
-                    reference_row_roots(ulo[i], uhi[i], x1s[on], x2s[on], res[on])]
-            # every root the reference polishes, in the reference's order
-            remaining = iter(got)
-            assert all(root in remaining for root in want)
+                turn = first if u == first - 1 else last
+                peak = bs[r, turn] > bs[r, u]
+                assert (bs[r, u] >= bs[r, 2 * turn - u]) if peak else (bs[r, u] <= bs[r, 2 * turn - u])
+                assert (bs[r, first] - bs[r, u]) * (bs[r, last] - bs[r, u]) <= 0
 
 
 class TestOracleMemory:
-    @pytest.mark.parametrize("label", [
-        "projection(0.5) vs projection(0.5)", "Lukasiewicz t-norm vs bounded sum"])
-    def test_pairs_after_the_first_direct_hit_are_never_held(self, label):
-        # both pairs have 671,650 candidates at R=200 and a direct hit at the
-        # third interval; holding every candidate took 28 MiB
+    @pytest.mark.parametrize("label, found", [
+        ("projection(0.5) vs projection(0.5)", (Interval(0.0, 0.01), Interval(0.005, 0.005))),
+        ("Lukasiewicz t-norm vs bounded sum", (Interval(0.0, 0.01), Interval(0.005, 0.005))),
+        # no collision: every level curve is sampled
+        ("root-power(3, w=0.9) vs root-power(3, w=0.4)", None),
+    ])
+    def test_peak_at_resolution_200(self, label, found):
         case = next(c for c in build_battery() if c.label == label)
         tracemalloc.start()
         try:
-            found = oracle_search(case.a, case.b, resolution=200)
+            got = oracle_search(case.a, case.b, resolution=200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert found == (Interval(0.0, 0.01), Interval(0.005, 0.005))
+        assert got == found
         assert peak <= 8 * 2**20
 
 

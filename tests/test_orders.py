@@ -15,6 +15,7 @@ from intervalorders import (
     OrderSpecError,
     PartialComparison,
     compare,
+    exponential_mean,
     interval_grid,
     k_alpha_crossover,
     k_mean,
@@ -207,6 +208,13 @@ class TestConstructionFlag:
     def test_collision_pair_rejected_at_construction(self):
         with pytest.raises(OrderSpecError):
             GeneratedPairOrder(k_mean(0.5), k_mean(0.5))
+
+    def test_pair_just_past_the_weight_threshold_is_rejected(self):
+        # K_w and the w=1/2 mean of e^(-x) collide for w above 0.2689; no
+        # rule decides w=0.27, and the verifying oracle has to find the
+        # collision near the corner [0, 1] at VERIFY_RESOLUTION
+        with pytest.raises(OrderSpecError, match="rule oracle"):
+            GeneratedPairOrder(k_mean(0.27), exponential_mean(-1.0, 0.5))
 
     def test_verification_can_be_skipped(self):
         order = GeneratedPairOrder(k_mean(0.5), k_mean(0.5), verify_admissible=False)

@@ -38,6 +38,7 @@ from intervalorders import (
     rule_k0_k1,
     rule_quasi_equal_weights,
     rule_quasi_unequal_weights,
+    interval_grid,
     rule_tnorm_tconorm,
     schur_pair_mean,
     tconorm,
@@ -47,6 +48,8 @@ from intervalorders import admissibility
 from intervalorders.admissibility import (
     ORACLE_CONFIRM,
     TURN_TOL,
+    WITNESS_GAP,
+    _grid_tie,
     _level_roots,
     _saturation_verdict,
     _scan_levels,
@@ -583,6 +586,84 @@ class TestOracleThreshold:
         assert (found is not None) == collides
         if collides:
             assert make_witness(a, b, *found) is not None
+
+
+
+def reference_grid_tie(a, b, lo, hi):
+    """The smallest index pair (m, n), m < n, with exactly equal A and B
+    values and endpoints at least ``WITNESS_GAP`` apart, over all pairs."""
+    va, vb = a.values(lo, hi), b.values(lo, hi)
+    tie = ((va[:, None] == va[None, :]) & (vb[:, None] == vb[None, :])
+           & (np.maximum(np.abs(lo[:, None] - lo[None, :]),
+                         np.abs(hi[:, None] - hi[None, :])) >= WITNESS_GAP))
+    m, n = np.nonzero(np.triu(tie, k=1))
+    if m.size == 0:
+        return None
+    return (Interval(float(lo[m[0]]), float(hi[m[0]])),
+            Interval(float(lo[n[0]]), float(hi[n[0]])))
+
+
+class TestGridTie:
+    """The exact grid ties :func:`_grid_tie` takes before any level curve."""
+
+    @pytest.mark.parametrize("a, b", [
+        (geometric_mean(0.5), geometric_mean(0.5)),
+        (tnorm(one_minus()), tconorm(identity())),
+        (tnorm(one_minus()), tconorm(negated_log_complement())),
+        (k_mean(0.3), k_mean(0.7)),
+    ], ids=lambda af: af.name)
+    def test_matches_the_all_pairs_scan(self, a, b):
+        lo, hi = interval_grid(50)
+        w = _grid_tie(a, b, lo, hi)
+        assert (None if w is None else (w.u, w.x)) == reference_grid_tie(a, b, lo, hi)
+
+    def test_pairs_closer_than_witness_gap_are_no_tie(self):
+        # the geometric mean is 0 on every interval [0, x2]
+        a = geometric_mean(0.5)
+        lo = np.array([0.0, 0.0, 0.2])
+        near = np.array([0.3, 0.3 + 0.5 * WITNESS_GAP, 0.4])
+        assert _grid_tie(a, a, lo, near) is None
+        far = np.array([0.3, 0.3 + 2 * WITNESS_GAP, 0.4])
+        w = _grid_tie(a, a, lo, far)
+        assert (w.u, w.x) == (Interval(0.0, 0.3), Interval(0.0, float(far[1])))
+        # a near pair ahead of a far one in the run does not hide it
+        w = _grid_tie(a, a, np.zeros(3), np.array([0.3, 0.3 + 0.5 * WITNESS_GAP, 0.5]))
+        assert w is not None and w.endpoint_gap >= WITNESS_GAP and w.x == Interval(0.0, 0.5)
+
+
+class TestLevelBisection:
+    """The bisection of the level between two sampled curves along which B
+    runs in opposite directions."""
+
+    def scan(self, monkeypatch, first, direction):
+        # the full scan finds nothing and gives the curves ``first``
+        # directions; each bisected curve gets ``direction(mid)``
+        mids = []
+
+        def fake(a, b, x1, levels):
+            if levels.size > 1:
+                return None, np.array(first, dtype=np.int8)
+            mids.append(float(levels[0]))
+            return None, np.array([direction(float(levels[0]))], dtype=np.int8)
+
+        monkeypatch.setattr(admissibility, "_scan_levels", fake)
+        monkeypatch.setattr(admissibility, "_grid_tie", lambda *args: None)
+        assert oracle_search(k_mean(0.3), k_mean(0.7), resolution=50) is None
+        return mids
+
+    def test_a_curve_without_one_direction_stops_it(self, monkeypatch):
+        first = [1] * 10 + [-1] * 39
+        assert self.scan(monkeypatch, first, lambda mid: 0) == [0.5 * (10 / 50 + 11 / 50)]
+
+    def test_it_stops_when_no_float_is_left_between_the_levels(self, monkeypatch):
+        # every bisected curve rises like the lower one, so the bracket
+        # closes on the upper level
+        first = [1] * 10 + [-1] * 39
+        mids = self.scan(monkeypatch, first, lambda mid: 1)
+        assert mids == sorted(mids) and mids[0] == 0.5 * (10 / 50 + 11 / 50)
+        assert 10 / 50 < mids[-1] < 11 / 50
+        assert math.nextafter(mids[-1], 1.0) == 11 / 50
+        assert len(mids) < 60
 
 
 @pytest.fixture(scope="module")

@@ -62,7 +62,6 @@ from .generators import (
     ScanOutcome,
     ScanResult,
     ShapeInfo,
-    classify_convexity_numeric,
     collision_gap,
     collision_scan,
     composite,

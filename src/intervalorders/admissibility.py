@@ -18,10 +18,10 @@ The decision engine layers three kinds of evidence, strongest first:
     likewise.  It has the collisions of that mean, so one pair of
     quasi-linear rules decides every pair of views, across families too:
     by the shape class of g o f^{-1}, certified exactly by the closed-form
-    registry; for a generator without a registry row the shape comes from a
-    numeric scan, and the verdict's note says so.  Failed shape criteria
-    are converted back into witnesses by locating a zero of the collision
-    gap.
+    registry.  A generator without a registry row has no shape, so these
+    rules can only exclude its pair by a witness, and otherwise leave it to
+    the oracle.  Failed shape criteria are converted back into witnesses by
+    locating a zero of the collision gap.
 3.  The oracle.  A scan of A's level sets: the exact ties of a triangular
     grid of intervals first, then B sampled along A's level curves, which
     every builtin family gives in closed form through its generator's
@@ -54,11 +54,9 @@ from .aggregators import (
     quasi_linear_mean,
 )
 from .generators import (
-    NUMERIC_SAMPLES,
     Convexity,
     Generator,
     Monotonicity,
-    ShapeInfo,
     _pairs_of,
     bisect_root,
     collision_candidates,
@@ -311,15 +309,6 @@ def _saturation_verdict(a: AggregationFunction, b: AggregationFunction) -> Verdi
     return None
 
 
-def _numeric_shape_note(f: Generator, g: Generator, shape: ShapeInfo) -> str:
-    """Empty when the closed-form registry gives the shape of g o f^{-1};
-    otherwise the label of numeric evidence that the verdict's note carries."""
-    if registry_composite_shape(f, g) is not None:
-        return ""
-    return (f"composite {shape.convexity.value} on a {NUMERIC_SAMPLES}-sample "
-            "numeric scan (evidence, not proof)")
-
-
 def rule_quasi_equal_weights(f: Generator, g: Generator, w: float,
                              a: AggregationFunction | None = None,
                              b: AggregationFunction | None = None) -> Verdict | None:
@@ -353,8 +342,7 @@ def rule_quasi_equal_weights(f: Generator, g: Generator, w: float,
         return Verdict(
             Outcome.NOT_ADMISSIBLE,
             f"{stem}-shape",
-            note=_numeric_shape_note(f, g, shape)
-            or "composite certified neither strictly convex nor strictly concave",
+            note="composite certified neither strictly convex nor strictly concave",
         )
     return None
 
@@ -390,8 +378,7 @@ def rule_quasi_unequal_weights(f: Generator, g: Generator, w1: float, w2: float,
         return sat
     shape = composite(f, g).shape
     if _weight_row_matches(shape, f.increasing, w1, w2):
-        return Verdict(Outcome.ADMISSIBLE, "weight-order-shape",
-                       note=_numeric_shape_note(f, g, shape))
+        return Verdict(Outcome.ADMISSIBLE, "weight-order-shape")
     witness = _collision_witness(f, g, w1, w2, a, b)
     if witness is not None:
         return Verdict(Outcome.NOT_ADMISSIBLE, "weighted-collision", witness=witness)

@@ -8,9 +8,9 @@ decisive object is the composite
 
     h = g o f^{-1}        on the open interval f((0,1)),
 
-whose convexity class (strictly convex / convex / affine / concave /
-strictly concave / mixed) governs whether the induced pair of aggregation
-functions can order intervals without collisions.
+whose convexity class (strictly convex / affine / strictly concave /
+mixed) governs whether the induced pair of aggregation functions can order
+intervals without collisions.
 
 Closed-form shape registry
 --------------------------
@@ -24,10 +24,11 @@ sign of h'' on (0,1) reduces to the sign pattern of the quadratic
 N = R_g - R_f.  That pattern is decided exactly, in ``Fraction`` arithmetic
 on coefficients built from the float parameters (which convert without
 error), with no tolerance: on (0,1) a quadratic takes exactly the signs it
-has just right of 0, just left of 1 and at an interior vertex.  Only this
-registry may certify *strict* convexity or concavity; the sampling-based
-classifier below never does, because strictness on an open set cannot be
-certified by finitely many samples.
+has just right of 0, just left of 1 and at an interior vertex.  This
+registry is the only source of a shape: strictness on an open set cannot be
+certified by finitely many samples, so a composite with a generator outside
+the registry has convexity UNKNOWN, and only the rules that do not read the
+shape, and the oracle, can decide its pair.
 
 Collision gap
 -------------
@@ -73,9 +74,7 @@ class GeneratorError(ValueError):
 
 class Convexity(Enum):
     STRICTLY_CONVEX = "strictly_convex"
-    CONVEX = "convex"
     AFFINE = "affine"
-    CONCAVE = "concave"
     STRICTLY_CONCAVE = "strictly_concave"
     MIXED = "mixed"
     UNKNOWN = "unknown"
@@ -86,18 +85,16 @@ class Convexity(Enum):
 
     @property
     def implies_convex(self) -> bool:
-        return self in (Convexity.STRICTLY_CONVEX, Convexity.CONVEX, Convexity.AFFINE)
+        return self in (Convexity.STRICTLY_CONVEX, Convexity.AFFINE)
 
     @property
     def implies_concave(self) -> bool:
-        return self in (Convexity.STRICTLY_CONCAVE, Convexity.CONCAVE, Convexity.AFFINE)
+        return self in (Convexity.STRICTLY_CONCAVE, Convexity.AFFINE)
 
 
 class Monotonicity(Enum):
     STRICTLY_INCREASING = "strictly_increasing"
     STRICTLY_DECREASING = "strictly_decreasing"
-    NON_MONOTONE = "non_monotone"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,8 @@ class Generator:
     ``fn`` and ``inv`` must accept numpy arrays.  ``at_zero``/``at_one`` are
     the (possibly infinite) endpoint values.  ``kind``/``param`` identify a
     builtin family for the closed-form shape registry; user-supplied
-    generators leave them ``None`` and fall back to numerical classification.
+    generators leave them ``None``, and their composites have convexity
+    UNKNOWN.
     """
 
     name: str
@@ -422,20 +420,25 @@ def _n_signs(f_kind: str | None, f_param, g_kind: str | None, g_param) -> frozen
     return _quadratic_signs_on_unit(*(a - b for a, b in zip(cg, cf)))
 
 
+def _monotonicity(f: Generator, g: Generator) -> Monotonicity:
+    """The direction of g o f^{-1}: a composite of validated strictly
+    monotone maps is strictly monotone, increasing when both run the same
+    way."""
+    if f.increasing == g.increasing:
+        return Monotonicity.STRICTLY_INCREASING
+    return Monotonicity.STRICTLY_DECREASING
+
+
 def registry_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
     """Exact convexity class of g o f^{-1} on f((0,1)) for builtin pairs.
 
-    Returns None when either generator lacks a registry row.  Only this path
-    may emit the strict classes.
+    Returns None when either generator lacks a registry row.  This is the
+    package's only source of a convexity class.
     """
     signs = _n_signs(f.kind, f.param, g.kind, g.param)
     if signs is None:
         return None
-    mono = (
-        Monotonicity.STRICTLY_INCREASING
-        if f.increasing == g.increasing
-        else Monotonicity.STRICTLY_DECREASING
-    )
+    mono = _monotonicity(f, g)
     if not signs:
         return ShapeInfo(Convexity.AFFINE, mono)
     if len(signs) == 2:
@@ -446,7 +449,7 @@ def registry_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
 
 
 # ---------------------------------------------------------------------------
-# Sampling helpers and the numerical classifier
+# Sampling helpers
 # ---------------------------------------------------------------------------
 
 
@@ -477,66 +480,6 @@ def _call_vectorized(fn, xs: np.ndarray) -> np.ndarray:
     return np.array([float(fn(float(v))) for v in xs])
 
 
-# The numeric convexity scan: sample count, floor of the difference step d
-# and the threshold a second difference must pass to register.
-NUMERIC_SAMPLES = 2001
-STEP_FLOOR = 1e-4
-CURVATURE_THRESHOLD = 1e-10
-
-
-def classify_convexity_numeric(fn, domain: tuple[float, float]) -> ShapeInfo:
-    """Second-difference convexity scan of ``fn`` over ``domain`` at
-    ``NUMERIC_SAMPLES`` points.
-
-    Symmetric second differences fn(y+d) - 2 fn(y) + fn(y-d) are compared
-    against ``CURVATURE_THRESHOLD`` plus a per-point round-off guard proportional to
-    the local function magnitude.  With d ~ 1e-4 a sign registers once the
-    curvature reaches roughly 1e-2 somewhere in the domain (round-off sits
-    near 1e-15, five orders below the threshold), which is sensitive enough
-    for every pairing of the builtin generators while staying silent on
-    affine maps.  Emits only CONVEX / CONCAVE / MIXED / UNKNOWN, never the
-    strict classes, and UNKNOWN rather than AFFINE when nothing registers.
-    """
-    lo, hi = domain
-    ys = sample_open_interval(lo, hi, NUMERIC_SAMPLES)
-    if math.isfinite(lo) and math.isfinite(hi):
-        steps = np.full_like(ys, max(STEP_FLOOR, STEP_FLOOR * (hi - lo)))
-    else:
-        steps = np.maximum(STEP_FLOOR, STEP_FLOOR * np.abs(ys))
-    ok = (ys - steps > lo) & (ys + steps < hi)
-    ys, steps = ys[ok], steps[ok]
-    if ys.size < 8:
-        return ShapeInfo(Convexity.UNKNOWN, Monotonicity.UNKNOWN)
-
-    up = _call_vectorized(fn, ys + steps)
-    mid = _call_vectorized(fn, ys)
-    dn = _call_vectorized(fn, ys - steps)
-    d2 = up - 2.0 * mid + dn
-    d1 = up - dn
-    fscale = np.maximum.reduce([np.abs(up), np.abs(mid), np.abs(dn), np.ones_like(mid)])
-    finite = np.isfinite(d2) & np.isfinite(d1)
-    d2, d1, fscale = d2[finite], d1[finite], fscale[finite]
-    if d2.size < 8:
-        return ShapeInfo(Convexity.UNKNOWN, Monotonicity.UNKNOWN)
-
-    guard = np.maximum(CURVATURE_THRESHOLD, 512.0 * np.finfo(float).eps * fscale)
-    has_pos = bool(np.any(d2 > guard))
-    has_neg = bool(np.any(d2 < -guard))
-    if has_pos and has_neg:
-        conv = Convexity.MIXED
-    elif has_pos:
-        conv = Convexity.CONVEX
-    elif has_neg:
-        conv = Convexity.CONCAVE
-    else:
-        conv = Convexity.UNKNOWN
-
-    inc = bool(np.any(d1 > guard))
-    dec = bool(np.any(d1 < -guard))
-    mono = Monotonicity.NON_MONOTONE if (inc and dec) else Monotonicity.UNKNOWN
-    return ShapeInfo(conv, mono)
-
-
 # ---------------------------------------------------------------------------
 # Composite
 # ---------------------------------------------------------------------------
@@ -557,11 +500,9 @@ class Composite:
 
 
 def composite(f: Generator, g: Generator) -> Composite:
-    """Build g o f^{-1} with its convexity classification.
-
-    Uses the closed-form registry when both generators are builtin; otherwise
-    classifies numerically (which never yields a strict class).
-    """
+    """Build g o f^{-1} with its shape: the closed-form registry's when both
+    generators have a row, else convexity UNKNOWN with the composite's
+    structural monotonicity."""
     validate_generator(f)
     validate_generator(g)
 
@@ -569,19 +510,10 @@ def composite(f: Generator, g: Generator) -> Composite:
     def fn(y):
         return g.fn(f.inv(np.asarray(y, dtype=float)))
 
-    domain = f.range_open()
     shape = registry_composite_shape(f, g)
     if shape is None:
-        conv = classify_convexity_numeric(fn, domain).convexity
-        # monotonicity is structural: a composite of validated strictly
-        # monotone maps is strictly monotone with the combined direction
-        mono = (
-            Monotonicity.STRICTLY_INCREASING
-            if f.increasing == g.increasing
-            else Monotonicity.STRICTLY_DECREASING
-        )
-        shape = ShapeInfo(conv, mono)
-    return Composite(fn=fn, domain=domain, shape=shape, f=f, g=g)
+        shape = ShapeInfo(Convexity.UNKNOWN, _monotonicity(f, g))
+    return Composite(fn=fn, domain=f.range_open(), shape=shape, f=f, g=g)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ from intervalorders import (
     AggregationFunction,
     Interval,
     Outcome,
+    QuasiLinear,
+    SchurPair,
+    TConorm,
+    TNorm,
     admissible_for_all_weight_orders,
     build_battery,
     check_pair,
@@ -34,6 +38,7 @@ from intervalorders import (
     oracle_search,
     power,
     quasi_linear_mean,
+    registry_composite_shape,
     root_power_mean,
     rule_k0_k1,
     rule_quasi_equal_weights,
@@ -197,18 +202,23 @@ class TestUnequalWeights:
         v = rule_quasi_unequal_weights(exponential(1.0), exponential(0.5), 0.2, 0.6)
         assert v is None
 
-    def test_shape_of_generators_without_registry_row_is_labelled_evidence(self):
+    def test_generators_without_registry_row_have_no_shape_verdict(self):
         # power(2) at w = 0.2 and power(3) at w = 0.5 stripped of their
-        # registry kind: the shape comes from the numeric scan, and the
-        # verdict's note says so in both orientations
+        # registry kind: no shape is certified, so no weight-order row
+        # matches, and in both orientations the pair stays UNKNOWN, with
+        # the oracle's empty scan labelled as evidence
         f, g = (dataclasses.replace(power(e), kind=None, param=None) for e in (2.0, 3.0))
         a, b = quasi_linear_mean(f, 0.2), quasi_linear_mean(g, 0.5)
-        for v, shape in ((check_pair(a, b, use_oracle=False), "convex"),
-                         (check_pair(b, a, use_oracle=False), "concave")):
-            assert (v.outcome, v.rule) == (Outcome.ADMISSIBLE, "weight-order-shape")
-            assert v.note == f"composite {shape} on a 2001-sample numeric scan (evidence, not proof)"
+        for x, y in ((a, b), (b, a)):
+            v = check_pair(x, y, use_oracle=False)
+            assert (v.outcome, v.rule) == (Outcome.UNKNOWN, "rules")
+            v = check_pair(x, y, resolution=100)
+            assert (v.outcome, v.rule, v.note) == (
+                Outcome.UNKNOWN, "oracle",
+                "no collision found at resolution 100 (evidence, not proof)")
         builtin = check_pair(root_power_mean(2.0, 0.2), root_power_mean(3.0, 0.5))
-        assert (builtin.rule, builtin.note) == ("weight-order-shape", "")
+        assert (builtin.outcome, builtin.rule, builtin.note) == (
+            Outcome.ADMISSIBLE, "weight-order-shape", "")
 
     def test_no_row_with_located_collision_is_excluded(self):
         # same structure but with a composite whose slope ratio is unbounded:
@@ -457,10 +467,13 @@ class TestBatteryRules:
         for ab, ba in battery_verdicts:
             assert ab.rule == ba.rule
 
-    def test_builtin_shapes_are_certified(self, battery_verdicts):
-        # every battery generator has a registry row, so no verdict rests on
-        # the numeric shape scan
-        assert not [v.note for pair in battery_verdicts for v in pair if "numeric" in v.note]
+    def test_builtin_shapes_are_certified(self):
+        # every battery pair of quasi views has a registry row, so every
+        # shape verdict rests on the closed form
+        views = [(quasi_view(c.a), quasi_view(c.b)) for c in build_battery()]
+        pairs = [(qa[0], qb[0]) for qa, qb in views if qa is not None and qb is not None]
+        assert pairs
+        assert all(registry_composite_shape(f, g) is not None for f, g in pairs)
 
     def test_verdicts_match_the_pinned_table(self, battery_verdicts):
         # battery_verdicts.csv holds one row per case and orientation (ab is
@@ -696,6 +709,45 @@ class TestCoverageSweep:
                 assert found is None, row
             if found is not None:
                 assert make_witness(a, b, *found, ORACLE_CONFIRM) is not None, row
+
+
+def without_registry_row(af):
+    """``af`` rebuilt on its generator stripped of ``kind`` and ``param``, so
+    the closed-form registry has no row for it; a projection K_w, which has
+    no generator, comes back as it is."""
+    d = af.descriptor
+
+    def bare(g):
+        return dataclasses.replace(g, kind=None, param=None)
+
+    if isinstance(d, QuasiLinear):
+        return quasi_linear_mean(bare(d.generator), d.weight)
+    if isinstance(d, SchurPair):
+        return schur_pair_mean(bare(d.f))
+    if isinstance(d, TNorm):
+        return tnorm(bare(d.generator))
+    if isinstance(d, TConorm):
+        return tconorm(bare(d.generator))
+    return af
+
+
+class TestSweepWithoutRegistryRows:
+    """The coverage sweep on generators without a registry row: the rules
+    may leave a pair UNKNOWN that the table decides, but never contradict
+    the table, never claim a shape and never exclude without a witness."""
+
+    SHAPE_RULES = {"equal-weights-shape", "pair-mean-shape", "strict-archimedean-shape",
+                   "weight-order-shape"}
+
+    def test_rules_lose_verdicts_only(self, coverage_sweep):
+        for (a, b), row in coverage_sweep:
+            a, b = without_registry_row(a), without_registry_row(b)
+            v = check_pair(a, b, use_oracle=False)
+            assert v.outcome.value in (row["outcome"], Outcome.UNKNOWN.value), row
+            assert not (v.outcome is Outcome.ADMISSIBLE and v.rule in self.SHAPE_RULES), row
+            if v.outcome is Outcome.NOT_ADMISSIBLE:
+                w = v.witness
+                assert w is not None and make_witness(a, b, w.u, w.x) is not None, row
 
 
 def reference_level_roots(bs):

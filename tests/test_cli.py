@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from intervalorders import cli
+from intervalorders import Outcome, build_battery, cli
 from intervalorders.aggregators import AggregationError, aggregator_from_config
 from intervalorders.cli import RunConfig, main
 from intervalorders.coincidence import orders_coincide
@@ -319,6 +319,19 @@ class TestBattery:
         text = out.read_text()
         assert "case" in text.splitlines()[0]
         assert "NO" not in text  # every verdict column shows agreement
+
+    def test_cross_check_finds_a_collision_on_every_excluded_case(self, capsys):
+        # one line per battery case, in battery order: the oracle at R=100
+        # finds a collision on the 40 NOT_ADMISSIBLE cases and on no other
+        assert main(["battery", "--cross-check", "--resolution", "100"]) == 0
+        table, section = capsys.readouterr().out.split("\n\noracle cross-check:\n")
+        assert "NO" not in table
+        cases = build_battery()
+        expected = [f"  {c.label}: {'collision' if c.expected is Outcome.NOT_ADMISSIBLE else 'none'}"
+                    for c in cases]
+        assert section.splitlines() == expected
+        assert len(expected) == 94
+        assert sum(c.expected is Outcome.NOT_ADMISSIBLE for c in cases) == 40
 
 
 class TestExitCodes:

@@ -14,7 +14,6 @@ from intervalorders import (
     ScanOutcome,
     ShapeInfo,
     build_battery,
-    classify_convexity_numeric,
     collision_gap,
     collision_scan,
     composite,
@@ -457,7 +456,7 @@ class TestComposite:
         second = comp(ys + d) - 2 * comp(ys) + comp(ys - d)
         assert np.all(second > 0)
 
-    def test_numeric_path_for_custom_generator(self):
+    def test_custom_generator_has_unknown_convexity(self):
         custom = Generator(
             name="cubic",
             fn=lambda x: np.asarray(x, float) ** 3,
@@ -467,45 +466,10 @@ class TestComposite:
             at_one=1.0,
         )
         comp = composite(custom, identity())
-        # y^(1/3) is concave on (0,1); strictness must not be claimed
-        assert comp.shape.convexity is Convexity.CONCAVE
+        # y^(1/3) is strictly concave on (0,1), but without a registry row
+        # no shape is claimed; the monotonicity is structural
+        assert comp.shape.convexity is Convexity.UNKNOWN
         assert comp.shape.monotonicity is Monotonicity.STRICTLY_INCREASING
-
-
-NUMERIC_AGREEMENT = [
-    (power(2.0), power(0.5)),
-    (power(0.5), power(2.0)),
-    (logarithm(), exponential(1.0)),
-    (logarithm(), exponential(-1.0)),
-    (logit(), exponential(1.0)),
-    (logit(), power(2.0)),
-    (negated_log(), negated_log_complement()),
-    (exponential(1.0), exponential(2.0)),
-    (power(2.0), exponential(1.5)),
-    (power(-1.0), logarithm()),
-]
-
-
-class TestNumericClassifier:
-    @pytest.mark.parametrize(
-        "f,g", NUMERIC_AGREEMENT,
-        ids=[f"{f.name}->{g.name}" for f, g in NUMERIC_AGREEMENT],
-    )
-    def test_agrees_with_registry_nonstrict(self, f, g):
-        registry = registry_composite_shape(f, g)
-        comp = composite(f, g)
-        numeric = classify_convexity_numeric(comp.fn, comp.domain)
-        mapping = {
-            Convexity.STRICTLY_CONVEX: Convexity.CONVEX,
-            Convexity.STRICTLY_CONCAVE: Convexity.CONCAVE,
-            Convexity.MIXED: Convexity.MIXED,
-        }
-        assert numeric.convexity is mapping[registry.convexity]
-
-    def test_affine_reports_unknown(self):
-        # zero curvature never registers, and strictness is never invented
-        numeric = classify_convexity_numeric(lambda y: 2.0 * np.asarray(y) + 1.0, (0.0, 1.0))
-        assert numeric.convexity is Convexity.UNKNOWN
 
 
 class TestCollisionGap:

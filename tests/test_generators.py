@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -470,6 +471,57 @@ class TestComposite:
         # no shape is claimed; the monotonicity is structural
         assert comp.shape.convexity is Convexity.UNKNOWN
         assert comp.shape.monotonicity is Monotonicity.STRICTLY_INCREASING
+
+
+REGISTRY_PAIRS = [
+    (power(2.0), power(0.5)),
+    (power(0.5), power(2.0)),
+    (logarithm(), exponential(1.0)),
+    (logarithm(), exponential(-1.0)),
+    (logit(), exponential(1.0)),
+    (logit(), power(2.0)),
+    (negated_log(), negated_log_complement()),
+    (exponential(1.0), exponential(2.0)),
+    (power(2.0), exponential(1.5)),
+    (power(-1.0), logarithm()),
+]
+
+
+def without_kind(h):
+    return dataclasses.replace(h, kind=None, param=None)
+
+
+class TestCompositeWithoutRegistryRow:
+    @pytest.mark.parametrize(
+        "f,g", REGISTRY_PAIRS,
+        ids=[f"{f.name}->{g.name}" for f, g in REGISTRY_PAIRS],
+    )
+    def test_keeps_function_and_monotonicity_not_convexity(self, f, g):
+        # the same maps stripped of their registry kind: the composite is the
+        # same function on the same domain, its direction is still known, and
+        # its convexity is no longer claimed
+        registered = composite(f, g)
+        bare = composite(without_kind(f), without_kind(g))
+        assert registered.shape.convexity is not Convexity.UNKNOWN
+        assert bare.shape == ShapeInfo(Convexity.UNKNOWN, registered.shape.monotonicity)
+        assert bare.domain == registered.domain
+        ys = f.fn(np.linspace(0.05, 0.95, 19))
+        np.testing.assert_array_equal(bare.fn(ys), registered.fn(ys))
+
+    def test_affine_decreasing_composite_has_unknown_convexity(self):
+        # y -> 1 - y has zero curvature: no strict class is invented, and the
+        # direction comes from the generators running opposite ways
+        flip = Generator(
+            name="flip",
+            fn=lambda x: 1.0 - np.asarray(x, float),
+            inv=lambda y: 1.0 - np.asarray(y, float),
+            increasing=False,
+            at_zero=1.0,
+            at_one=0.0,
+        )
+        comp = composite(flip, identity())
+        assert comp.shape == ShapeInfo(Convexity.UNKNOWN, Monotonicity.STRICTLY_DECREASING)
+        np.testing.assert_allclose(comp.fn([0.25, 0.5]), [0.75, 0.5])
 
 
 class TestCollisionGap:

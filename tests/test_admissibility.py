@@ -62,6 +62,7 @@ from intervalorders.admissibility import (
     quasi_view,
 )
 from coverage_sweep import sweep_pairs
+from oracle_witnesses import FIELDS as WITNESS_FIELDS, witness_rows
 
 
 def assert_valid_witness(verdict, a, b, tol=1e-9):
@@ -548,6 +549,17 @@ class TestOracle:
                 assert (found is None) == (case.expected is Outcome.ADMISSIBLE), case.label
                 if found is not None:
                     assert make_witness(a, b, *found, ORACLE_CONFIRM) is not None, case.label
+
+    def test_witnesses_match_the_pinned_table(self):
+        # oracle_witnesses.csv pins the float.hex of every battery
+        # orientation's witness at R = 100 and 200, empty where there is none
+        with open(Path(__file__).with_name("oracle_witnesses.csv"), newline="") as fh:
+            header, *pinned = csv.reader(fh)
+        assert tuple(header) == WITNESS_FIELDS
+        rows = witness_rows()
+        assert len(rows) == len(pinned) == 376
+        for got, want in zip(rows, pinned):
+            assert got == want
 
     @pytest.mark.parametrize("a, b", [
         (root_power_mean(1.5, 0.5), exponential_mean(1.0, 0.5)),

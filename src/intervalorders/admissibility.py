@@ -530,15 +530,20 @@ def _bisect_hi(a: AggregationFunction, x1s: np.ndarray, target
 
 def _level_hi(a: AggregationFunction, x1s: np.ndarray, target
               ) -> tuple[np.ndarray, np.ndarray]:
-    """The A-level curve A([x1, x2]) = target; returns (x2s, bracketed).
-    ``target`` is one value or one per row of ``x1s``.
+    """The A-level curve A([x1, x2]) = target; returns (x2s, bracketed),
+    shaped like ``x1s`` broadcast against ``target``.  ``target`` is one
+    value, one per element of ``x1s``, or a column of levels, which gives
+    one row of x2s per level.
 
-    x2 is the descriptor's closed-form ``solve_hi`` clipped to [x1, 1], and
-    x1 itself where A([x1, x1]) >= target: on a flat level set that is the
+    A([x1, x1]) and A([x1, 1]) are evaluated once per element of ``x1s``,
+    whatever the number of levels, and ``solve_hi`` evaluates its
+    generator on ``x1s`` and on ``target`` apart: only its inverse runs on
+    every (level, x1).  x2 is that closed form clipped to [x1, 1], and x1
+    itself where A([x1, x1]) >= target: on a flat level set that is the
     lowest solution, the one :func:`_bisect_hi` converges to.  Bracketed
-    rows whose closed form is not finite, and every row of a descriptor
-    without ``solve_hi``, are bisected instead.  x2 means nothing on rows
-    that are not bracketed.
+    points whose closed form is not finite, and every point of a
+    descriptor without ``solve_hi``, are bisected instead.  x2 means
+    nothing where it is not bracketed.
     """
     lo_val = a.values(x1s, x1s)
     hi_val = a.values(x1s, np.ones_like(x1s))
@@ -549,7 +554,8 @@ def _level_hi(a: AggregationFunction, x1s: np.ndarray, target
     x2s = np.where(lo_val >= target, x1s, np.clip(x2s, x1s, 1.0))
     redo = ok & np.isnan(x2s)
     if redo.any():
-        x2s[redo] = _bisect_hi(a, x1s[redo], np.broadcast_to(target, x1s.shape)[redo])[0]
+        x2s[redo] = _bisect_hi(a, np.broadcast_to(x1s, x2s.shape)[redo],
+                               np.broadcast_to(target, x2s.shape)[redo])[0]
     return x2s, ok
 
 
@@ -623,19 +629,31 @@ def _grid_tie(a: AggregationFunction, b: AggregationFunction,
     exactly equal, accepted through ``make_witness``; None when there is
     none.
 
-    One stable ``lexsort`` by (A, B) puts each class of equal values in a
-    run in index order, so the smallest pair (m, n) with m < n is a pair
-    of neighbours in it.
+    Only an interval whose A value occurs more than once can tie, so one
+    argsort of A marks those, and B is evaluated on them alone (not at all
+    when there are none).  A stable ``lexsort`` of the marked intervals by
+    (A, B) puts each class of equal values in a run in index order; every
+    member of a class of two or more is marked, so the runs, and the
+    smallest pair (m, n) with m < n, a pair of neighbours in its run, are
+    those of sorting the whole grid.
     """
-    va, vb = a.values(lo, hi), b.values(lo, hi)
+    va = a.values(lo, hi)
+    order = np.argsort(va)
+    same = va[order[:-1]] == va[order[1:]]
+    repeated = np.zeros(va.size, dtype=bool)
+    repeated[order[:-1][same]] = repeated[order[1:][same]] = True
+    if not repeated.any():
+        return None
+    va, lo, hi = va[repeated], lo[repeated], hi[repeated]
+    vb = b.values(lo, hi)
     order = np.lexsort((vb, va))
     m, n = order[:-1], order[1:]
     gap = np.maximum(np.abs(lo[m] - lo[n]), np.abs(hi[m] - hi[n]))
     tie = np.flatnonzero((va[m] == va[n]) & (vb[m] == vb[n]) & (gap >= WITNESS_GAP))
     if tie.size == 0:
         return None
-    # interval_grid is in lexicographic order of (lo, hi), so index order
-    # is the lexicographic order of (u, x)
+    # interval_grid is in lexicographic order of (lo, hi), and the marked
+    # intervals keep it, so index order is the lexicographic order of (u, x)
     first = tie[np.argmin(m[tie])]
     return make_witness(a, b, Interval(float(lo[m[first]]), float(hi[m[first]])),
                         Interval(float(lo[n[first]]), float(hi[n[first]])), ORACLE_CONFIRM)
@@ -643,25 +661,23 @@ def _grid_tie(a: AggregationFunction, b: AggregationFunction,
 
 def _scan_levels(a: AggregationFunction, b: AggregationFunction,
                  x1: np.ndarray, levels: np.ndarray) -> tuple[Witness | None, np.ndarray]:
-    """Sample A's level curves at ``levels`` at the x1 values ``x1`` (one
-    :func:`_level_hi` call and one ``b.values`` call for all of them) and
-    try their roots (:func:`_level_roots`) in order through
+    """Sample A's level curves at ``levels`` at the x1 values ``x1``, one
+    row per level: one :func:`_level_hi` call, which evaluates A's curve
+    ends once per x1 for all the levels, and one ``b.values`` call.  Try
+    the curves' roots (:func:`_level_roots`) in order through
     :func:`_level_curve_witness`.  Returns the first accepted witness, or
     None, and each curve's direction: 1 where B only rises along it, -1
     where it only falls, else 0."""
-    x1s = np.tile(x1, levels.size)
-    x2s, ok = _level_hi(a, x1s, np.repeat(levels, x1.size))
-    bs = np.full(x1s.size, np.nan)
-    bs[ok] = b.values(x1s[ok], x2s[ok])
-    grid = bs.reshape(levels.size, x1.size)
-    steps = _steps(grid)
+    x2s, ok = _level_hi(a, x1, levels[:, None])
+    bs = np.full(x2s.shape, np.nan)
+    bs[ok] = b.values(np.broadcast_to(x1, x2s.shape)[ok], x2s[ok])
+    steps = _steps(bs)
     direction = (steps > 0).any(axis=1).astype(np.int8) - (steps < 0).any(axis=1)
-    rows, us, firsts, lasts = _level_roots(grid, steps)
+    rows, us, firsts, lasts = _level_roots(bs, steps)
     for r, k, i, j in zip(rows.tolist(), us.tolist(), firsts.tolist(), lasts.tolist()):
-        k, i, j = (r * x1.size + t for t in (k, i, j))
-        u = Interval(float(x1s[k]), float(x2s[k]))
-        w = _level_curve_witness(a, b, u, float(levels[r]), float(bs[k]),
-                                 float(x1s[i]), float(x1s[j]), float(x2s[i]))
+        u = Interval(float(x1[k]), float(x2s[r, k]))
+        w = _level_curve_witness(a, b, u, float(levels[r]), float(bs[r, k]),
+                                 float(x1[i]), float(x1[j]), float(x2s[r, i]))
         if w is not None:
             return w, direction
     return None, direction

@@ -52,8 +52,11 @@ def _additive_hi(gen: Generator, lo, target) -> np.ndarray:
 
 # Each family's ``solve_hi(lo, target)`` is the closed-form level curve: the
 # x2 with A([lo, x2]) = target, NaN where the formula leaves the generator's
-# finite range.  ``target`` is one value or an array shaped like ``lo``.  It
-# is not clipped to [lo, 1]; the oracle does that.
+# finite range.  ``target`` is one value or an array that broadcasts against
+# ``lo``, such as a column of levels against a row of x1; the generator is
+# evaluated on each apart and only its inverse on the broadcast shape.  K_0
+# has no closed form and returns NaN shaped like ``lo``.  x2 is not clipped
+# to [lo, 1]; the oracle does that.
 #
 # Each family's ``quasi_view()`` is the (f, w) of a weighted quasi-linear
 # mean M_{f,w} of which A is a strictly increasing transform wherever A is

@@ -636,11 +636,33 @@ class TestGridTie:
         (tnorm(one_minus()), tconorm(identity())),
         (tnorm(one_minus()), tconorm(negated_log_complement())),
         (k_mean(0.3), k_mean(0.7)),
+        # at R = 50, A and B take no grid value twice
+        (exponential_mean(1.0, 0.5), exponential_mean(2.0, 0.5)),
+        # A repeats 53 grid values (on 57 intervals), B none
+        (geometric_mean(0.4), exponential_mean(-1.0, 0.4)),
+        # A repeats 391 grid values and B 438, with no tie
+        (tnorm(negated_log()), tconorm(negated_log_complement())),
     ], ids=lambda af: af.name)
     def test_matches_the_all_pairs_scan(self, a, b):
         lo, hi = interval_grid(50)
         w = _grid_tie(a, b, lo, hi)
         assert (None if w is None else (w.u, w.x)) == reference_grid_tie(a, b, lo, hi)
+
+    @pytest.mark.parametrize("a, b, sizes", [
+        (exponential_mean(1.0, 0.5), exponential_mean(2.0, 0.5), []),
+        (geometric_mean(0.4), exponential_mean(-1.0, 0.4), [57]),
+    ], ids=lambda p: getattr(p, "name", str(p)))
+    def test_b_is_evaluated_only_where_a_repeats(self, a, b, sizes):
+        seen = []
+
+        def values(lo, hi):
+            seen.append(lo.size)
+            return b._values(lo, hi)
+
+        counted = AggregationFunction(b.name, b.descriptor, values)
+        seen.clear()
+        assert _grid_tie(a, counted, *interval_grid(50)) is None
+        assert seen == sizes
 
     def test_pairs_closer_than_witness_gap_are_no_tie(self):
         # the geometric mean is 0 on every interval [0, x2]

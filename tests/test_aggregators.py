@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from intervalorders import (
     AggregationError,
@@ -390,6 +390,22 @@ class TestLevelCurve:
                 x2, ok1 = level(af, x1s[i:i + 1], float(targets[i]))
                 assert ok[i] == ok1[0]
                 assert x2s[i:i + 1].tobytes() == x2.tobytes(), (level.__name__, af.name, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(aggregators, aggregators.map(_without_closed_form)),
+           st.lists(first_endpoint, min_size=1, max_size=8),
+           st.lists(unit, min_size=1, max_size=8))
+    @example(k_mean(0.0), [0.0, 0.3, 1.0], [0.0, 0.3, 0.3 + 5e-14, 0.5])
+    def test_a_column_of_levels_matches_the_flat_call(self, af, x1, levels):
+        # one row per level, as the oracle's scan asks for them, against
+        # every (level, x1) spelled out
+        x1, levels = np.array(x1), np.array(levels)
+        x2s, ok = _level_hi(af, x1, levels[:, None])
+        flat, flat_ok = _level_hi(af, np.tile(x1, levels.size), np.repeat(levels, x1.size))
+        shape = (levels.size, x1.size)
+        assert x2s.shape == ok.shape == shape
+        assert x2s.tobytes() == flat.reshape(shape).tobytes(), af.name
+        assert ok.tobytes() == flat_ok.reshape(shape).tobytes(), af.name
 
     @settings(max_examples=400, deadline=None)
     @given(aggregators, first_endpoint, unit)

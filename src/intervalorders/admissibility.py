@@ -640,10 +640,10 @@ def _grid_tie(a: AggregationFunction, b: AggregationFunction,
     va = a.values(lo, hi)
     order = np.argsort(va)
     same = va[order[:-1]] == va[order[1:]]
+    if not same.any():
+        return None
     repeated = np.zeros(va.size, dtype=bool)
     repeated[order[:-1][same]] = repeated[order[1:][same]] = True
-    if not repeated.any():
-        return None
     va, lo, hi = va[repeated], lo[repeated], hi[repeated]
     vb = b.values(lo, hi)
     order = np.lexsort((vb, va))

@@ -660,7 +660,7 @@ class TestGridTie:
             return b._values(lo, hi)
 
         counted = AggregationFunction(b.name, b.descriptor, values)
-        seen.clear()
+        seen.clear()  # the constructor's boundary check
         assert _grid_tie(a, counted, *interval_grid(50)) is None
         assert seen == sizes
 

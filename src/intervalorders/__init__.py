@@ -19,8 +19,7 @@ from .admissibility import (
     nilpotent_witness,
     oracle_search,
     rule_k0_k1,
-    rule_quasi_equal_weights,
-    rule_quasi_unequal_weights,
+    rule_quasi_linear,
     rule_tnorm_tconorm,
 )
 from .aggregators import (

@@ -15,13 +15,15 @@ The decision engine layers three kinds of evidence, strongest first:
     is a strictly increasing transform of a weighted quasi-linear mean
     M_{f,w} (``quasi_view``): K_w = M_{id,w}, 0.5 (f(u1) + f(u2)) =
     f(M_{f,1/2}), a strict T = t^{-1}(2 t(M_{t,1/2})) and a strict S
-    likewise.  It has the collisions of that mean, so one pair of
-    quasi-linear rules decides every pair of views, across families too:
-    by the shape class of g o f^{-1}, certified exactly by the closed-form
-    registry.  A generator without a registry row has no shape, so these
-    rules can only exclude its pair by a witness, and otherwise leave it to
-    the oracle.  Failed shape criteria are converted back into witnesses by
-    locating a zero of the collision gap.
+    likewise.  It has the collisions of that mean, so one quasi-linear rule
+    (``rule_quasi_linear``) decides every pair of views, across families
+    too: by the shape class of g o f^{-1}, certified exactly by the
+    closed-form registry, against strict convexity for equal weights and
+    the weight-order table for distinct ones.  A generator without a
+    registry row has no shape, so the rule can only exclude its pair by a
+    witness, and otherwise leaves it to the oracle.  Failed shape criteria
+    are converted back into witnesses by locating a zero of the collision
+    gap.
 3.  The oracle.  A scan of A's level sets: the exact ties of a triangular
     grid of intervals first, then B sampled along A's level curves, which
     every builtin family gives in closed form through its generator's
@@ -51,12 +53,13 @@ from .aggregators import (
     TConorm,
     TNorm,
     k_mean,
-    quasi_linear_mean,
 )
 from .generators import (
+    Composite,
     Convexity,
     Generator,
     Monotonicity,
+    ShapeInfo,
     _pairs_of,
     bisect_root,
     collision_candidates,
@@ -263,9 +266,10 @@ def _decode_vspace(f: Generator, v1: float, x0: float, t1: float, t2: float
     return Interval(*u_ends), Interval(*x_ends)
 
 
-def _collision_witness(f: Generator, g: Generator, w1: float, w2: float,
+def _collision_witness(h: Composite, w1: float, w2: float,
                        a: AggregationFunction, b: AggregationFunction) -> Witness | None:
-    """Search the collision gap of the composite for a verified witness.
+    """Search the collision gap of the composite h = g o f^{-1} for a
+    verified witness.
 
     The endpoint pairs are those of f's image of ``COLLISION_POINTS`` points
     of [COLLISION_MARGIN, 1 - COLLISION_MARGIN], widest first so witnesses
@@ -275,15 +279,14 @@ def _collision_witness(f: Generator, g: Generator, w1: float, w2: float,
     against the actual aggregation functions; the first that passes is
     returned.
     """
-    h = composite(f, g).fn
+    f = h.f
     v1 = w1 if f.increasing else 1.0 - w1
     v2 = w2 if f.increasing else 1.0 - w2
-    with np.errstate(all="ignore"):
-        ts = np.sort(np.asarray(
-            f.fn(np.linspace(COLLISION_MARGIN, 1.0 - COLLISION_MARGIN, COLLISION_POINTS)), float))
+    ts = np.sort(np.asarray(
+        f.fn(np.linspace(COLLISION_MARGIN, 1.0 - COLLISION_MARGIN, COLLISION_POINTS)), float))
     lo, hi = _pairs_of(ts)
     order = np.lexsort((lo, -(hi - lo)))
-    for x0, t1, t2 in collision_candidates(h, lo[order], hi[order], v1, v2, 48):
+    for x0, t1, t2 in collision_candidates(h.fn, lo[order], hi[order], v1, v2, 48):
         w = make_witness(a, b, *_decode_vspace(f, v1, x0, t1, t2))
         if w is not None:
             return w
@@ -309,79 +312,63 @@ def _saturation_verdict(a: AggregationFunction, b: AggregationFunction) -> Verdi
     return None
 
 
-def rule_quasi_equal_weights(f: Generator, g: Generator, w: float,
-                             a: AggregationFunction | None = None,
-                             b: AggregationFunction | None = None) -> Verdict | None:
-    """Equal-weight quasi-arithmetic pairs are admissible exactly when the
-    composite g o f^{-1} is strictly convex or strictly concave (and no
-    endpoint exclusion applies).
+def _weight_row_matches(shape: ShapeInfo, f_increasing: bool, w1: float, w2: float) -> bool:
+    """The weight-order table for w1 != w2: a convex composite must be
+    increasing exactly when (w1 < w2) == f_increasing, and a concave one
+    the other way; an affine composite is both, so it always matches."""
+    rising = shape.monotonicity is Monotonicity.STRICTLY_INCREASING
+    want = (w1 < w2) == f_increasing
+    return ((shape.convexity.implies_convex and rising == want)
+            or (shape.convexity.implies_concave and rising != want))
 
-    A and B default to M_{f,w} and M_{g,w}; any pair with these quasi views
-    has the same collisions.  The rule id names the classical criterion:
-    ``strict-archimedean-*`` for a strict t-norm with a strict t-conorm,
-    ``pair-mean-*`` for pairwise means (with each other or with K_{1/2}).
+
+def rule_quasi_linear(a: AggregationFunction, b: AggregationFunction) -> Verdict | None:
+    """Pairs whose sides both have a quasi view M_{f,w1} and M_{g,w2}, decided
+    by the shape of the composite g o f^{-1} (None when either side has no
+    quasi view, or when nothing is decided).
+
+    Equal weights: admissible exactly when the composite is strictly convex
+    or strictly concave (and no endpoint exclusion applies).  The rule id
+    names the classical criterion: ``strict-archimedean-*`` for a strict
+    t-norm with a strict t-conorm, ``pair-mean-*`` for pairwise means (with
+    each other or with K_{1/2}), else ``equal-weights-*``.
+
+    Distinct weights: a sufficient criterion only, a match of the
+    composite's convexity and monotonicity in the weight-order table
+    (``weight-order-shape``).  No match and no located collision leaves the
+    pair undecided.
     """
-    a = a if a is not None else quasi_linear_mean(f, w)
-    b = b if b is not None else quasi_linear_mean(g, w)
+    qa, qb = quasi_view(a), quasi_view(b)
+    if qa is None or qb is None:
+        return None
+    (f, w1), (g, w2) = qa, qb
     sat = _saturation_verdict(a, b)
     if sat is not None:
         return sat
-    kinds = {type(a.descriptor), type(b.descriptor)}
-    stem = ("strict-archimedean" if kinds == {TNorm, TConorm}
-            else "pair-mean" if SchurPair in kinds and kinds <= {SchurPair, KProjection}
-            else "equal-weights")
-    shape = composite(f, g).shape
-    if shape.convexity.is_strict:
-        return Verdict(Outcome.ADMISSIBLE, f"{stem}-shape")
-    witness = _collision_witness(f, g, w, w, a, b)
+    h = composite(f, g)
+    if w1 == w2:
+        kinds = {type(a.descriptor), type(b.descriptor)}
+        stem = ("strict-archimedean" if kinds == {TNorm, TConorm}
+                else "pair-mean" if SchurPair in kinds and kinds <= {SchurPair, KProjection}
+                else "equal-weights")
+        admissible = h.shape.convexity.is_strict
+        shape_rule, collision_rule = f"{stem}-shape", f"{stem}-collision"
+    else:
+        admissible = _weight_row_matches(h.shape, f.increasing, w1, w2)
+        shape_rule, collision_rule = "weight-order-shape", "weighted-collision"
+    if admissible:
+        return Verdict(Outcome.ADMISSIBLE, shape_rule)
+    witness = _collision_witness(h, w1, w2, a, b)
     if witness is not None:
-        return Verdict(Outcome.NOT_ADMISSIBLE, f"{stem}-collision", witness=witness)
-    if shape.convexity in (Convexity.AFFINE, Convexity.MIXED):
+        return Verdict(Outcome.NOT_ADMISSIBLE, collision_rule, witness=witness)
+    if w1 == w2 and h.shape.convexity in (Convexity.AFFINE, Convexity.MIXED):
         # shape non-strict, but no witness survived validation; report the
         # exclusion without one
         return Verdict(
             Outcome.NOT_ADMISSIBLE,
-            f"{stem}-shape",
+            shape_rule,
             note="composite certified neither strictly convex nor strictly concave",
         )
-    return None
-
-
-def _weight_row_matches(shape, f_increasing: bool, w1: float, w2: float) -> bool:
-    """Row lookup: weight comparison x f direction -> admissible composite shapes."""
-    convexish = shape.convexity.implies_convex
-    concavish = shape.convexity.implies_concave
-    inc = shape.monotonicity is Monotonicity.STRICTLY_INCREASING
-    dec = shape.monotonicity is Monotonicity.STRICTLY_DECREASING
-    if w1 < w2:
-        if f_increasing:
-            return (convexish and inc) or (concavish and dec)
-        return (convexish and dec) or (concavish and inc)
-    if f_increasing:
-        return (convexish and dec) or (concavish and inc)
-    return (convexish and inc) or (concavish and dec)
-
-
-def rule_quasi_unequal_weights(f: Generator, g: Generator, w1: float, w2: float,
-                               a: AggregationFunction | None = None,
-                               b: AggregationFunction | None = None) -> Verdict | None:
-    """Sufficient criterion for distinct weights: a convexity/monotonicity
-    row match of the composite.  No row plus no located collision leaves the
-    pair undecided (this regime is not fully characterized).  A and B
-    default to M_{f,w1} and M_{g,w2}, as in :func:`rule_quasi_equal_weights`."""
-    if w1 == w2:
-        raise ValueError("rule requires distinct weights")
-    a = a if a is not None else quasi_linear_mean(f, w1)
-    b = b if b is not None else quasi_linear_mean(g, w2)
-    sat = _saturation_verdict(a, b)
-    if sat is not None:
-        return sat
-    shape = composite(f, g).shape
-    if _weight_row_matches(shape, f.increasing, w1, w2):
-        return Verdict(Outcome.ADMISSIBLE, "weight-order-shape")
-    witness = _collision_witness(f, g, w1, w2, a, b)
-    if witness is not None:
-        return Verdict(Outcome.NOT_ADMISSIBLE, "weighted-collision", witness=witness)
     return None
 
 
@@ -430,7 +417,7 @@ def rule_tnorm_tconorm(t_af: AggregationFunction, s_af: AggregationFunction) -> 
 
     Any nilpotent side forces a constructive collision.  Two strict
     generators give None here: both sides have a quasi view, and
-    :func:`rule_quasi_equal_weights` decides them.
+    :func:`rule_quasi_linear` decides them.
     """
     td: TNorm = t_af.descriptor
     sd: TConorm = s_af.descriptor
@@ -463,14 +450,7 @@ def _rules_once(a: AggregationFunction, b: AggregationFunction) -> Verdict | Non
     if ka in (0.0, 1.0) and kb is None:
         return rule_k0_k1(b, ka)
 
-    qa, qb = quasi_view(a), quasi_view(b)
-    if qa is not None and qb is not None:
-        (f, w1), (g, w2) = qa, qb
-        if w1 == w2:
-            return rule_quasi_equal_weights(f, g, w1, a, b)
-        return rule_quasi_unequal_weights(f, g, w1, w2, a, b)
-
-    return None
+    return rule_quasi_linear(a, b)
 
 
 def check_pair(a: AggregationFunction, b: AggregationFunction, *,

@@ -209,13 +209,18 @@ def exponential(gamma: float) -> Generator:
         raise GeneratorError("exponential generator needs a nonzero rate")
     if not math.isfinite(g):
         raise GeneratorError(f"exponential generator needs a finite rate, got {g!r}")
+    try:
+        at_one = math.exp(g)
+    except OverflowError:
+        raise GeneratorError(f"exponential generator rate {g!r} is too large: "
+                             f"exp(rate) overflows a float") from None
     return Generator(
         name=f"exponential({g:g})",
         fn=_wrap(lambda x: np.exp(g * x)),
         inv=_wrap(lambda y: np.log(y) / g),
         increasing=g > 0,
         at_zero=1.0,
-        at_one=math.exp(g),
+        at_one=at_one,
         kind="exponential",
         param=g,
     )
@@ -506,7 +511,6 @@ def composite(f: Generator, g: Generator) -> Composite:
     validate_generator(f)
     validate_generator(g)
 
-    @np.errstate(all="ignore")
     def fn(y):
         return g.fn(f.inv(np.asarray(y, dtype=float)))
 

@@ -41,8 +41,7 @@ from intervalorders import (
     registry_composite_shape,
     root_power_mean,
     rule_k0_k1,
-    rule_quasi_equal_weights,
-    rule_quasi_unequal_weights,
+    rule_quasi_linear,
     interval_grid,
     rule_tnorm_tconorm,
     schur_pair_mean,
@@ -59,8 +58,10 @@ from intervalorders.admissibility import (
     _saturation_verdict,
     _scan_levels,
     _steps,
+    _weight_row_matches,
     quasi_view,
 )
+from intervalorders.generators import Convexity, Monotonicity, ShapeInfo
 from coverage_sweep import sweep_pairs
 from oracle_witnesses import FIELDS as WITNESS_FIELDS, witness_rows
 
@@ -117,22 +118,41 @@ class TestEndpointExclusion:
         assert _saturation_verdict(a, b) is None
 
 
+class TestQuasiLinearRule:
+    @pytest.mark.parametrize("other", [k_mean(0.0), tnorm(one_minus())],
+                             ids=["K_0", "Lukasiewicz"])
+    def test_none_without_a_quasi_view(self, other):
+        mean = quasi_linear_mean(power(2.0), 0.5)
+        assert rule_quasi_linear(other, mean) is None
+        assert rule_quasi_linear(mean, other) is None
+
+    def test_saturation_comes_first_on_a_direct_call(self):
+        a, b = geometric_mean(0.3), geometric_mean(0.7)
+        v = rule_quasi_linear(a, b)
+        assert (v.outcome, v.rule) == (Outcome.NOT_ADMISSIBLE, "conjunctive-saturation")
+        assert_valid_witness(v, a, b)
+
+
 class TestEqualWeights:
     def test_root_power_pair_admissible(self):
-        v = rule_quasi_equal_weights(power(2.0), power(0.5), 0.5)
+        v = rule_quasi_linear(quasi_linear_mean(power(2.0), 0.5),
+                              quasi_linear_mean(power(0.5), 0.5))
         assert v.outcome is Outcome.ADMISSIBLE
 
     def test_exponential_pair_admissible(self):
-        v = rule_quasi_equal_weights(exponential(1.0), exponential(2.0), 0.3)
+        v = rule_quasi_linear(quasi_linear_mean(exponential(1.0), 0.3),
+                              quasi_linear_mean(exponential(2.0), 0.3))
         assert v.outcome is Outcome.ADMISSIBLE
 
     def test_logit_vs_exponential_not_admissible_with_witness(self):
-        v = rule_quasi_equal_weights(logit(), exponential(1.0), 0.5)
+        v = rule_quasi_linear(quasi_linear_mean(logit(), 0.5),
+                              quasi_linear_mean(exponential(1.0), 0.5))
         assert v.outcome is Outcome.NOT_ADMISSIBLE
         assert_valid_witness(v, logit_mean(0.5), exponential_mean(1.0, 0.5))
 
     def test_identity_pair_collides(self):
-        v = rule_quasi_equal_weights(identity(), identity(), 0.5)
+        v = rule_quasi_linear(quasi_linear_mean(identity(), 0.5),
+                              quasi_linear_mean(identity(), 0.5))
         assert v.outcome is Outcome.NOT_ADMISSIBLE
         assert_valid_witness(v, k_mean(0.5), k_mean(0.5))
 
@@ -179,28 +199,27 @@ class TestNearDegenerateShapes:
 
 class TestUnequalWeights:
     def test_root_power_exponents_straddling_zero(self):
-        v = rule_quasi_unequal_weights(power(-1.0), power(2.0), 0.2, 0.8)
+        v = rule_quasi_linear(quasi_linear_mean(power(-1.0), 0.2),
+                              quasi_linear_mean(power(2.0), 0.8))
         assert v.outcome is Outcome.ADMISSIBLE
 
     def test_root_power_vs_geometric_weight_dominant(self):
-        v = rule_quasi_unequal_weights(power(2.0), logarithm(), 0.7, 0.3)
+        v = rule_quasi_linear(quasi_linear_mean(power(2.0), 0.7),
+                              quasi_linear_mean(logarithm(), 0.3))
         assert v.outcome is Outcome.ADMISSIBLE
 
     def test_identity_pair_any_weight_order(self):
-        assert rule_quasi_unequal_weights(identity(), identity(), 0.3, 0.7).outcome \
-            is Outcome.ADMISSIBLE
-        assert rule_quasi_unequal_weights(identity(), identity(), 0.7, 0.3).outcome \
-            is Outcome.ADMISSIBLE
-
-    def test_requires_distinct_weights(self):
-        with pytest.raises(ValueError):
-            rule_quasi_unequal_weights(identity(), identity(), 0.5, 0.5)
+        for w1, w2 in ((0.3, 0.7), (0.7, 0.3)):
+            v = rule_quasi_linear(quasi_linear_mean(identity(), w1),
+                                  quasi_linear_mean(identity(), w2))
+            assert v.outcome is Outcome.ADMISSIBLE
 
     def test_uncharacterized_region_returns_none(self):
         # concave increasing composite (y^0.5 on (1, e)) with w1 < w2 matches
         # no row; its bounded slope ratio keeps the collision scan clear, so
         # the regime stays undecided rather than guessed
-        v = rule_quasi_unequal_weights(exponential(1.0), exponential(0.5), 0.2, 0.6)
+        v = rule_quasi_linear(quasi_linear_mean(exponential(1.0), 0.2),
+                              quasi_linear_mean(exponential(0.5), 0.6))
         assert v is None
 
     def test_generators_without_registry_row_have_no_shape_verdict(self):
@@ -225,7 +244,8 @@ class TestUnequalWeights:
         # same structure but with a composite whose slope ratio is unbounded:
         # here a genuine collision exists and the scan converts it into a
         # verified exclusion
-        v = rule_quasi_unequal_weights(identity(), exponential(3.0), 0.6, 0.3)
+        v = rule_quasi_linear(quasi_linear_mean(identity(), 0.6),
+                              quasi_linear_mean(exponential(3.0), 0.3))
         assert v.outcome is Outcome.NOT_ADMISSIBLE
         assert_valid_witness(v, k_mean(0.6), exponential_mean(3.0, 0.3))
 
@@ -909,6 +929,74 @@ class TestOracleMemory:
             tracemalloc.stop()
         assert got == found
         assert peak <= 8 * 2**20
+
+
+# The weight-order table for distinct weights: the composite's convexity and
+# monotonicity, whether f increases and whether w1 < w2, and whether the
+# pair is admissible.  An affine composite is convex and concave at once.
+CONVEX, AFFINE, CONCAVE = (Convexity.STRICTLY_CONVEX, Convexity.AFFINE,
+                           Convexity.STRICTLY_CONCAVE)
+MIXED, UNKNOWN = Convexity.MIXED, Convexity.UNKNOWN
+INC, DEC = Monotonicity.STRICTLY_INCREASING, Monotonicity.STRICTLY_DECREASING
+WEIGHT_ORDER_TABLE = [
+    # convexity, monotonicity, f increasing, w1 < w2, admissible
+    (CONVEX, INC, True, True, True),
+    (CONVEX, INC, True, False, False),
+    (CONVEX, INC, False, True, False),
+    (CONVEX, INC, False, False, True),
+    (CONVEX, DEC, True, True, False),
+    (CONVEX, DEC, True, False, True),
+    (CONVEX, DEC, False, True, True),
+    (CONVEX, DEC, False, False, False),
+    (AFFINE, INC, True, True, True),
+    (AFFINE, INC, True, False, True),
+    (AFFINE, INC, False, True, True),
+    (AFFINE, INC, False, False, True),
+    (AFFINE, DEC, True, True, True),
+    (AFFINE, DEC, True, False, True),
+    (AFFINE, DEC, False, True, True),
+    (AFFINE, DEC, False, False, True),
+    (CONCAVE, INC, True, True, False),
+    (CONCAVE, INC, True, False, True),
+    (CONCAVE, INC, False, True, True),
+    (CONCAVE, INC, False, False, False),
+    (CONCAVE, DEC, True, True, True),
+    (CONCAVE, DEC, True, False, False),
+    (CONCAVE, DEC, False, True, False),
+    (CONCAVE, DEC, False, False, True),
+    (MIXED, INC, True, True, False),
+    (MIXED, INC, True, False, False),
+    (MIXED, INC, False, True, False),
+    (MIXED, INC, False, False, False),
+    (MIXED, DEC, True, True, False),
+    (MIXED, DEC, True, False, False),
+    (MIXED, DEC, False, True, False),
+    (MIXED, DEC, False, False, False),
+    (UNKNOWN, INC, True, True, False),
+    (UNKNOWN, INC, True, False, False),
+    (UNKNOWN, INC, False, True, False),
+    (UNKNOWN, INC, False, False, False),
+    (UNKNOWN, DEC, True, True, False),
+    (UNKNOWN, DEC, True, False, False),
+    (UNKNOWN, DEC, False, True, False),
+    (UNKNOWN, DEC, False, False, False),
+]
+
+
+class TestWeightOrderTable:
+    @pytest.mark.parametrize("convexity, monotonicity, f_increasing, w1_below, admissible",
+                             WEIGHT_ORDER_TABLE)
+    def test_row(self, monkeypatch, convexity, monotonicity, f_increasing, w1_below,
+                 admissible):
+        shape = ShapeInfo(convexity, monotonicity)
+        w1, w2 = (0.3, 0.6) if w1_below else (0.6, 0.3)
+        assert _weight_row_matches(shape, f_increasing, w1, w2) is admissible
+        # the quantified diagnostic reads the same row for a pair with finite
+        # generator ends, whatever the registry says of it
+        monkeypatch.setattr(admissibility, "registry_composite_shape", lambda f, g: shape)
+        f = identity() if f_increasing else one_minus()
+        assert admissible_for_all_weight_orders(
+            f, identity(), increasing_weights=w1_below) is admissible
 
 
 class TestWeightOrderDiagnostic:

@@ -375,7 +375,7 @@ def pair_text(a: str, extra: str = "") -> str:
 
 K_03 = '{"family": "k", "w": 0.3}'
 # command, config text and whether it needs --input; one value of the wrong
-# type in each
+# type, or out of range, in each
 BAD_CONFIGS = {
     "resolution-null": ("check-pair", pair_text(K_03, ', "resolution": null'), False),
     "resolution-1e400": ("check-pair", pair_text(K_03, ', "resolution": 1e400'), False),
@@ -387,6 +387,9 @@ BAD_CONFIGS = {
         '{"family": "quasi_linear", "generator": {"kind": "logit"}, "weight": null}'), False),
     "gamma-list": ("check-pair", pair_text(
         '{"family": "schur_pair", "f": {"kind": "power", "gamma": [2]}}'), False),
+    "exponential-rate-overflow": ("check-pair", pair_text(
+        '{"family": "quasi_linear", "generator": {"kind": "exponential", "gamma": 1000}, '
+        '"weight": 0.5}'), False),
     "kind-list": ("check-pair", pair_text('{"family": "tnorm", "generator": {"kind": []}}'), False),
     "input-integer": (
         "rank", '{"order": {"kind": "alpha_beta", "alpha": 0.5, "beta": 1.0}, "input": 3}', False),
@@ -407,8 +410,9 @@ sys.exit(code)
 
 
 class TestBadConfigValues:
-    """A config value of the wrong type is one configuration error line and
-    exit 1: no traceback, no silent truncation, no numbered descriptor."""
+    """A config value of the wrong type, or out of range, is one configuration
+    error line and exit 1: no traceback, no silent truncation, no numbered
+    descriptor."""
 
     @staticmethod
     def assert_one_config_error(err: str) -> None:

@@ -141,6 +141,12 @@ class TestBuiltins:
         with pytest.raises(GeneratorError, match="gamma"):
             generator_from_config({"kind": "exponential"})
 
+    def test_overflowing_exponential_rate_rejected(self):
+        with pytest.raises(GeneratorError, match="rate 1000.0"):
+            exponential(1000.0)
+        with pytest.raises(GeneratorError, match="rate 1000.0"):
+            generator_from_config({"kind": "exponential", "gamma": 1000})
+
     @pytest.mark.parametrize("make", [power, exponential])
     @pytest.mark.parametrize("param", [math.inf, -math.inf, math.nan])
     def test_non_finite_parameter_rejected(self, make, param):

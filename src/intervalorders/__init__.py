@@ -19,8 +19,8 @@ from .admissibility import (
     nilpotent_witness,
     oracle_search,
     rule_k0_k1,
+    rule_nilpotent,
     rule_quasi_linear,
-    rule_tnorm_tconorm,
 )
 from .aggregators import (
     AggregationError,

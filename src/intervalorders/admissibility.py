@@ -8,8 +8,8 @@ The decision engine layers three kinds of evidence, strongest first:
 
 1.  Constructive exclusions.  Pairs that saturate an endpoint (both send
     [0, x] to 0, or both send [x, 1] to 1) collide immediately; a nilpotent
-    Archimedean t-norm or t-conorm admits an explicit collision built from
-    its additive generator.  These verdicts ship a verified witness pair.
+    t-norm (t-conorm) is exactly 0 (1) on a square of endpoints, where
+    ``rule_nilpotent`` builds a collision.  They ship a verified witness.
 2.  Shape criteria on one quasi view.  Off its saturated part, every
     builtin aggregator but K_0, K_1 and the nilpotent t-norms and t-conorms
     is a strictly increasing transform of a weighted quasi-linear mean
@@ -53,6 +53,8 @@ from .aggregators import (
     TConorm,
     TNorm,
     k_mean,
+    tconorm,
+    tnorm,
 )
 from .generators import (
     Composite,
@@ -200,54 +202,43 @@ def is_disjunctive(af: AggregationFunction) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _nilpotent_square(af: AggregationFunction) -> tuple[float, float] | None:
+    """(p, q) with A saturated on [p, q]^2: [0, m] with t(m) = t(0)/2 for a
+    nilpotent t-norm, [m, 1] with s(m) = s(1)/2 for a nilpotent t-conorm;
+    None for every other A."""
+    d = af.descriptor
+    if not isinstance(d, (TNorm, TConorm)) or d.is_strict:
+        return None
+    g = d.generator
+    if isinstance(d, TNorm):
+        return 0.0, bisect_root(g.fn, 0.0, 1.0, 0.5 * g.at_zero).mid
+    return bisect_root(g.fn, 0.0, 1.0, 0.5 * g.at_one).mid, 1.0
+
+
+def _square_witness(f: Generator, w: float, p: float, q: float) -> tuple[Interval, Interval]:
+    """u = [c, c] at the midpoint c of [p, q], and the x in [p, q] with one
+    end at p or q on the level curve of M_{f,w} through u: x = [p, x2] when
+    f(x2) - f(c) = (1-w)/w (f(c) - f(p)) fits in f(q) - f(c), else [x1, q]."""
+    c = 0.5 * (p + q)
+    fc = float(f.fn(c))
+    low = (1.0 - w) / w * (fc - float(f.fn(p)))
+    high = float(f.fn(q)) - fc
+    u = Interval(c, c)
+    if abs(low - high) <= 1e-14 * max(1.0, abs(low), abs(high)):
+        return u, Interval(p, q)
+    if abs(low) < abs(high):
+        return u, Interval(p, bisect_root(f.fn, c, q, fc + low).mid)
+    return u, Interval(bisect_root(f.fn, p, c, fc - w / (1.0 - w) * high).mid, q)
+
+
 def nilpotent_witness(t: Generator, s: Generator) -> tuple[Interval, Interval]:
-    """Two distinct intervals equal under both the t-norm of ``t`` and the
-    t-conorm of ``s``, for a pair with at least one nilpotent generator.
-
-    Works inside the saturation region of the nilpotent side, where one of
-    the two aggregations is pinned at its extreme and the other reduces to a
-    plain generator-sum equation solved by bisection.
-    """
-    t_nil = math.isfinite(t.at_zero)
-    s_nil = math.isfinite(s.at_one)
-    if not (t_nil or s_nil):
-        raise ValueError("at least one generator must be nilpotent")
-
-    if t_nil and not s_nil:
-        # T saturates to 0 below m_t; match the s-sums there.
-        m = bisect_root(t.fn, 0.0, 1.0, 0.5 * t.at_zero).mid
-        return _low_region_witness(s, m)
-    if s_nil and not t_nil:
-        # S saturates to 1 above l_s; match the t-sums there.
-        ls = bisect_root(s.fn, 0.0, 1.0, 0.5 * s.at_one).mid
-        u = 0.5 * (ls + 1.0)
-        d1 = float(t.fn(u))
-        d2 = float(t.fn(ls)) - float(t.fn(u))
-        if abs(d1 - d2) <= 1e-14 * max(1.0, d1, d2):
-            return Interval(u, u), Interval(ls, 1.0)
-        if d1 < d2:
-            x1 = bisect_root(t.fn, ls, u, 2.0 * float(t.fn(u))).mid
-            return Interval(u, u), Interval(x1, 1.0)
-        x2 = bisect_root(t.fn, u, 1.0, float(t.fn(u)) - d2).mid
-        return Interval(u, u), Interval(ls, x2)
-
-    # both nilpotent: stay below both saturation thresholds
-    m_t = bisect_root(t.fn, 0.0, 1.0, 0.5 * t.at_zero).mid
-    m_s = bisect_root(s.fn, 0.0, 1.0, 0.5 * s.at_one).mid
-    return _low_region_witness(s, min(m_t, m_s))
-
-
-def _low_region_witness(s: Generator, m: float) -> tuple[Interval, Interval]:
-    u = 0.5 * m
-    d1 = float(s.fn(u)) - float(s.fn(0.0))
-    d2 = float(s.fn(m)) - float(s.fn(u))
-    if abs(d1 - d2) <= 1e-14 * max(1.0, d1, d2):
-        return Interval(u, u), Interval(0.0, m)
-    if d1 < d2:
-        x2 = bisect_root(s.fn, u, m, float(s.fn(u)) + d1).mid
-        return Interval(u, u), Interval(0.0, x2)
-    x1 = bisect_root(s.fn, 0.0, u, float(s.fn(u)) - d2).mid
-    return Interval(u, u), Interval(x1, m)
+    """The witness of ``rule_nilpotent(tnorm(t), tconorm(s))``; building
+    those raises ``AggregationError`` on a generator in the wrong role.
+    ``ValueError`` when both are strict or no witness passed."""
+    v = rule_nilpotent(tnorm(t), tconorm(s))
+    if v is None or v.witness is None:
+        raise ValueError("at least one generator must be nilpotent, with a valid witness")
+    return v.witness.u, v.witness.x
 
 
 def _decode_vspace(f: Generator, v1: float, x0: float, t1: float, t2: float
@@ -412,20 +403,26 @@ def rule_k0_k1(b: AggregationFunction, k_weight: float) -> Verdict | None:
     return Verdict(Outcome.ADMISSIBLE, rule, note=f"grid evidence, {K_SAMPLES}x{K_SAMPLES} samples")
 
 
-def rule_tnorm_tconorm(t_af: AggregationFunction, s_af: AggregationFunction) -> Verdict | None:
-    """An Archimedean t-norm paired with an Archimedean t-conorm.
-
-    Any nilpotent side forces a constructive collision.  Two strict
-    generators give None here: both sides have a quasi view, and
-    :func:`rule_quasi_linear` decides them.
-    """
-    td: TNorm = t_af.descriptor
-    sd: TConorm = s_af.descriptor
-    if td.is_strict and sd.is_strict:
-        return None
-    u, x = nilpotent_witness(td.generator, sd.generator)
-    w = make_witness(t_af, s_af, u, x, tol=1e-12)
-    return Verdict(Outcome.NOT_ADMISSIBLE, "nilpotent-collision", witness=w)
+def rule_nilpotent(a: AggregationFunction, b: AggregationFunction) -> Verdict | None:
+    """Never admissible: a nilpotent side is constant on its
+    :func:`_nilpotent_square` (a t-norm's is tried first, so both
+    orientations agree), where :func:`_square_witness` builds a collision
+    with the other side's quasi view (f, w), validated at 1e-12.  None when
+    no side is nilpotent or the other has no view (K_0, K_1)."""
+    for sat, other in ((a, b), (b, a)) if isinstance(a.descriptor, TNorm) else ((b, a), (a, b)):
+        view = quasi_view(other)
+        if view is None and not isinstance(other.descriptor, TConorm):
+            continue
+        square = _nilpotent_square(sat)
+        if square is None:
+            continue
+        p, q = square
+        if view is None:
+            # a nilpotent S is M_{s,1/2} where it is not saturated, on [0, m_s]
+            view, q = (other.descriptor.generator, 0.5), min(q, _nilpotent_square(other)[0])
+        w = make_witness(a, b, *_square_witness(*view, p, q), tol=1e-12)
+        return Verdict(Outcome.NOT_ADMISSIBLE, "nilpotent-collision", witness=w)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +439,9 @@ def _rules_once(a: AggregationFunction, b: AggregationFunction) -> Verdict | Non
     if sat is not None:
         return sat
 
-    if isinstance(a.descriptor, TNorm) and isinstance(b.descriptor, TConorm):
-        nil = rule_tnorm_tconorm(a, b)
-        if nil is not None:
-            return nil
+    nil = rule_nilpotent(a, b)
+    if nil is not None:
+        return nil
 
     if ka in (0.0, 1.0) and kb is None:
         return rule_k0_k1(b, ka)

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from intervalorders import (
+    AggregationError,
     AggregationFunction,
     Interval,
     Outcome,
@@ -43,7 +44,7 @@ from intervalorders import (
     rule_k0_k1,
     rule_quasi_linear,
     interval_grid,
-    rule_tnorm_tconorm,
+    rule_nilpotent,
     schur_pair_mean,
     tconorm,
     tnorm,
@@ -64,6 +65,7 @@ from intervalorders.admissibility import (
 from intervalorders.generators import Convexity, Monotonicity, ShapeInfo
 from coverage_sweep import sweep_pairs
 from oracle_witnesses import FIELDS as WITNESS_FIELDS, witness_rows
+import nilpotent_witnesses
 
 
 def assert_valid_witness(verdict, a, b, tol=1e-9):
@@ -274,7 +276,7 @@ class TestArchimedeanRule:
     def test_strict_pair_admissible(self):
         t, s = tnorm(negated_log()), tconorm(negated_log_complement())
         # two strict generators are left to the quasi-linear rules
-        assert rule_tnorm_tconorm(t, s) is None
+        assert rule_nilpotent(t, s) is None
         for a, b in ((t, s), (s, t)):
             v = check_pair(a, b, use_oracle=False)
             assert v.outcome is Outcome.ADMISSIBLE
@@ -282,13 +284,13 @@ class TestArchimedeanRule:
 
     def test_nilpotent_tnorm_collides(self):
         t, s = tnorm(one_minus()), tconorm(negated_log_complement())
-        v = rule_tnorm_tconorm(t, s)
+        v = rule_nilpotent(t, s)
         assert v.outcome is Outcome.NOT_ADMISSIBLE
         assert_valid_witness(v, t, s, tol=1e-12)
 
     def test_nilpotent_tconorm_collides(self):
         t, s = tnorm(negated_log()), tconorm(identity())
-        v = rule_tnorm_tconorm(t, s)
+        v = rule_nilpotent(t, s)
         assert v.outcome is Outcome.NOT_ADMISSIBLE
         assert_valid_witness(v, t, s, tol=1e-12)
 
@@ -323,6 +325,94 @@ class TestNilpotentWitness:
     def test_rejects_two_strict_generators(self):
         with pytest.raises(ValueError):
             nilpotent_witness(negated_log(), negated_log_complement())
+
+    @pytest.mark.parametrize("t, s", [(identity(), identity()), (one_minus(), one_minus())],
+                             ids=["two t-conorm generators", "two t-norm generators"])
+    def test_rejects_generators_in_the_wrong_role(self, t, s):
+        with pytest.raises(AggregationError):
+            nilpotent_witness(t, s)
+
+    def test_witnesses_match_the_pinned_table(self):
+        # nilpotent_witnesses.csv pins the float.hex of the witness on 30
+        # (t, s) pairs, and the error of the strict pair
+        with open(Path(__file__).with_name("nilpotent_witnesses.csv"), newline="") as fh:
+            header, *pinned = csv.reader(fh)
+        assert tuple(header) == nilpotent_witnesses.FIELDS
+        rows = nilpotent_witnesses.witness_rows()
+        assert len(rows) == len(pinned) == 30
+        for got, want in zip(rows, pinned):
+            assert got == want
+
+
+def saturated_square(af):
+    """(value, p, q): a nilpotent t-norm is 0 on [0, m]^2 with m =
+    t^{-1}(t(0)/2), and a nilpotent t-conorm 1 on [m, 1]^2 with m =
+    s^{-1}(s(1)/2); None for any other A."""
+    d = af.descriptor
+    if isinstance(d, TNorm) and not d.is_strict:
+        return 0.0, 0.0, float(d.generator.inv(0.5 * d.generator.at_zero))
+    if isinstance(d, TConorm) and not d.is_strict:
+        return 1.0, float(d.generator.inv(0.5 * d.generator.at_one)), 1.0
+    return None
+
+
+def assert_square_collision(a, b):
+    """The rules exclude (a, b) by ``nilpotent-collision``, with the same u
+    and x in both orientations, and a witness that ``make_witness`` accepts
+    at 1e-12, lies in the saturated square and meets the saturated side's
+    exact value there.  A t-norm's square is the one used; a second,
+    nilpotent t-conorm side is not saturated below its own m, which
+    shrinks the square."""
+    v = check_pair(a, b, use_oracle=False)
+    assert (v.outcome, v.rule) == (Outcome.NOT_ADMISSIBLE, "nilpotent-collision")
+    u, x = v.witness.u, v.witness.x
+    back = check_pair(b, a, use_oracle=False).witness
+    assert (back.u, back.x) == (u, x)
+    assert make_witness(a, b, u, x, 1e-12) is not None
+    squares = sorted(((*sq, af) for af in (a, b) if (sq := saturated_square(af)) is not None),
+                     key=lambda sq: sq[0])
+    value, p, q, sat = squares[0]
+    if len(squares) == 2:
+        q = min(q, squares[1][1])
+    for z in (u, x):
+        assert p - 1e-12 <= z.lo <= z.hi <= q + 1e-12
+        assert sat(z) == value
+
+
+NILPOTENT_SIDES = [
+    tnorm(one_minus()), tconorm(identity()), tconorm(power(2.0)), tconorm(power(0.5)),
+    tnorm(nilpotent_witnesses.one_minus_square()), tnorm(nilpotent_witnesses.one_minus_sqrt()),
+    tnorm(nilpotent_witnesses.twice_cubed_complement()),
+    tconorm(nilpotent_witnesses.exp_minus_one()),
+]
+MEAN_GENERATORS = [power(0.25), power(0.5), power(2.0), power(3.0), power(-1.0),
+                   exponential(-3.0), exponential(1.0), exponential(3.0), identity(), logarithm(),
+                   negated_log_complement(), logit()]
+weights = st.floats(0.05, 0.95)
+partners = st.one_of(
+    st.builds(quasi_linear_mean, st.sampled_from(MEAN_GENERATORS), weights),
+    st.builds(k_mean, weights),
+    st.builds(schur_pair_mean, st.sampled_from([power(0.5), power(2.0), power(3.0), identity()])))
+
+
+class TestNilpotentRule:
+    """A nilpotent t-norm or t-conorm collides with every side that has a
+    quasi view, on the square where it saturates."""
+
+    def test_sweep_pairs(self, coverage_sweep):
+        pairs = [(a, b) for (a, b), row in coverage_sweep if row["rule"] == "nilpotent-collision"]
+        # the three t-norm/t-conorm pairs and 42 with a mean, K_w or pair mean
+        assert len(pairs) == 45
+        for a, b in pairs:
+            assert_square_collision(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(NILPOTENT_SIDES), partners)
+    def test_drawn_pairs(self, nilpotent, partner):
+        # a partner infinite where the nilpotent side saturates saturates
+        # there too, which the saturation rules decide first
+        assume(_saturation_verdict(nilpotent, partner) is None)
+        assert_square_collision(nilpotent, partner)
 
 
 class TestSchurPairRule:

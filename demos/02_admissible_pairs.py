@@ -57,10 +57,12 @@ for label, a, b in cases:
     print(f"{label}: {v.outcome.value}  (rule: {v.rule})")
 
 print("\n== an honestly undecided regime ==")
-# concave increasing composite with increasing weights matches no criterion,
-# and no collision turns up: the engine reports evidence, not a guess
-a = exponential_mean(1.0, 0.2)
-b = exponential_mean(0.5, 0.6)
+# K_w against the w=1/2 mean of e^(-x) collides exactly for logit(w) in
+# (-1, 0); at the float nearest e^-1 / (1 + e^-1) logit(w) is -1 within
+# float error, the rules leave the pair undecided, and no collision turns
+# up: the engine reports evidence, not a guess
+a = k_mean(0.2689414213699951)
+b = exponential_mean(-1.0, 0.5)
 v = check_pair(a, b, resolution=120)
 print(f"verdict: {v.outcome.value}  ({v.note})")
 

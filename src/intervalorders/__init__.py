@@ -57,7 +57,6 @@ from .generators import (
     Convexity,
     Generator,
     GeneratorError,
-    Monotonicity,
     ScanOutcome,
     ScanResult,
     ShapeInfo,

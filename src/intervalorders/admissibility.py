@@ -10,20 +10,20 @@ The decision engine layers three kinds of evidence, strongest first:
     [0, x] to 0, or both send [x, 1] to 1) collide immediately; a nilpotent
     t-norm (t-conorm) is exactly 0 (1) on a square of endpoints, where
     ``rule_nilpotent`` builds a collision.  They ship a verified witness.
-2.  Shape criteria on one quasi view.  Off its saturated part, every
+2.  The weight band of two quasi views.  Off its saturated part, every
     builtin aggregator but K_0, K_1 and the nilpotent t-norms and t-conorms
     is a strictly increasing transform of a weighted quasi-linear mean
     M_{f,w} (``quasi_view``): K_w = M_{id,w}, 0.5 (f(u1) + f(u2)) =
     f(M_{f,1/2}), a strict T = t^{-1}(2 t(M_{t,1/2})) and a strict S
     likewise.  It has the collisions of that mean, so one quasi-linear rule
     (``rule_quasi_linear``) decides every pair of views, across families
-    too: by the shape class of g o f^{-1}, certified exactly by the
-    closed-form registry, against strict convexity for equal weights and
-    the weight-order table for distinct ones.  A generator without a
-    registry row has no shape, so the rule can only exclude its pair by a
-    witness, and otherwise leaves it to the oracle.  Failed shape criteria
-    are converted back into witnesses by locating a zero of the collision
-    gap.
+    too, and exactly: B turns along A's level curves where L(x2) - L(x1) =
+    logit(w1) - logit(w2), L = log|g'/f'|, so the pair is admissible
+    exactly when that weight ratio lies outside the band of L(x2) - L(x1),
+    which the closed-form registry gives.  A collision is converted back
+    into a witness at a zero of the collision gap or a turn of B.  A
+    generator without a registry row has no band, so the rule can only
+    exclude its pair by a witness, and otherwise leaves it to the oracle.
 3.  The oracle.  A scan of A's level sets: the exact ties of a triangular
     grid of intervals first, then B sampled along A's level curves, which
     every builtin family gives in closed form through its generator's
@@ -58,15 +58,13 @@ from .aggregators import (
 )
 from .generators import (
     Composite,
-    Convexity,
     Generator,
-    Monotonicity,
-    ShapeInfo,
+    WeightBand,
     _pairs_of,
+    _weight_band,
     bisect_root,
     collision_candidates,
     composite,
-    registry_composite_shape,
 )
 from .intervals import Interval, interval_grid
 
@@ -284,6 +282,46 @@ def _collision_witness(h: Composite, w1: float, w2: float,
     return None
 
 
+def _swapped(w: Witness | None) -> Witness | None:
+    return None if w is None else w.swapped()
+
+
+def _band_witness(a: AggregationFunction, b: AggregationFunction, band: WeightBand,
+                  log_rho: float) -> Witness | None:
+    """A collision next to a turn of B along a level curve of A.
+
+    The turn, L(x2) - L(x1) = log rho, is bisected on the segment from
+    [c, c] to the (x1, x2) of the band's end beyond log rho, c their
+    midpoint; where L is infinite at x1 (x2), the segment keeps x2 (x1) at
+    c, so that the turn stays off the corner.  :func:`_scan_levels` samples
+    B at the turn and the ends of its level curve and bisects B = B(u) for
+    u at the end whose B is nearer B at the turn; while no witness passes
+    and an end is ``WITNESS_GAP`` or more from the turn, both ends move
+    halfway to it.
+    """
+    p1, p2 = band.hi_at if log_rho > 0 else band.lo_at
+    c = 0.5 * (p1 + p2)
+    l1, l2 = band.log_q([p1, p2])
+    if math.isinf(l1):
+        p2 = c
+    elif math.isinf(l2):
+        p1 = c
+
+    s = bisect_root(lambda v: band.log_q(c + v * (p2 - c)) - band.log_q(c + v * (p1 - c))
+                    - log_rho, 0.0, 1.0).mid
+    x1, x2 = c + s * (p1 - c), c + s * (p2 - c)
+    level = a(Interval(x1, x2))
+    lo = (0.0 if a(Interval(0.0, 1.0)) >= level
+          else bisect_root(lambda t: a.values(t, np.ones_like(t)), 0.0, x1, level).hi)
+    hi = bisect_root(lambda t: a.values(t, t), x1, x2, level).lo
+    while max(x1 - lo, hi - x1) >= WITNESS_GAP:
+        w = _scan_levels(a, b, np.array([lo, x1, hi]), np.array([level]))[0]
+        if w is not None:
+            return w
+        lo, hi = 0.5 * (lo + x1), 0.5 * (x1 + hi)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------
@@ -303,31 +341,24 @@ def _saturation_verdict(a: AggregationFunction, b: AggregationFunction) -> Verdi
     return None
 
 
-def _weight_row_matches(shape: ShapeInfo, f_increasing: bool, w1: float, w2: float) -> bool:
-    """The weight-order table for w1 != w2: a convex composite must be
-    increasing exactly when (w1 < w2) == f_increasing, and a concave one
-    the other way; an affine composite is both, so it always matches."""
-    rising = shape.monotonicity is Monotonicity.STRICTLY_INCREASING
-    want = (w1 < w2) == f_increasing
-    return ((shape.convexity.implies_convex and rising == want)
-            or (shape.convexity.implies_concave and rising != want))
-
-
 def rule_quasi_linear(a: AggregationFunction, b: AggregationFunction) -> Verdict | None:
     """Pairs whose sides both have a quasi view M_{f,w1} and M_{g,w2}, decided
-    by the shape of the composite g o f^{-1} (None when either side has no
-    quasi view, or when nothing is decided).
+    by the weight band of g o f^{-1}: admissible exactly when log rho =
+    logit(w1) - logit(w2) lies outside it, except that an affine composite
+    collides at equal weights.  None when either side has no quasi view, or
+    log rho is within the band's ``slack`` of an end that is neither 0
+    nor infinite.
 
-    Equal weights: admissible exactly when the composite is strictly convex
-    or strictly concave (and no endpoint exclusion applies).  The rule id
-    names the classical criterion: ``strict-archimedean-*`` for a strict
-    t-norm with a strict t-conorm, ``pair-mean-*`` for pairwise means (with
-    each other or with K_{1/2}), else ``equal-weights-*``.
-
-    Distinct weights: a sufficient criterion only, a match of the
-    composite's convexity and monotonicity in the weight-order table
-    (``weight-order-shape``).  No match and no located collision leaves the
-    pair undecided.
+    At equal weights the band asks for a strictly convex or strictly
+    concave composite, and the rule id names the classical criterion:
+    ``strict-archimedean-*`` for a strict t-norm with a strict t-conorm,
+    ``pair-mean-*`` for pairwise means (with each other or with K_{1/2}),
+    else ``equal-weights-*``.  At distinct weights it is
+    ``weight-order-shape`` when the band holds nothing on log rho's side of
+    0, else ``weight-band``.  A collision is ``*-collision`` with a witness
+    of the collision gap or, at distinct weights, of :func:`_band_witness`;
+    without one it keeps the band's id and a note says so.  Without a
+    registry row there is no band, and only a witness decides.
     """
     qa, qb = quasi_view(a), quasi_view(b)
     if qa is None or qb is None:
@@ -336,31 +367,36 @@ def rule_quasi_linear(a: AggregationFunction, b: AggregationFunction) -> Verdict
     sat = _saturation_verdict(a, b)
     if sat is not None:
         return sat
-    h = composite(f, g)
+    band = _weight_band(f.kind, f.param, g.kind, g.param)
+    log_rho = math.log1p((w1 - w2) / ((1.0 - w1) * w2))
+    ends = () if band is None else (band.lo, band.hi)
+    if any(end and abs(log_rho - end) <= band.slack for end in ends):
+        return None  # at a float end of the band
     if w1 == w2:
         kinds = {type(a.descriptor), type(b.descriptor)}
         stem = ("strict-archimedean" if kinds == {TNorm, TConorm}
                 else "pair-mean" if SchurPair in kinds and kinds <= {SchurPair, KProjection}
                 else "equal-weights")
-        admissible = h.shape.convexity.is_strict
         shape_rule, collision_rule = f"{stem}-shape", f"{stem}-collision"
+        note = "composite certified neither strictly convex nor strictly concave"
     else:
-        admissible = _weight_row_matches(h.shape, f.increasing, w1, w2)
-        shape_rule, collision_rule = "weight-order-shape", "weighted-collision"
-    if admissible:
+        beyond = band is not None and (band.hi if log_rho > 0 else band.lo)
+        shape_rule = "weight-band" if beyond else "weight-order-shape"
+        collision_rule = "weighted-collision"
+        note = "weight ratio inside the band, but no collision in floats was found"
+    if band is not None and not (band.lo < log_rho < band.hi or band.lo == band.hi == log_rho):
         return Verdict(Outcome.ADMISSIBLE, shape_rule)
-    witness = _collision_witness(h, w1, w2, a, b)
+    witness = _collision_witness(composite(f, g), w1, w2, a, b)
+    if witness is None and w1 != w2 and band is not None:
+        # the band has decided: the pair swapped, as check_pair would try
+        # it, then the level curves of A and of B
+        witness = (_swapped(_collision_witness(composite(g, f), w2, w1, b, a))
+                   or _band_witness(a, b, band, log_rho)
+                   or _swapped(_band_witness(
+                       b, a, _weight_band(g.kind, g.param, f.kind, f.param), -log_rho)))
     if witness is not None:
         return Verdict(Outcome.NOT_ADMISSIBLE, collision_rule, witness=witness)
-    if w1 == w2 and h.shape.convexity in (Convexity.AFFINE, Convexity.MIXED):
-        # shape non-strict, but no witness survived validation; report the
-        # exclusion without one
-        return Verdict(
-            Outcome.NOT_ADMISSIBLE,
-            shape_rule,
-            note="composite certified neither strictly convex nor strictly concave",
-        )
-    return None
+    return None if band is None else Verdict(Outcome.NOT_ADMISSIBLE, shape_rule, note=note)
 
 
 def rule_k0_k1(b: AggregationFunction, k_weight: float) -> Verdict | None:
@@ -728,21 +764,15 @@ def admissible_for_all_weight_orders(f: Generator, g: Generator,
     """Whether the quasi-arithmetic pair is admissible for *every* weight
     pair w1 < w2 (or every w1 > w2).
 
-    For strictly monotone composite and finite shared endpoints this is
-    equivalent to plain (non-strict) convexity or concavity of the composite,
-    matched against the direction table.  Returns None when the shape cannot
-    be certified in closed form, i.e. when the registry has no row for the
-    pair.  Note this quantified answer must not be read as an iff for any
-    single weight pair.
+    Never when both generators are infinite at one end; else whether the
+    weight band has its lower end at 0 (w1 < w2 gives log rho < 0), or its
+    upper end for w1 > w2.  None without a registry row for the pair.
     """
     if math.isinf(f.at_zero) and math.isinf(g.at_zero):
         return False
     if math.isinf(f.at_one) and math.isinf(g.at_one):
         return False
-    shape = registry_composite_shape(f, g)
-    if shape is None:
+    band = _weight_band(f.kind, f.param, g.kind, g.param)
+    if band is None:
         return None
-    if shape.convexity is Convexity.MIXED:
-        return False
-    w1, w2 = (0.25, 0.75) if increasing_weights else (0.75, 0.25)
-    return _weight_row_matches(shape, f.increasing, w1, w2)
+    return (band.lo if increasing_weights else band.hi) == 0

@@ -8,9 +8,8 @@ decisive object is the composite
 
     h = g o f^{-1}        on the open interval f((0,1)),
 
-whose convexity class (strictly convex / affine / strictly concave /
-mixed) governs whether the induced pair of aggregation functions can order
-intervals without collisions.
+whose shape governs whether the induced pair of aggregation functions can
+order intervals without collisions.
 
 Closed-form shape registry
 --------------------------
@@ -27,8 +26,17 @@ error), with no tolerance: on (0,1) a quadratic takes exactly the signs it
 has just right of 0, just left of 1 and at an interior vertex.  This
 registry is the only source of a shape: strictness on an open set cannot be
 certified by finitely many samples, so a composite with a generator outside
-the registry has convexity UNKNOWN, and only the rules that do not read the
-shape, and the oracle, can decide its pair.
+the registry has convexity UNKNOWN and no weight band, and only witnesses,
+and the oracle, can decide its pair.
+
+The same N gives the weight band of a pair of weighted means M_{f,w1} and
+M_{g,w2}: L = log|g'/f'| = c0 ln x - N(1) ln(1-x) - c2 x, as L' =
+N/(x(1-x)), and M_{g,w2} turns along the level curves of M_{f,w1} where
+L(x2) - L(x1) = logit(w1) - logit(w2).  ``_weight_band`` reads the range
+(lo, hi) of L(x2) - L(x1) off L at 0, at N's sign changes and at 1.  An
+end is exactly 0 where N keeps one sign; an end that is neither 0 nor
+infinite is a float, and a weight ratio within ``BAND_EDGE`` times the
+size of the terms of L that give it is left undecided.
 
 Collision gap
 -------------
@@ -79,28 +87,10 @@ class Convexity(Enum):
     MIXED = "mixed"
     UNKNOWN = "unknown"
 
-    @property
-    def is_strict(self) -> bool:
-        return self in (Convexity.STRICTLY_CONVEX, Convexity.STRICTLY_CONCAVE)
-
-    @property
-    def implies_convex(self) -> bool:
-        return self in (Convexity.STRICTLY_CONVEX, Convexity.AFFINE)
-
-    @property
-    def implies_concave(self) -> bool:
-        return self in (Convexity.STRICTLY_CONCAVE, Convexity.AFFINE)
-
-
-class Monotonicity(Enum):
-    STRICTLY_INCREASING = "strictly_increasing"
-    STRICTLY_DECREASING = "strictly_decreasing"
-
 
 @dataclass(frozen=True)
 class ShapeInfo:
     convexity: Convexity
-    monotonicity: Monotonicity
 
 
 @dataclass(frozen=True)
@@ -425,13 +415,62 @@ def _n_signs(f_kind: str | None, f_param, g_kind: str | None, g_param) -> frozen
     return _quadratic_signs_on_unit(*(a - b for a, b in zip(cg, cf)))
 
 
-def _monotonicity(f: Generator, g: Generator) -> Monotonicity:
-    """The direction of g o f^{-1}: a composite of validated strictly
-    monotone maps is strictly monotone, increasing when both run the same
-    way."""
-    if f.increasing == g.increasing:
-        return Monotonicity.STRICTLY_INCREASING
-    return Monotonicity.STRICTLY_DECREASING
+# the relative float error bound of a weight band's ends (see above)
+BAND_EDGE = 1e-9
+
+
+def _log_terms(coeffs: tuple[float, float, float], x) -> np.ndarray:
+    """The terms c0 ln x, -N(1) ln(1-x) and -c2 x of L at x, one row each;
+    a term with a zero coefficient is 0, so that L(0) and L(1) are L's
+    limits there."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        terms = (np.log(x), np.log1p(-x), x)
+        return np.array([c * t if c else np.zeros(x.shape) for c, t in zip(coeffs, terms)])
+
+
+class WeightBand(NamedTuple):
+    """The inf and sup of L(x2) - L(x1), 0 < x1 < x2 < 1, and the (x1, x2)
+    of each, 0 and 1 standing for L's limits there; ``coeffs`` are L's
+    (c0, -N(1), -c2)."""
+
+    lo: float
+    hi: float
+    lo_at: tuple[float, float]
+    hi_at: tuple[float, float]
+    slack: float
+    coeffs: tuple[float, float, float]
+
+    def log_q(self, x) -> np.ndarray:
+        """L = log|g'/f'| at x."""
+        return _log_terms(self.coeffs, x).sum(axis=0)
+
+
+@functools.cache
+def _weight_band(f_kind: str | None, f_param, g_kind: str | None, g_param) -> WeightBand | None:
+    """The weight band of g o f^{-1}, or None without a registry row."""
+    signs = _n_signs(f_kind, f_param, g_kind, g_param)
+    if signs is None:
+        return None
+    c0, c1, c2 = (b - a for a, b in zip(_r_coeffs(f_kind, f_param), _r_coeffs(g_kind, g_param)))
+    coeffs = (float(c0), float(-(c0 + c1 + c2)), float(-c2))
+    xs = [0.0, 1.0]
+    if len(signs) == 2:  # L turns where N changes sign
+        if c2:
+            q = -0.5 * (c1 + math.copysign(math.sqrt(c1 * c1 - 4 * c0 * c2), c1))
+            roots = [q / c2, c0 / q]
+        else:
+            roots = [-c0 / c1]
+        xs[1:1] = sorted(float(r) for r in roots if 0 < r < 1)
+    terms = _log_terms(coeffs, xs)
+    ls, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    i, j = _pairs_of(np.arange(len(xs)))
+    with np.errstate(invalid="ignore"):
+        d = ls[j] - ls[i]  # NaN where L is infinite at both
+    slack = BAND_EDGE * float(np.max(size[i] + size[j], where=np.isfinite(d), initial=0.0))
+    lo, hi = np.nanargmin(d), np.nanargmax(d)
+    at = [(xs[m], xs[n]) for m, n in zip(i.tolist(), j.tolist())]
+    return WeightBand(min(0.0, float(d[lo])), max(0.0, float(d[hi])), at[lo], at[hi], slack, coeffs)
 
 
 def registry_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
@@ -443,14 +482,13 @@ def registry_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
     signs = _n_signs(f.kind, f.param, g.kind, g.param)
     if signs is None:
         return None
-    mono = _monotonicity(f, g)
     if not signs:
-        return ShapeInfo(Convexity.AFFINE, mono)
+        return ShapeInfo(Convexity.AFFINE)
     if len(signs) == 2:
-        return ShapeInfo(Convexity.MIXED, mono)
+        return ShapeInfo(Convexity.MIXED)
     # sign(h'') = sign(g') * sign(N)
     convex = (1 in signs) == g.increasing
-    return ShapeInfo(Convexity.STRICTLY_CONVEX if convex else Convexity.STRICTLY_CONCAVE, mono)
+    return ShapeInfo(Convexity.STRICTLY_CONVEX if convex else Convexity.STRICTLY_CONCAVE)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +544,7 @@ class Composite:
 
 def composite(f: Generator, g: Generator) -> Composite:
     """Build g o f^{-1} with its shape: the closed-form registry's when both
-    generators have a row, else convexity UNKNOWN with the composite's
-    structural monotonicity."""
+    generators have a row, else convexity UNKNOWN."""
     validate_generator(f)
     validate_generator(g)
 
@@ -516,7 +553,7 @@ def composite(f: Generator, g: Generator) -> Composite:
 
     shape = registry_composite_shape(f, g)
     if shape is None:
-        shape = ShapeInfo(Convexity.UNKNOWN, _monotonicity(f, g))
+        shape = ShapeInfo(Convexity.UNKNOWN)
     return Composite(fn=fn, domain=f.range_open(), shape=shape, f=f, g=g)
 
 

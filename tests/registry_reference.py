@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from intervalorders.generators import Convexity, Generator, Monotonicity, ShapeInfo
+from intervalorders.generators import Convexity, Generator, ShapeInfo
 
 COEFF_TOL = 1e-12
 ROOT_EDGE = 1e-9
@@ -78,16 +78,11 @@ def reference_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
     if cf is None or cg is None:
         return None
     pattern = _quadratic_sign_on_unit(*(a - b for a, b in zip(cg, cf)))
-    mono = (
-        Monotonicity.STRICTLY_INCREASING
-        if f.increasing == g.increasing
-        else Monotonicity.STRICTLY_DECREASING
-    )
     if pattern == "zero":
-        return ShapeInfo(Convexity.AFFINE, mono)
+        return ShapeInfo(Convexity.AFFINE)
     if pattern == "mixed":
-        return ShapeInfo(Convexity.MIXED, mono)
+        return ShapeInfo(Convexity.MIXED)
     dir_g = 1.0 if g.increasing else -1.0
     signed = dir_g if pattern == "pos" else -dir_g
     conv = Convexity.STRICTLY_CONVEX if signed > 0 else Convexity.STRICTLY_CONCAVE
-    return ShapeInfo(conv, mono)
+    return ShapeInfo(conv)

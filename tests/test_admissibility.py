@@ -3,6 +3,7 @@ import dataclasses
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +60,12 @@ from intervalorders.admissibility import (
     _saturation_verdict,
     _scan_levels,
     _steps,
-    _weight_row_matches,
     quasi_view,
 )
-from intervalorders.generators import Convexity, Monotonicity, ShapeInfo
+from intervalorders.generators import Convexity, _weight_band
 from coverage_sweep import sweep_pairs
 from oracle_witnesses import FIELDS as WITNESS_FIELDS, witness_rows
+import band_witnesses
 import nilpotent_witnesses
 
 
@@ -166,8 +167,12 @@ class TestEqualWeights:
 #   so the composite is not strictly convex;
 # - K_1/2 vs the x^(1+1e-13) mean: N = 1e-13 (1 - x) > 0, so the composite
 #   is strictly convex and no collision exists;
-# - at unequal weights no row of the weight-order table matches the first
-#   pair's mixed composite, nor a convex composite with w1 > w2.
+# - at unequal weights log rho = -1.69 lies inside the band (-inf, 1) of
+#   the first pair, and 1.69 inside the band (0, inf) of the second, but B
+#   turns along A's level curves only where 1e-10 ln x1 is about -1.69, or
+#   where 1e-13 ln(x2/x1) is about 1.69: no float witness exists, and the
+#   note says so.
+NO_BAND_WITNESS = "weight ratio inside the band, but no collision in floats was found"
 NEAR_DEGENERATE_PAIRS = [
     ("power(1+1e-10) vs exponential(1)",
      (quasi_linear_mean(power(1 + 1e-10), 0.5), quasi_linear_mean(exponential(1.0), 0.5)),
@@ -178,10 +183,10 @@ NEAR_DEGENERATE_PAIRS = [
      (Outcome.ADMISSIBLE, "equal-weights-shape", "")),
     ("power(1+1e-10, w=0.3) vs exponential(1, w=0.7)",
      (quasi_linear_mean(power(1 + 1e-10), 0.3), quasi_linear_mean(exponential(1.0), 0.7)),
-     (Outcome.UNKNOWN, "rules", "no criterion matched; oracle disabled")),
+     (Outcome.NOT_ADMISSIBLE, "weight-band", NO_BAND_WITNESS)),
     ("k_mean(0.7) vs power(1+1e-13, w=0.3)",
      (k_mean(0.7), quasi_linear_mean(power(1 + 1e-13), 0.3)),
-     (Outcome.UNKNOWN, "rules", "no criterion matched; oracle disabled")),
+     (Outcome.NOT_ADMISSIBLE, "weight-band", NO_BAND_WITNESS)),
 ]
 
 
@@ -216,18 +221,20 @@ class TestUnequalWeights:
                                   quasi_linear_mean(identity(), w2))
             assert v.outcome is Outcome.ADMISSIBLE
 
-    def test_uncharacterized_region_returns_none(self):
-        # concave increasing composite (y^0.5 on (1, e)) with w1 < w2 matches
-        # no row; its bounded slope ratio keeps the collision scan clear, so
-        # the regime stays undecided rather than guessed
+    def test_band_decides_the_region_no_table_row_covers(self):
+        # a concave increasing composite (y^0.5 on (1, e)) with w1 < w2: its
+        # band is (-0.5, 0), and log rho = logit(0.2) - logit(0.6) = -1.79
+        # lies below it
         v = rule_quasi_linear(quasi_linear_mean(exponential(1.0), 0.2),
                               quasi_linear_mean(exponential(0.5), 0.6))
-        assert v is None
+        assert (v.outcome, v.rule) == (Outcome.ADMISSIBLE, "weight-band")
+        band = _weight_band("exponential", 1.0, "exponential", 0.5)
+        assert (band.lo, band.hi) == (-0.5, 0.0)
 
     def test_generators_without_registry_row_have_no_shape_verdict(self):
         # power(2) at w = 0.2 and power(3) at w = 0.5 stripped of their
-        # registry kind: no shape is certified, so no weight-order row
-        # matches, and in both orientations the pair stays UNKNOWN, with
+        # registry kind: no band is certified, so no shape criterion
+        # applies, and in both orientations the pair stays UNKNOWN, with
         # the oracle's empty scan labelled as evidence
         f, g = (dataclasses.replace(power(e), kind=None, param=None) for e in (2.0, 3.0))
         a, b = quasi_linear_mean(f, 0.2), quasi_linear_mean(g, 0.5)
@@ -724,6 +731,62 @@ class TestOracleThreshold:
 
 
 
+class TestWeightBandThreshold:
+    """The rules on the same pair: L(x) = -x, the band is (-1, 0), and the
+    pair collides exactly when logit(w) lies in (-1, 0)."""
+
+    # the float nearest e^-1 / (1 + e^-1), where logit(w) meets the band's
+    # end within its edge bound
+    NEAREST = float(1 / (1 + Decimal(1).exp()))
+
+    @pytest.mark.parametrize("w", [0.26, 0.2689, 0.269, 0.27, 0.28, 0.49, 0.5, 0.51])
+    def test_k_mean_vs_exponential(self, w):
+        a, b = k_mean(w), exponential_mean(-1.0, 0.5)
+        collides = -1.0 < math.log(w / (1.0 - w)) < 0.0
+        for x, y in ((a, b), (b, a)):
+            v = check_pair(x, y, use_oracle=False)
+            if collides:
+                assert (v.outcome, v.rule) == (Outcome.NOT_ADMISSIBLE, "weighted-collision")
+                assert make_witness(x, y, v.witness.u, v.witness.x, ORACLE_CONFIRM) is not None
+            else:
+                assert v.outcome is Outcome.ADMISSIBLE
+
+    def test_the_edge_is_left_undecided(self):
+        a, b = k_mean(self.NEAREST), exponential_mean(-1.0, 0.5)
+        for x, y in ((a, b), (b, a)):
+            v = check_pair(x, y, use_oracle=False)
+            assert (v.outcome, v.rule) == (Outcome.UNKNOWN, "rules")
+
+
+class TestBandWitnesses:
+    """Collisions that only the weight band finds, built along a level curve
+    of A."""
+
+    def test_witnesses_match_the_pinned_table(self):
+        # band_witnesses.csv pins the float.hex of the witness of four pairs
+        with open(Path(__file__).with_name("band_witnesses.csv"), newline="") as fh:
+            header, *pinned = csv.reader(fh)
+        assert tuple(header) == band_witnesses.FIELDS
+        assert band_witnesses.witness_rows() == pinned
+        assert len(pinned) == 4
+
+    @pytest.mark.parametrize("a, b", band_witnesses.band_pairs(),
+                             ids=[f"{a.name} vs {b.name}" for a, b in band_witnesses.band_pairs()])
+    def test_each_is_accepted_at_oracle_confirm(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            v = check_pair(x, y, use_oracle=False)
+            assert (v.outcome, v.rule) == (Outcome.NOT_ADMISSIBLE, "weighted-collision")
+            assert make_witness(x, y, v.witness.u, v.witness.x, ORACLE_CONFIRM) is not None
+
+    def test_the_oracle_misses_two_of_them(self):
+        # the oracle's samples do not reach the turns of B: near the corner
+        # [0, 1] for K_0.269, and between two adjacent levels for the
+        # geometric pair
+        pairs = band_witnesses.band_pairs()
+        for a, b in (pairs[0], pairs[3]):
+            assert oracle_search(a, b, resolution=200) is None
+
+
 def reference_grid_tie(a, b, lo, hi):
     """The smallest index pair (m, n), m < n, with exactly equal A and B
     values and endpoints at least ``WITNESS_GAP`` apart, over all pairs."""
@@ -842,6 +905,18 @@ class TestCoverageSweep:
             assert (a.name, b.name) == (row["a"], row["b"])
             v = check_pair(a, b, use_oracle=False)
             assert (v.outcome.value, v.rule) == (row["outcome"], row["rule"]), row
+
+    def test_no_pair_of_two_registered_views_is_unknown(self, coverage_sweep):
+        views = 0
+        # test_rules_match_the_table holds check_pair to each row
+        for (a, b), row in coverage_sweep:
+            qa, qb = quasi_view(a), quasi_view(b)
+            if qa is None or qb is None:
+                continue
+            views += 1
+            assert _weight_band(qa[0].kind, qa[0].param, qb[0].kind, qb[0].param) is not None
+            assert row["outcome"] != Outcome.UNKNOWN.value, row
+        assert views == 325
 
     @pytest.mark.parametrize("resolution", [100, 200])
     def test_every_collision_found_before_is_found(self, coverage_sweep, resolution):
@@ -1022,14 +1097,16 @@ class TestOracleMemory:
 
 
 # The weight-order table for distinct weights: the composite's convexity and
-# monotonicity, whether f increases and whether w1 < w2, and whether the
-# pair is admissible.  An affine composite is convex and concave at once.
+# direction (INC when it increases), whether f increases and whether w1 <
+# w2, and whether every such weight pair is admissible.  An affine
+# composite is convex and concave at once.  The weight band gives the same
+# answers: it is one-sided exactly for a strict or affine composite.
 CONVEX, AFFINE, CONCAVE = (Convexity.STRICTLY_CONVEX, Convexity.AFFINE,
                            Convexity.STRICTLY_CONCAVE)
 MIXED, UNKNOWN = Convexity.MIXED, Convexity.UNKNOWN
-INC, DEC = Monotonicity.STRICTLY_INCREASING, Monotonicity.STRICTLY_DECREASING
+INC, DEC = True, False
 WEIGHT_ORDER_TABLE = [
-    # convexity, monotonicity, f increasing, w1 < w2, admissible
+    # convexity, composite rising, f increasing, w1 < w2, admissible
     (CONVEX, INC, True, True, True),
     (CONVEX, INC, True, False, False),
     (CONVEX, INC, False, True, False),
@@ -1073,20 +1150,39 @@ WEIGHT_ORDER_TABLE = [
 ]
 
 
+TABLE_GENERATORS = [
+    power(2.0), power(0.5), power(-1.0), power(-2.0), exponential(1.0), exponential(-1.0),
+    exponential(2.0), exponential(-2.0), logarithm(), logit(), negated_log(),
+    negated_log_complement(), one_minus(), identity(),
+]
+
+
+def table_realisers(convexity, rising, f_increasing):
+    """The builtin pairs (f, g) whose composite has ``convexity`` and rises
+    when ``rising``, with f running as ``f_increasing`` says; pairs whose
+    generators are infinite at the same end are left to the saturation
+    rules."""
+    return [(f, g) for f in TABLE_GENERATORS for g in TABLE_GENERATORS
+            if f.increasing == f_increasing and (f.increasing == g.increasing) == rising
+            and registry_composite_shape(f, g).convexity is convexity
+            and not (math.isinf(f.at_zero) and math.isinf(g.at_zero))
+            and not (math.isinf(f.at_one) and math.isinf(g.at_one))]
+
+
 class TestWeightOrderTable:
-    @pytest.mark.parametrize("convexity, monotonicity, f_increasing, w1_below, admissible",
+    @pytest.mark.parametrize("convexity, rising, f_increasing, w1_below, admissible",
                              WEIGHT_ORDER_TABLE)
-    def test_row(self, monkeypatch, convexity, monotonicity, f_increasing, w1_below,
-                 admissible):
-        shape = ShapeInfo(convexity, monotonicity)
+    def test_row(self, convexity, rising, f_increasing, w1_below, admissible):
+        pairs = table_realisers(convexity, rising, f_increasing)
+        # the registry certifies every class but UNKNOWN
+        assert (pairs == []) == (convexity is UNKNOWN)
         w1, w2 = (0.3, 0.6) if w1_below else (0.6, 0.3)
-        assert _weight_row_matches(shape, f_increasing, w1, w2) is admissible
-        # the quantified diagnostic reads the same row for a pair with finite
-        # generator ends, whatever the registry says of it
-        monkeypatch.setattr(admissibility, "registry_composite_shape", lambda f, g: shape)
-        f = identity() if f_increasing else one_minus()
-        assert admissible_for_all_weight_orders(
-            f, identity(), increasing_weights=w1_below) is admissible
+        for f, g in pairs:
+            assert admissible_for_all_weight_orders(
+                f, g, increasing_weights=w1_below) is admissible, (f.name, g.name)
+            if admissible:
+                v = rule_quasi_linear(quasi_linear_mean(f, w1), quasi_linear_mean(g, w2))
+                assert (v.outcome, v.rule) == (Outcome.ADMISSIBLE, "weight-order-shape")
 
 
 class TestWeightOrderDiagnostic:

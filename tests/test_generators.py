@@ -11,7 +11,6 @@ from intervalorders import (
     Convexity,
     Generator,
     GeneratorError,
-    Monotonicity,
     ScanOutcome,
     ShapeInfo,
     build_battery,
@@ -33,7 +32,7 @@ from intervalorders import (
 )
 from intervalorders.admissibility import quasi_view
 from bisect_reference import reference_bisect_root
-from intervalorders.generators import BISECT_DEPTH, bisect_root
+from intervalorders.generators import BISECT_DEPTH, _n_signs, _weight_band, bisect_root
 from registry_reference import reference_composite_shape
 
 ALL_BUILTINS = [
@@ -295,10 +294,8 @@ class TestRegistryShapes:
         shape = registry_composite_shape(f, g)
         assert shape is not None
         assert shape.convexity is conv
-        expected_mono = (
-            Monotonicity.STRICTLY_INCREASING if inc else Monotonicity.STRICTLY_DECREASING
-        )
-        assert shape.monotonicity is expected_mono
+        # the composite's direction is structural
+        assert (f.increasing == g.increasing) is inc
 
     def test_generator_shape_of_power(self):
         def shape(f):
@@ -407,10 +404,8 @@ class TestExactRegistry:
         ids=[f"{_label(f)}->{_label(g)}" for f, g, _, _ in NEAR_DEGENERATE],
     )
     def test_near_degenerate_parameters(self, f, g, conv, inc):
-        expected_mono = (
-            Monotonicity.STRICTLY_INCREASING if inc else Monotonicity.STRICTLY_DECREASING
-        )
-        assert registry_composite_shape(f, g) == ShapeInfo(conv, expected_mono)
+        assert registry_composite_shape(f, g) == ShapeInfo(conv)
+        assert (f.increasing == g.increasing) is inc
 
     @settings(max_examples=400, deadline=None)
     @given(builtin_generator, builtin_generator, st.lists(open_unit_point, min_size=1, max_size=8))
@@ -427,6 +422,50 @@ class TestExactRegistry:
         for x in xs:
             n = _exact_r(g, x) - _exact_r(f, x)
             assert n == 0 or (1 if n > 0 else -1) in allowed
+
+
+BAND_GENERATORS = [
+    power(2.0), power(0.5), power(-1.0), power(1.5), exponential(1.0), exponential(-1.0),
+    exponential(3.0), exponential(-0.5), logarithm(), logit(), negated_log(),
+    negated_log_complement(), one_minus(), identity(),
+]
+BAND_PAIRS = [(f, g) for f in BAND_GENERATORS for g in BAND_GENERATORS]
+# points of (0, 1) 1e-3 apart and down to 1e-12 from either end, where
+# finite ends of L are approached
+BAND_SAMPLES = np.unique(np.concatenate([
+    np.geomspace(1e-12, 0.5, 100), np.linspace(0.0, 1.0, 1001)[1:-1],
+    1.0 - np.geomspace(1e-12, 0.5, 100)]))
+
+
+class TestWeightBand:
+    """The closed-form L = log|g'/f'| against the generators themselves,
+    and the band's ends against L(x2) - L(x1) sampled over x1 < x2."""
+
+    @pytest.mark.parametrize("f, g", BAND_PAIRS, ids=[f"{f.name}->{g.name}" for f, g in BAND_PAIRS])
+    def test_log_q_is_the_log_derivative_ratio(self, f, g):
+        band = _weight_band(f.kind, f.param, g.kind, g.param)
+        xs, h = np.linspace(0.05, 0.95, 19), 1e-6
+
+        def log_ratio(x):
+            return np.log(np.abs((g.fn(x + h) - g.fn(x - h)) / (f.fn(x + h) - f.fn(x - h))))
+
+        # L is fixed up to a constant
+        np.testing.assert_allclose(band.log_q(xs) - band.log_q(0.5),
+                                   log_ratio(xs) - log_ratio(0.5), atol=1e-6)
+
+    @pytest.mark.parametrize("f, g", BAND_PAIRS, ids=[f"{f.name}->{g.name}" for f, g in BAND_PAIRS])
+    def test_ends_bound_and_meet_the_sampled_range(self, f, g):
+        band = _weight_band(f.kind, f.param, g.kind, g.param)
+        signs = _n_signs(f.kind, f.param, g.kind, g.param)
+        ls = band.log_q(BAND_SAMPLES)
+        d = (ls[None, :] - ls[:, None])[np.triu_indices(ls.size, 1)]
+        assert band.lo - band.slack <= d.min() and d.max() <= band.hi + band.slack
+        # an end is exactly 0 where N keeps one sign
+        assert (band.lo == 0) == (-1 not in signs) and (band.hi == 0) == (1 not in signs)
+        for end, (x1, x2), seen in ((band.lo, band.lo_at, d.min()), (band.hi, band.hi_at, d.max())):
+            if end and math.isfinite(end):
+                assert float(band.log_q(x2) - band.log_q(x1)) == end
+                assert abs(seen - end) <= 1e-5 * max(1.0, abs(end))
 
 
 class TestComposite:
@@ -474,9 +513,8 @@ class TestComposite:
         )
         comp = composite(custom, identity())
         # y^(1/3) is strictly concave on (0,1), but without a registry row
-        # no shape is claimed; the monotonicity is structural
+        # no shape is claimed
         assert comp.shape.convexity is Convexity.UNKNOWN
-        assert comp.shape.monotonicity is Monotonicity.STRICTLY_INCREASING
 
 
 REGISTRY_PAIRS = [
@@ -502,21 +540,20 @@ class TestCompositeWithoutRegistryRow:
         "f,g", REGISTRY_PAIRS,
         ids=[f"{f.name}->{g.name}" for f, g in REGISTRY_PAIRS],
     )
-    def test_keeps_function_and_monotonicity_not_convexity(self, f, g):
+    def test_keeps_function_not_convexity(self, f, g):
         # the same maps stripped of their registry kind: the composite is the
-        # same function on the same domain, its direction is still known, and
-        # its convexity is no longer claimed
+        # same function on the same domain, and its convexity is no longer
+        # claimed
         registered = composite(f, g)
         bare = composite(without_kind(f), without_kind(g))
         assert registered.shape.convexity is not Convexity.UNKNOWN
-        assert bare.shape == ShapeInfo(Convexity.UNKNOWN, registered.shape.monotonicity)
+        assert bare.shape == ShapeInfo(Convexity.UNKNOWN)
         assert bare.domain == registered.domain
         ys = f.fn(np.linspace(0.05, 0.95, 19))
         np.testing.assert_array_equal(bare.fn(ys), registered.fn(ys))
 
     def test_affine_decreasing_composite_has_unknown_convexity(self):
-        # y -> 1 - y has zero curvature: no strict class is invented, and the
-        # direction comes from the generators running opposite ways
+        # y -> 1 - y has zero curvature: no strict class is invented
         flip = Generator(
             name="flip",
             fn=lambda x: 1.0 - np.asarray(x, float),
@@ -526,7 +563,7 @@ class TestCompositeWithoutRegistryRow:
             at_one=0.0,
         )
         comp = composite(flip, identity())
-        assert comp.shape == ShapeInfo(Convexity.UNKNOWN, Monotonicity.STRICTLY_DECREASING)
+        assert comp.shape == ShapeInfo(Convexity.UNKNOWN)
         np.testing.assert_allclose(comp.fn([0.25, 0.5]), [0.75, 0.5])
 
 

@@ -209,12 +209,13 @@ class TestConstructionFlag:
         with pytest.raises(OrderSpecError):
             GeneratedPairOrder(k_mean(0.5), k_mean(0.5))
 
-    def test_pair_just_past_the_weight_threshold_is_rejected(self):
-        # K_w and the w=1/2 mean of e^(-x) collide for w above 0.2689; no
-        # rule decides w=0.27, and the verifying oracle has to find the
-        # collision near the corner [0, 1] at VERIFY_RESOLUTION
-        with pytest.raises(OrderSpecError, match="rule oracle"):
-            GeneratedPairOrder(k_mean(0.27), exponential_mean(-1.0, 0.5))
+    @pytest.mark.parametrize("w", [0.269, 0.27])
+    def test_pair_just_past_the_weight_threshold_is_rejected(self, w):
+        # K_w and the w=1/2 mean of e^(-x) collide for w above 0.2689; the
+        # weight band excludes the pair with a witness near the corner
+        # [0, 1], where the verifying oracle finds none at w = 0.269
+        with pytest.raises(OrderSpecError, match="rule weighted-collision"):
+            GeneratedPairOrder(k_mean(w), exponential_mean(-1.0, 0.5))
 
     def test_verification_can_be_skipped(self):
         order = GeneratedPairOrder(k_mean(0.5), k_mean(0.5), verify_admissible=False)

@@ -53,6 +53,8 @@ def _load_config(path: str | None) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -381,9 +381,10 @@ def midpoint_order_coincidence(b: AggregationFunction, resolution: int = 100
     A strictly Schur-convex B makes the order generated by (midpoint
     projection, B) coincide with the (0.5, 1) projection order; strictly
     Schur-concave dually with (0.5, 0).  The pair must itself be admissible.
-    Strict classifications give a "proved" report, re-checked on the grid by
-    ``orders_coincide``: a sort of both orders' keys, with no block scanned
-    when they coincide.  Non-strict ones cannot settle coincidence and raise.
+    Strict classifications give the "proved" report at once, with no grid
+    scan.  Non-strict convex or concave classes cannot prove coincidence;
+    they return the grid report of ``orders_coincide`` against that target.
+    Any other class determines no target and raises.
     """
     from .admissibility import Outcome, check_pair
 
@@ -404,14 +405,10 @@ def midpoint_order_coincidence(b: AggregationFunction, resolution: int = 100
             f"{b.name}: Schur classification {cls.value} does not determine "
             "a reference projection order"
         )
+    if cls.is_strict:
+        return CoincidenceReport(coincide=True, certainty="proved")
     generated = GeneratedPairOrder(a, b, verify_admissible=False)
-    rep = orders_coincide(generated, target, resolution=resolution)
-    if rep.coincide and cls.is_strict:
-        return CoincidenceReport(
-            coincide=True, certainty="proved",
-            disagreement_count=0,
-        )
-    return rep
+    return orders_coincide(generated, target, resolution=resolution)
 
 
 # ---------------------------------------------------------------------------

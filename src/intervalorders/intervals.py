@@ -110,23 +110,59 @@ def interval_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# File formats, read as UTF-8 with an optional byte-order mark.  CSV: one
-# `lo,hi` row per interval; blank rows are skipped, fields after the second
-# are ignored, and a first row that does not parse is a header.  JSON: an
-# array of two-element arrays.  Readers return validated (lo, hi) float64
-# arrays, as `interval_grid` does, with endpoints snapped as `Interval`
-# snaps them; the first entry in file order that is malformed or that
-# `Interval` rejects raises a `DataError`.  `write_ranked_csv` writes
-# `index,lo,hi` rows, `index` being the entry's position in the input.
+# File formats, read as UTF-8 with an optional byte-order mark; a file that
+# is not UTF-8 raises a `DataError` naming it.  CSV: one `lo,hi` row per
+# interval; blank rows are skipped, fields after the second are ignored, and
+# a first row that does not parse is a header.  JSON: an array of
+# two-element arrays.  Readers return validated (lo, hi) float64 arrays, as
+# `interval_grid` does, with endpoints snapped as `Interval` snaps them; the
+# first entry in file order that is malformed or that `Interval` rejects
+# raises a `DataError`.  `write_ranked_csv` writes `index,lo,hi` rows,
+# `index` being the entry's position in the input.
+#
+# A CSV file is first parsed whole by numpy's C reader (`np.loadtxt`), which
+# reads a number as `float` does.  Its arrays are kept only when every row
+# parsed and every interval is valid: a file of plain `lo,hi` rows with LF or
+# CRLF line ends.  Any other file goes to the row reader (`csv.reader` and
+# one `float` per field), the only source of header handling and of the
+# errors that name a row: one with a header, a quote, a CR line end, a
+# blank-only row, a number `float` alone reads (`1_0`, non-ASCII digits), or
+# a refused or invalid row.
 # ---------------------------------------------------------------------------
 
 # Rows joined into one string per write: bounded, so the output never
 # exists as one string.
 WRITE_BLOCK = 4096
 
+# Characters per read while a CSV file is checked for the C reader: the
+# input never exists as one string either.
+READ_BLOCK = 1 << 16
+
+# Characters that send a CSV file to the row reader without trying the C
+# reader: the quote, since a quoted field may hold a comma or a line end,
+# and U+001C..U+001F, which numpy strips from a number as white space and
+# `float` does not.
+ROW_READER_CHARS = '"\x1c\x1d\x1e\x1f'
+
 
 class DataError(ValueError):
     """Raised when an interval data file cannot be parsed."""
+
+
+def _read_text(fh: TextIO, path: str | Path, size: int = -1) -> str:
+    try:
+        return fh.read(size)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _snapped(raw_lo: np.ndarray, raw_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoints snapped by `Interval`'s rule, and the mask of the entries
+    it rejects."""
+    lo, hi = np.clip(raw_lo, 0.0, 1.0), np.clip(raw_hi, 0.0, 1.0)  # keeps -0.0
+    outside = ~((raw_lo >= -BOUNDARY_SLACK) & (raw_lo <= 1.0 + BOUNDARY_SLACK)
+                & (raw_hi >= -BOUNDARY_SLACK) & (raw_hi <= 1.0 + BOUNDARY_SLACK))
+    return lo, hi, outside | (lo > hi)
 
 
 def _checked(lo: list[float], hi: list[float], where) -> tuple[np.ndarray, np.ndarray]:
@@ -134,10 +170,7 @@ def _checked(lo: list[float], hi: list[float], where) -> tuple[np.ndarray, np.nd
     vectorised pass; the first entry it rejects raises `Interval`'s error as
     a `DataError` prefixed by ``where(k)``, k being the entry's position."""
     raw_lo, raw_hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    lo, hi = np.clip(raw_lo, 0.0, 1.0), np.clip(raw_hi, 0.0, 1.0)  # keeps -0.0
-    outside = ~((raw_lo >= -BOUNDARY_SLACK) & (raw_lo <= 1.0 + BOUNDARY_SLACK)
-                & (raw_hi >= -BOUNDARY_SLACK) & (raw_hi <= 1.0 + BOUNDARY_SLACK))
-    bad = outside | (lo > hi)
+    lo, hi, bad = _snapped(raw_lo, raw_hi)
     if bad.any():
         k = int(np.argmax(bad))
         try:
@@ -147,7 +180,35 @@ def _checked(lo: list[float], hi: list[float], where) -> tuple[np.ndarray, np.nd
     return lo, hi
 
 
+def _c_readable(fh: TextIO, path: str | Path) -> bool:
+    """Whether numpy's C reader may try the open CSV file: it holds a
+    non-blank row and none of ``ROW_READER_CHARS``.  Reads the whole file
+    in blocks, so it is checked as UTF-8 first, then rewinds it."""
+    plain, blank = True, True
+    for block in iter(lambda: _read_text(fh, path, READ_BLOCK), ""):
+        plain = plain and not any(c in block for c in ROW_READER_CHARS)
+        blank = blank and not block.strip()
+    fh.seek(0)
+    return plain and not blank
+
+
 def read_intervals_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        if _c_readable(fh, path):
+            try:
+                raw_lo, raw_hi = np.loadtxt(fh, delimiter=",", comments=None, usecols=(0, 1),
+                                            ndmin=2, dtype=float, unpack=True)
+            except ValueError:
+                pass  # the row reader reads the file, or says where it fails
+            else:
+                lo, hi, bad = _snapped(raw_lo, raw_hi)
+                if not bad.any():
+                    return lo, hi
+            fh.seek(0)
+        return _read_csv_rows(path, fh)
+
+
+def _read_csv_rows(path: str | Path, fh: TextIO) -> tuple[np.ndarray, np.ndarray]:
     lo: list[float] = []
     hi: list[float] = []
     rows: list[int] = []
@@ -155,29 +216,29 @@ def read_intervals_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     def where(k: int) -> str:
         return f"{path}: row {rows[k] + 1}"
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for row_no, row in enumerate(csv.reader(fh)):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                a, b = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if row_no == 0:
-                    continue  # header line
-                _checked(lo, hi, where)  # an earlier invalid row is reported first
-                raise DataError(f"{path}: malformed interval row {row_no + 1}: {row!r}")
-            lo.append(a)
-            hi.append(b)
-            rows.append(row_no)
+    for row_no, row in enumerate(csv.reader(fh)):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            a, b = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if row_no == 0:
+                continue  # header line
+            _checked(lo, hi, where)  # an earlier invalid row is reported first
+            raise DataError(f"{path}: malformed interval row {row_no + 1}: {row!r}")
+        lo.append(a)
+        hi.append(b)
+        rows.append(row_no)
     return _checked(lo, hi, where)
 
 
 def read_intervals_json(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, encoding="utf-8-sig") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        text = _read_text(fh, path)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON array of [lo, hi] pairs")
     lo: list[float] = []

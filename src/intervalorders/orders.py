@@ -11,6 +11,13 @@ Ties are decided once, by ``tie_classes``: sort by the first stage value,
 merge each run whose consecutive gaps are at most ``TIE_TOL`` into one
 class, and split each class the same way by the second stage value.  Every
 comparison here reads these integer classes, so ties are transitive.
+
+The first stage is one argsort.  When no two neighbouring first stage
+values lie within ``TIE_TOL`` every class is a single interval, the second
+stage is skipped, and that argsort is the ranking.  Otherwise one
+``lexsort`` by (class, second stage value) splits the classes, and
+``rank_indices`` returns it when it lists each final class in input order;
+if not, a stable sort of the keys gives the ranking.
 """
 
 from __future__ import annotations
@@ -92,19 +99,27 @@ class AlphaBetaOrder(GeneratedPairOrder):
         return f"AlphaBetaOrder({self.alpha:g}, {self.beta:g})"
 
 
+def _classes(order: GeneratedPairOrder, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """``tie_classes`` keys, and input positions sorted by them."""
+    p, q = (np.asarray(v, dtype=float) for v in order.stage_values(lo, hi))
+    if not np.all(np.isfinite(p) & np.isfinite(q)):
+        raise OrderSpecError("stage values must be finite for totality")
+    idx = np.argsort(p)  # any order of equal values gives the same classes
+    new_class = np.r_[True, np.diff(p[idx]) > TIE_TOL]
+    keys = np.empty(p.size, dtype=np.int64)
+    keys[idx] = np.cumsum(new_class) - 1
+    if not new_class.all():  # a first stage class holds two values: split it by q
+        idx = np.lexsort((q, keys))
+        k, v = keys[idx], q[idx]
+        keys[idx] = np.cumsum(np.r_[True, (k[1:] != k[:-1]) | (np.diff(v) > TIE_TOL)]) - 1
+    return keys, idx
+
+
 def tie_classes(order: GeneratedPairOrder, lo, hi) -> np.ndarray:
     """Dense rank (int64) of each interval under the order; equal ranks tie.
     Classes are runs of sorted stage values with consecutive gaps at most
     ``TIE_TOL``, first stage then second, so ties are transitive."""
-    p, q = (np.asarray(v, dtype=float) for v in order.stage_values(lo, hi))
-    if not np.all(np.isfinite(p) & np.isfinite(q)):
-        raise OrderSpecError("stage values must be finite for totality")
-    keys = np.zeros(p.size, dtype=np.int64)
-    for v in (p, q):
-        idx = np.lexsort((v, keys))
-        k, v = keys[idx], v[idx]
-        keys[idx] = np.cumsum(np.r_[True, (k[1:] != k[:-1]) | (np.diff(v) > TIE_TOL)]) - 1
-    return keys
+    return _classes(order, lo, hi)[0]
 
 
 def compare(order: GeneratedPairOrder, u: Interval, x: Interval) -> Ordering:
@@ -116,7 +131,11 @@ def compare(order: GeneratedPairOrder, u: Interval, x: Interval) -> Ordering:
 def rank_indices(order: GeneratedPairOrder, lo, hi) -> np.ndarray:
     """Input positions (int64) sorted ascending under the order: a stable sort
     of the transitive ``tie_classes`` keys, so ties keep their input order."""
-    return np.argsort(tie_classes(order, lo, hi), kind="stable")
+    keys, idx = _classes(order, lo, hi)
+    k = keys[idx]
+    if np.all((k[1:] != k[:-1]) | (idx[1:] > idx[:-1])):  # each class in input order
+        return idx
+    return np.argsort(keys, kind="stable")
 
 
 def sort_intervals(order: GeneratedPairOrder, items: list[Interval]) -> list[Interval]:

@@ -8,6 +8,11 @@ from index arrays.  The pairwise rule is not
 transitive on chains of near-ties (consecutive gaps within ``TIE_TOL``, ends
 further apart); away from such chains it must give the same answers as the
 package.
+
+``reference_tie_classes`` is ``tie_classes`` as it was before it took its
+first stage from one sort: one ``lexsort`` per stage, then a stable sort of
+the keys for the ranking.  The package must match it bit for bit, near-tie
+chains included.
 """
 
 from __future__ import annotations
@@ -116,3 +121,19 @@ def has_near_tie_chain(order, lo, hi) -> bool:
         if np.any(two_steps & ~tie):
             return True
     return False
+
+
+def reference_tie_classes(order, lo, hi) -> np.ndarray:
+    p, q = (np.asarray(v, dtype=float) for v in order.stage_values(lo, hi))
+    if not np.all(np.isfinite(p) & np.isfinite(q)):
+        raise OrderSpecError("stage values must be finite for totality")
+    keys = np.zeros(p.size, dtype=np.int64)
+    for v in (p, q):
+        idx = np.lexsort((v, keys))
+        k, v = keys[idx], v[idx]
+        keys[idx] = np.cumsum(np.r_[True, (k[1:] != k[:-1]) | (np.diff(v) > TIE_TOL)]) - 1
+    return keys
+
+
+def reference_rank_indices(order, lo, hi) -> np.ndarray:
+    return np.argsort(reference_tie_classes(order, lo, hi), kind="stable")

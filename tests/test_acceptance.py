@@ -21,6 +21,7 @@ from intervalorders import (
     composite,
     interval_grid,
     k_alpha_crossover,
+    k_mean,
     midpoint_order_coincidence,
     negated_log,
     negated_log_complement,
@@ -248,10 +249,14 @@ def test_criterion_6_order_law_suite():
 
 def test_criterion_7_midpoint_coincidence():
     t0 = time.perf_counter()
-    rep_convex = midpoint_order_coincidence(schur_pair_mean(power(2.0)), resolution=100)
-    assert rep_convex.coincide and rep_convex.disagreement_count == 0
-    rep_concave = midpoint_order_coincidence(schur_pair_mean(power(0.5)), resolution=100)
-    assert rep_concave.coincide and rep_concave.disagreement_count == 0
+    for gamma, beta in ((2.0, 1.0), (0.5, 0.0)):
+        b = schur_pair_mean(power(gamma))
+        rep = midpoint_order_coincidence(b, resolution=100)
+        assert rep.coincide and rep.certainty == "proved" and rep.disagreement_count == 0
+        # the proof, seen on the grid
+        generated = GeneratedPairOrder(k_mean(0.5), b, verify_admissible=False)
+        grid = orders_coincide(generated, AlphaBetaOrder(0.5, beta), resolution=100)
+        assert grid.coincide and grid.disagreement_count == 0
     report(7, "midpoint order coincides with its projection counterpart",
            time.perf_counter() - t0)
 

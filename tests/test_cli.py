@@ -361,6 +361,30 @@ class TestExitCodes:
         assert main(["check-pair", "--config", cfg, "--tol", "0"]) == 1
         assert "tolerance must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,payload,position", [
+        ("items.csv", b"0.1,0.2\n\xff\n", 8),
+        ("items.json", b"[[0.1, 0.2]]\xff", 12),
+    ])
+    def test_input_not_utf8_is_io_error_naming_the_file(self, tmp_path, capsys,
+                                                         name, payload, position):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"order": {"kind": "alpha_beta", "alpha": 0.5, "beta": 1.0}})
+        data = tmp_path / name
+        data.write_bytes(payload)
+        assert main(["rank", "--config", cfg, "--input", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"i/o error: {data}: 'utf-8' codec can't decode byte 0xff "
+                                f"in position {position}: invalid start byte\n")
+
+    def test_config_not_utf8_is_config_error_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"pair": "\xff"}')
+        assert main(["check-pair", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
     def test_missing_order_spec_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {})
         data = tmp_path / "items.csv"

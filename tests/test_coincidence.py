@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -322,8 +323,10 @@ class TestWitnessScanStopsEarly:
         assert scanned <= 2 * (row + 1)
 
     def test_coinciding_pair_scans_no_block(self, key_sign_calls):
-        rep = midpoint_order_coincidence(schur_pair_mean(power(2.0)), resolution=100)
-        assert rep.coincide and rep.certainty == "proved"
+        midpoint_square = GeneratedPairOrder(k_mean(0.5), schur_pair_mean(power(2.0)),
+                                             verify_admissible=False)
+        rep = orders_coincide(midpoint_square, AlphaBetaOrder(0.5, 1.0), resolution=100)
+        assert rep.coincide and rep.disagreement_count == 0
         assert key_sign_calls == []
 
     def test_scan_stops_at_the_block_of_the_first_strict_hit(self, key_sign_calls):
@@ -513,20 +516,38 @@ class TestSchurClassify:
 
 
 class TestMidpointCoincidence:
+    @staticmethod
+    def assert_proved_and_seen_on_the_grid(b, beta):
+        rep = midpoint_order_coincidence(b, resolution=60)
+        assert (rep.coincide, rep.certainty, rep.disagreement_count) == (True, "proved", 0)
+        generated = GeneratedPairOrder(k_mean(0.5), b, verify_admissible=False)
+        grid = orders_coincide(generated, AlphaBetaOrder(0.5, beta), resolution=60)
+        assert grid.coincide and grid.disagreement_count == 0
+
     def test_square_pair_mean_matches_upper_tiebreak(self):
-        rep = midpoint_order_coincidence(schur_pair_mean(power(2.0)), resolution=60)
-        assert rep.coincide
-        assert rep.certainty == "proved"
+        self.assert_proved_and_seen_on_the_grid(schur_pair_mean(power(2.0)), 1.0)
 
     def test_sqrt_pair_mean_matches_lower_tiebreak(self):
-        rep = midpoint_order_coincidence(schur_pair_mean(power(0.5)), resolution=60)
-        assert rep.coincide
-        assert rep.certainty == "proved"
+        self.assert_proved_and_seen_on_the_grid(schur_pair_mean(power(0.5)), 0.0)
 
     def test_upper_projection_as_tiebreaker(self):
-        rep = midpoint_order_coincidence(k_mean(1.0), resolution=60)
-        assert rep.coincide
+        self.assert_proved_and_seen_on_the_grid(k_mean(1.0), 1.0)
+
+    def test_strict_class_scans_no_grid(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a proved report needs no grid scan")
+
+        monkeypatch.setattr(coincidence, "orders_coincide", no_scan)
+        rep = midpoint_order_coincidence(schur_pair_mean(power(2.0)), resolution=100)
         assert rep.certainty == "proved"
+
+    def test_non_strict_class_keeps_the_grid_scan(self):
+        # the square mean without its registry kind: the diagonal scan
+        # classifies it Schur-convex, not strictly
+        b = schur_pair_mean(dataclasses.replace(power(2.0), kind=None, param=None))
+        assert schur_classify(b) is SchurClass.SCHUR_CONVEX
+        rep = midpoint_order_coincidence(b, resolution=60)
+        assert (rep.coincide, rep.certainty, rep.disagreement_count) == (True, "grid", 0)
 
     def test_rejects_collision_pair(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ import io
 import json
 import math
 import random
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,11 @@ from intervalorders import (
     load_intervals,
     order_from_config,
     rank_indices,
+    read_intervals_csv,
     write_ranked_csv,
 )
+from intervalorders import intervals
+from intervalorders.intervals import READ_BLOCK
 from intervalorders.cli import main
 
 PAIR_ORDER = {
@@ -41,11 +46,20 @@ good_value = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE),
                        st.integers(0, 100).map(lambda i: i / 100))
 any_value = st.one_of(good_value, st.sampled_from(BAD))
 
-# repr, exponent forms, a leading sign, surrounding whitespace, CSV quotes
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+# repr, exponent forms, a leading sign, surrounding whitespace, CSV quotes;
+# forms `float` reads and numpy's C reader does not: an underscore between
+# digits, non-ASCII digits; white space both strip (NBSP, U+2028) and the
+# separators U+001C..U+001F, which numpy strips and `float` does not
 fmt = st.sampled_from([
     repr, "{:e}".format, "{:.17E}".format, "{:.3g}".format,
     lambda x: f"+{x!r}" if math.copysign(1.0, x) > 0 else repr(x),
     lambda x: f"  {x!r}\t", lambda x: f'"{x!r}"',
+    lambda x: re.sub(r"(\d)(\d)", r"\1_\2", repr(x), count=1),
+    lambda x: repr(x).translate(ARABIC_INDIC),
+    lambda x: f"\xa0{x!r}\u2028", lambda x: f"\x1c{x!r}", lambda x: f"{x!r}\x1f",
 ])
 
 
@@ -56,14 +70,26 @@ def csv_row(draw, value):
         lo, hi = hi, lo  # out of order, unless equal
     fields = [draw(fmt)(lo), draw(fmt)(hi)]
     if draw(st.booleans()) and draw(st.booleans()):
-        fields.append(draw(st.sampled_from(["extra", "0.3", ""])))
+        # the last two are quoted fields that hold a comma or a line end
+        fields.append(draw(st.sampled_from(["extra", "0.3", "", '"a,b"', '"x\n0.3,0.4,"'])))
     return ",".join(fields)
 
 
-BLANK = st.sampled_from(["", "   ", "\t"])
+@st.composite
+def plain_row(draw):
+    """A valid row numpy's C reader reads: no quote, no header, and blank
+    rows, underscores and non-ASCII digits left out."""
+    plain = st.sampled_from([repr, "{:e}".format, "{:.17E}".format,
+                             lambda x: f"  {x!r}\t", lambda x: f"\xa0{x!r}"])
+    lo, hi = sorted((draw(good_value), draw(good_value)))
+    return f"{draw(plain)(lo)},{draw(plain)(hi)}{draw(st.sampled_from(['', ',', ',x']))}"
+
+
+BLANK = st.sampled_from(["", "   ", "\t", "\xa0"])
 MALFORMED = st.sampled_from(["abc,0.5", "0.5", "0.5,", ",0.5", ",", "x", " \"0.5\",0.6",
-                             "0.1;0.2", "0x1,0.5", "1/2,0.5"])
-HEADER = st.sampled_from(["lo,hi", '"lo","hi"', "index", "a,b,c", "lo", "0.1,0.2", " ,"])
+                             "0.1;0.2", "0x1,0.5", "1/2,0.5", "#0.1,0.2", "# lo,hi"])
+HEADER = st.sampled_from(["lo,hi", '"lo","hi"', "index", "a,b,c", "lo", "0.1,0.2", " ,",
+                          "# lo,hi"])
 
 
 @st.composite
@@ -77,7 +103,7 @@ def csv_text(draw):
     header = draw(st.one_of(st.none(), HEADER))
     if header is not None:
         lines.insert(0, header)
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return eol.join(lines) + draw(st.sampled_from([eol, ""]))
 
 
@@ -114,7 +140,10 @@ def assert_same_reading(text: str, suffix: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"items{suffix}"
         path.write_bytes(text.encode())
-        assert outcome(load_intervals, path) == outcome(ref.load_intervals, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" included
+            got = outcome(load_intervals, path)
+        assert got == outcome(ref.load_intervals, path)
 
 
 class TestReadersMatchReference:
@@ -137,9 +166,48 @@ class TestReadersMatchReference:
         "0.1,0.2\n-1e-15,2e-1\n0.3,1.000000000000001\n",
         "0.1,0.2\n0.3,1.0000000000000013\n",
         "0.3,0.2,0.1\n",
+        "", "\n", "\r\n", "   \n\t\n", "\xa0\n",  # empty and blank-only files
+        "0.1,0.2,\n0.3,0.4,\n",    # a trailing comma
+        "0.1,0.2\r0.3,0.4\r",      # CR line ends
+        "0.1,0.2\r\n\r\n0.3,0.4",  # CRLF, a blank row, no final line end
+        "#0.1,0.2\n0.3,0.4\n",     # a `#` row is a header, not a comment
+        "0.1,0.2\n#0.3,0.4\n",
+        "0.1,0.2,\"x\n0.3,0.4,\"\n",  # a quoted field holding a line end
+        "0.1,0.2,\"a\n0.3,0.4\n",  # an unclosed quote runs to the end of the file
+        "0.1_5,0.2\n", "\u0660.\u0665,0.6\n", "\xa00.5\xa0,0.6\n",
+        "\x1c0.5,0.6\n", "0.1,0.2\n0.5\x1f,0.6\n",
+        "0.1,0.2\n   \n0.3,0.4\n",  # a whitespace-only row
+        "0.1,0.2\n0.3,nan\n", "0.1,0.2\n0.3,1e400\n", "0.1,0.2\n0.4,0.3\n",
     ])
     def test_edge_files(self, text):
         assert_same_reading(text, ".csv")
+
+    @pytest.mark.parametrize("tail", ["", '0.1,0.2,"x\n0.3,0.4,"\n', "\x1c0.5,0.6\n", "lo,hi\n"])
+    def test_files_longer_than_a_read_block(self, tail):
+        # what sends a file to the row reader may lie past the first block
+        rows = "".join(f"{i / 10**5!r},{(i + 1) / 10**5!r}\n" for i in range(READ_BLOCK // 4))
+        assert len(rows) > 2 * READ_BLOCK
+        assert_same_reading(rows + tail, ".csv")
+
+    @given(st.lists(plain_row(), min_size=1, max_size=30),
+           st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_plain_file_never_reaches_the_row_reader(self, rows, eol, bom):
+        """A file of valid unquoted rows is read by numpy's C reader alone,
+        so a silent fallback cannot hide the loss of its speed."""
+        text = ("\ufeff" if bom else "") + eol.join(rows) + eol
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "items.csv"
+            path.write_bytes(text.encode())
+            want = outcome(read_intervals_csv, path)
+            assert want[0] == "ok"
+
+            def row_reader(*args):
+                raise AssertionError("a plain file reached the row reader")
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(intervals, "_read_csv_rows", row_reader)
+                assert outcome(read_intervals_csv, path) == want
 
     @pytest.mark.parametrize("payload", [
         [[0.5, 0.4], "x"], ["x", [0.5, 0.4]], [[0.1, 0.2], [-0.0, "0.5"], [0.2, None]],

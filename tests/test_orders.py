@@ -38,7 +38,9 @@ from order_reference import (
     has_near_tie_chain,
     reference_compare,
     reference_rank,
+    reference_rank_indices,
     reference_sign_matrix,
+    reference_tie_classes,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -356,6 +358,85 @@ class TestTieClassesMatchPairwiseReference:
     def test_non_finite_stage_values_rejected(self):
         with pytest.raises(OrderSpecError):
             tie_classes(AlphaBetaOrder(0.5, 1.0), np.array([0.1, np.nan]), np.array([0.2, 0.3]))
+
+
+class GivenStages:
+    """A stand-in order whose stage values are the arrays it is given: the
+    first stage is ``lo`` and the second ``hi``."""
+
+    def stage_values(self, lo, hi):
+        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+
+
+@st.composite
+def stage_column(draw, n: int):
+    """n stage values drawn around a few bases: exact duplicates, -0.0,
+    chains of 0.9e-12 steps (near ties whose ends lie further apart than
+    ``TIE_TOL``), and neighbours a few ulps apart."""
+    bases = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                                    st.floats(-1.0, 1.0)), min_size=1, max_size=4))
+    out = []
+    for _ in range(n):
+        v, k = draw(st.sampled_from(bases)), draw(st.integers(0, 4))
+        step = draw(st.sampled_from(["same", "chain", "ulp"]))
+        if step == "chain":
+            v += k * 0.9e-12
+        elif step == "ulp":
+            for _ in range(k):
+                v = np.nextafter(v, 2.0)
+        out.append(float(v))
+    return out
+
+
+@st.composite
+def stage_arrays(draw):
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):  # no two first stage values within TIE_TOL
+        p = [i / 1e6 for i in draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
+                                            unique=True))]
+    else:
+        p = draw(stage_column(n))
+    return np.array(p), np.array(draw(stage_column(n)))
+
+
+class TestTieClassesMatchTwoLexsortReference:
+    """``tie_classes`` and ``rank_indices`` give the two-``lexsort`` keys and
+    their stable sort, bit for bit."""
+
+    @staticmethod
+    def assert_matches(p, q):
+        order = GivenStages()
+        keys, want = tie_classes(order, p, q), reference_tie_classes(order, p, q)
+        assert keys.dtype == want.dtype == np.int64
+        assert keys.tolist() == want.tolist()
+        ranked, want = rank_indices(order, p, q), reference_rank_indices(order, p, q)
+        assert ranked.dtype == np.int64
+        assert ranked.tolist() == want.tolist()
+
+    @given(stage_arrays())
+    @settings(max_examples=250, deadline=None)
+    def test_hypothesis_draws(self, stages):
+        self.assert_matches(*stages)
+
+    @pytest.mark.parametrize("p,q", [
+        ([], []),
+        ([0.3], [0.1]),
+        ([0.3, 0.1, 0.2], [0.0, 0.0, 0.0]),                    # no first stage ties
+        ([0.5, 0.5, -0.0, 0.0], [0.2, 0.1, 0.3, 0.3]),         # duplicates and -0.0
+        ([0.0, 1.8e-12, 0.9e-12], [0.0, 0.0, 0.0]),            # one class by a chain
+        ([0.5, 0.5], [np.nextafter(0.3, 1.0), 0.3]),           # an ulp apart, in reverse
+        ([0.5 + 0.9e-12, 0.5], [0.1, 0.1]),                    # a near tie in reverse
+    ])
+    def test_named_cases(self, p, q):
+        self.assert_matches(np.array(p, dtype=float), np.array(q, dtype=float))
+
+    def test_class_out_of_input_order_keeps_input_order(self):
+        # one class whose second stage values lie an ulp apart in reverse
+        # input order: sorted by value the class lists position 1 first
+        q = np.array([np.nextafter(0.3, 1.0), 0.3])
+        order = GivenStages()
+        assert tie_classes(order, np.array([0.5, 0.5]), q).tolist() == [0, 0]
+        assert rank_indices(order, np.array([0.5, 0.5]), q).tolist() == [0, 1]
 
 
 class TestNearTieChain:

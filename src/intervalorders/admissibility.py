@@ -24,6 +24,8 @@ The decision engine layers three kinds of evidence, strongest first:
     into a witness at a zero of the collision gap or a turn of B.  A
     generator without a registry row has no band, so the rule can only
     exclude its pair by a witness, and otherwise leaves it to the oracle.
+    K_0 and K_1 have no view; ``rule_k0_k1`` decides them in closed form
+    along their level sets lo = c and hi = c.
 3.  The oracle.  A scan of A's level sets: the exact ties of a triangular
     grid of intervals first, then B sampled along A's level curves, which
     every builtin family gives in closed form through its generator's
@@ -78,10 +80,6 @@ TURN_TOL = 1e-12
 # of [COLLISION_MARGIN, 1 - COLLISION_MARGIN].
 COLLISION_POINTS = 33
 COLLISION_MARGIN = 0.02
-# rule_k0_k1 samples a K_SAMPLES x K_SAMPLES grid; a step rising by at most
-# K_FLAT is flat.
-K_SAMPLES = 21
-K_FLAT = 1e-9
 
 
 class Outcome(Enum):
@@ -400,43 +398,35 @@ def rule_quasi_linear(a: AggregationFunction, b: AggregationFunction) -> Verdict
 
 
 def rule_k0_k1(b: AggregationFunction, k_weight: float) -> Verdict | None:
-    """Pairing the 0- or 1-projection with B.
+    """Pairing the 0- or 1-projection with B, in closed form.
 
-    (K_0, B) orders totally iff x -> B(x1, x) is strictly increasing for each
-    x1; dually (K_1, B) needs strict increase in the first argument.  The
-    check runs on a ``K_SAMPLES`` x ``K_SAMPLES`` grid, where a step that
-    rises by at most ``K_FLAT`` counts as flat, so an ADMISSIBLE answer is
-    grid evidence while a flat stretch yields a verified collision.
+    K_0's level sets are the lines lo = c, so (K_0, B) is admissible
+    exactly when B(c, .) is strictly increasing for each c; dually (K_1, B)
+    needs B(., c) strictly increasing.  After :func:`_saturation_verdict`,
+    a B with a quasi view, a strictly increasing transform of M_{f,w} with
+    0 < w < 1, and another projection are strictly increasing in each
+    endpoint: ADMISSIBLE.  A nilpotent B is constant on its
+    :func:`_nilpotent_square` [p, q]^2, where u = [c, c] and x = [c, q]
+    (for K_1, x = [p, c]), c = (p + q) / 2, collide.  None for any other B.
     """
     if k_weight not in (0.0, 1.0):
         raise ValueError("rule applies to the endpoint projections only")
     k_af = k_mean(k_weight)
-    anchors = np.linspace(0.0, 1.0, K_SAMPLES)
-    for anchor in anchors:
-        if k_weight == 0.0:
-            frees = np.linspace(anchor, 1.0, K_SAMPLES)
-            los = np.full_like(frees, anchor)
-            his = frees
-        else:
-            frees = np.linspace(0.0, anchor, K_SAMPLES)
-            los = frees
-            his = np.full_like(frees, anchor)
-        if frees[-1] - frees[0] < 1e-3:
-            continue
-        vals = b.values(los, his)
-        diffs = np.diff(vals)
-        flat = np.nonzero(diffs <= K_FLAT)[0]
-        if flat.size:
-            k = int(flat[0])
-            u = Interval(float(los[k]), float(his[k]))
-            x = Interval(float(los[k + 1]), float(his[k + 1]))
-            w = make_witness(k_af, b, u, x) if k_weight == 0.0 else make_witness(b, k_af, u, x)
-            if w is not None:
-                rule = "k0-flat-second-arg" if k_weight == 0.0 else "k1-flat-first-arg"
-                return Verdict(Outcome.NOT_ADMISSIBLE, rule, witness=w)
-            return None
-    rule = "k0-second-arg-strict" if k_weight == 0.0 else "k1-first-arg-strict"
-    return Verdict(Outcome.ADMISSIBLE, rule, note=f"grid evidence, {K_SAMPLES}x{K_SAMPLES} samples")
+    sat = _saturation_verdict(k_af, b)
+    if sat is not None:
+        return sat
+    if quasi_view(b) is not None or _k_weight(b) is not None:
+        return Verdict(Outcome.ADMISSIBLE,
+                       "k0-second-arg-strict" if k_weight == 0.0 else "k1-first-arg-strict")
+    square = _nilpotent_square(b)
+    if square is None:
+        return None
+    p, q = square
+    c = 0.5 * (p + q)
+    x, rule = ((Interval(c, q), "k0-flat-second-arg") if k_weight == 0.0
+               else (Interval(p, c), "k1-flat-first-arg"))
+    return Verdict(Outcome.NOT_ADMISSIBLE, rule,
+                   witness=make_witness(k_af, b, Interval(c, c), x))
 
 
 def rule_nilpotent(a: AggregationFunction, b: AggregationFunction) -> Verdict | None:

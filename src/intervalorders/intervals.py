@@ -216,19 +216,23 @@ def _read_csv_rows(path: str | Path, fh: TextIO) -> tuple[np.ndarray, np.ndarray
     def where(k: int) -> str:
         return f"{path}: row {rows[k] + 1}"
 
-    for row_no, row in enumerate(csv.reader(fh)):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        try:
-            a, b = float(row[0]), float(row[1])
-        except (ValueError, IndexError):
-            if row_no == 0:
-                continue  # header line
-            _checked(lo, hi, where)  # an earlier invalid row is reported first
-            raise DataError(f"{path}: malformed interval row {row_no + 1}: {row!r}")
-        lo.append(a)
-        hi.append(b)
-        rows.append(row_no)
+    row_no = -1
+    try:
+        for row_no, row in enumerate(csv.reader(fh)):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                a, b = float(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                if row_no == 0:
+                    continue  # header line
+                _checked(lo, hi, where)  # an earlier invalid row is reported first
+                raise DataError(f"{path}: malformed interval row {row_no + 1}: {row!r}")
+            lo.append(a)
+            hi.append(b)
+            rows.append(row_no)
+    except csv.Error as exc:  # a field over csv's size limit, say, in the next row
+        raise DataError(f"{path}: row {row_no + 2}: {exc}") from exc
     return _checked(lo, hi, where)
 
 

@@ -259,16 +259,60 @@ class TestUnequalWeights:
         assert_valid_witness(v, k_mean(0.6), exponential_mean(3.0, 0.3))
 
 
+def nilpotent_flat_pairs():
+    """(K, B, u, x) for each projection K_0 or K_1 and nilpotent B of the
+    hand-built and builtin generators of ``tests/nilpotent_witnesses.py``
+    that saturation leaves to the K_0/K_1 rule: K_1 against each nilpotent
+    t-norm, x = [p, c], and K_0 against each nilpotent t-conorm, x = [c, q],
+    with c the midpoint of B's saturated square [p, q]^2; u = [c, c]."""
+    cases = []
+    for k, make, gens in ((1.0, tnorm, nilpotent_witnesses.T_GENERATORS),
+                          (0.0, tconorm, nilpotent_witnesses.S_GENERATORS)):
+        for gen in gens:
+            b = make(gen())
+            square = admissibility._nilpotent_square(b)
+            if square is None:
+                continue
+            p, q = square
+            c = 0.5 * (p + q)
+            cases.append(pytest.param(k_mean(k), b, Interval(c, c),
+                                      Interval(p, c) if k else Interval(c, q),
+                                      id=f"K_{k:g} vs {b.name}"))
+    return cases
+
+
+# every descriptor kind with a quasi view, on every builtin generator valid
+# for it; power and exponential at drawn parameters
+parameters = st.floats(0.05, 30.0)
+signed_parameters = parameters | parameters.map(lambda v: -v)
+builtin_generators = st.one_of(
+    signed_parameters.map(power), signed_parameters.map(exponential),
+    st.sampled_from([logarithm, logit, negated_log, negated_log_complement, one_minus,
+                     identity]).map(lambda make: make()))
+view_weights = st.floats(1e-9, 1.0 - 1e-9)
+viewed_aggregators = st.one_of(
+    st.builds(quasi_linear_mean, builtin_generators, view_weights),
+    st.builds(k_mean, view_weights),
+    st.builds(schur_pair_mean, parameters.map(power) | st.just(identity())),
+    st.just(tnorm(negated_log())),
+    st.just(tconorm(negated_log_complement())))
+
+
 class TestEndpointProjectionRule:
     def test_strict_tnorm_fails_flat_second_argument(self):
         v = rule_k0_k1(tnorm(negated_log()), 0.0)
         assert v.outcome is Outcome.NOT_ADMISSIBLE
+        assert v.rule == "conjunctive-saturation"
         w = v.witness
         assert w.u.lo == w.x.lo == 0.0  # B(0, x) = 0 stretch
 
     def test_midpoint_projection_passes(self):
         v = rule_k0_k1(k_mean(0.5), 1.0)
         assert v.outcome is Outcome.ADMISSIBLE
+
+    def test_other_projection_passes(self):
+        v = rule_k0_k1(k_mean(1.0), 0.0)
+        assert (v.outcome, v.rule, v.note) == (Outcome.ADMISSIBLE, "k0-second-arg-strict", "")
 
     def test_pairwise_mean_passes(self):
         v = rule_k0_k1(schur_pair_mean(power(2.0)), 0.0)
@@ -277,6 +321,67 @@ class TestEndpointProjectionRule:
     def test_rejects_interior_weight(self):
         with pytest.raises(ValueError):
             rule_k0_k1(k_mean(0.5), 0.3)
+
+    @pytest.mark.parametrize("b", [
+        quasi_linear_mean(power(2.0), 1e-8),
+        quasi_linear_mean(power(0.25), 0.01),
+        quasi_linear_mean(exponential(-30.0), 0.5),
+    ], ids=lambda b: b.name)
+    def test_steep_views_are_strict(self, b):
+        # B rises by less than 1e-9 over some steps of 0.05, yet strictly:
+        # no flat stretch, and the oracle finds no collision
+        a = k_mean(0.0)
+        for x, y in ((a, b), (b, a)):
+            v = check_pair(x, y, use_oracle=False)
+            assert (v.outcome, v.rule, v.note) == (
+                Outcome.ADMISSIBLE, "k0-second-arg-strict", "")
+        assert oracle_search(a, b, resolution=200) is None
+
+    @pytest.mark.parametrize("a,b,rule,u,x", [
+        (k_mean(0.0), tconorm(identity()), "k0-flat-second-arg",
+         Interval(0.75, 0.75), Interval(0.75, 1.0)),
+        (k_mean(1.0), tnorm(one_minus()), "k1-flat-first-arg",
+         Interval(0.25, 0.25), Interval(0.0, 0.25)),
+    ], ids=["K_0 vs bounded sum", "K_1 vs Lukasiewicz"])
+    def test_nilpotent_square_gives_the_exact_witness(self, a, b, rule, u, x):
+        for p, q in ((a, b), (b, a)):
+            v = check_pair(p, q, use_oracle=False)
+            assert (v.outcome, v.rule) == (Outcome.NOT_ADMISSIBLE, rule)
+            assert (v.witness.u, v.witness.x) == (u, x)
+            assert v.witness.residual_a == v.witness.residual_b == 0.0
+
+    @pytest.mark.parametrize("a,b,u,x", nilpotent_flat_pairs())
+    def test_nilpotent_square_witness_on_every_generator(self, a, b, u, x):
+        v = rule_k0_k1(b, a.descriptor.w)
+        assert v.outcome is Outcome.NOT_ADMISSIBLE
+        assert (v.witness.u, v.witness.x) == (u, x)
+        assert v.witness.residual_a == v.witness.residual_b == 0.0
+        assert check_pair(a, b) == v
+        assert check_pair(b, a) == dataclasses.replace(v, witness=v.witness.swapped())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0.0, 1.0]), viewed_aggregators)
+    def test_every_view_is_strict_or_saturated(self, k, b):
+        assert quasi_view(b) is not None
+        a = k_mean(k)
+        strict = ("projection-pair" if admissibility._k_weight(b) is not None
+                  else "k0-second-arg-strict" if k == 0.0 else "k1-first-arg-strict")
+        for x, y in ((a, b), (b, a)):
+            v = check_pair(x, y, use_oracle=False)
+            if v.outcome is Outcome.ADMISSIBLE:
+                assert (v.rule, v.note) == (strict, "")
+            else:
+                assert v.rule in ("conjunctive-saturation", "disjunctive-saturation")
+
+    def test_opaque_descriptor_is_left_to_the_oracle(self):
+        class Opaque:  # a user family that states no quasi view
+            pass
+
+        b = AggregationFunction("opaque", Opaque(), root_power_mean(2.0, 0.5).values)
+        assert rule_k0_k1(b, 0.0) is None
+        for x, y in ((k_mean(0.0), b), (b, k_mean(0.0))):
+            v = check_pair(x, y, use_oracle=False)
+            assert (v.outcome, v.rule) == (Outcome.UNKNOWN, "rules")
 
 
 class TestArchimedeanRule:
@@ -917,6 +1022,21 @@ class TestCoverageSweep:
             assert _weight_band(qa[0].kind, qa[0].param, qb[0].kind, qb[0].param) is not None
             assert row["outcome"] != Outcome.UNKNOWN.value, row
         assert views == 325
+
+    def test_witness_residuals_follow_the_orientation(self, coverage_sweep):
+        # residual_a is A's residual and residual_b B's, whichever
+        # orientation of the pair a rule decided
+        witnesses = 0
+        for (a, b), _ in coverage_sweep:
+            for x, y in ((a, b), (b, a)):
+                w = check_pair(x, y, use_oracle=False).witness
+                if w is None:
+                    continue
+                witnesses += 1
+                again = make_witness(x, y, w.u, w.x, tol=math.inf)
+                assert (again.residual_a, again.residual_b) == (w.residual_a, w.residual_b), (
+                    x.name, y.name)
+        assert witnesses == 418
 
     @pytest.mark.parametrize("resolution", [100, 200])
     def test_every_collision_found_before_is_found(self, coverage_sweep, resolution):

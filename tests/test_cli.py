@@ -377,6 +377,19 @@ class TestExitCodes:
         assert captured.err == (f"i/o error: {data}: 'utf-8' codec can't decode byte 0xff "
                                 f"in position {position}: invalid start byte\n")
 
+    def test_field_over_the_csv_size_limit_is_io_error_naming_the_row(self, tmp_path, capsys):
+        # the header sends the file to the row reader, whose field size
+        # limit is 131072 characters
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"order": {"kind": "alpha_beta", "alpha": 0.5, "beta": 1.0}})
+        data = tmp_path / "items.csv"
+        data.write_text("lo,hi\n0.1,0.2\n" + "0" * 200_000 + ",0.3\n")
+        assert main(["rank", "--config", cfg, "--input", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"i/o error: {data}: row 3: field larger than field limit (131072)\n")
+
     def test_config_not_utf8_is_config_error_naming_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"pair": "\xff"}')

@@ -41,6 +41,7 @@ condition is symmetric in the two components.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -588,6 +589,8 @@ def _level_roots(bs: np.ndarray, steps: np.ndarray
     """
     tie_row, tie_k = np.nonzero(bs[:, :-1] == bs[:, 1:])
     turn_row, turn_k = np.nonzero(steps[:, :-1] * steps[:, 1:] < 0)
+    if tie_row.size == turn_row.size == 0:
+        return (tie_row,) * 4
     lead, trail = bs[turn_row, turn_k], bs[turn_row, turn_k + 2]
     # the nearer neighbour is the higher one at a peak, the lower at a trough
     near_lead = np.where(steps[turn_row, turn_k] > 0, lead >= trail, lead <= trail)
@@ -625,28 +628,40 @@ def _level_curve_witness(a: AggregationFunction, b: AggregationFunction, u: Inte
     return make_witness(a, b, u, Interval(x1a, x2), ORACLE_CONFIRM)
 
 
+def _repeated(v: np.ndarray) -> np.ndarray:
+    """The indices, in increasing order, of the entries of ``v`` whose
+    value occurs more than once: one argsort, then both neighbours of each
+    equal pair of sorted values."""
+    order = np.argsort(v)
+    sv = v[order]
+    same = sv[:-1] == sv[1:]
+    marked = np.zeros(v.size, dtype=bool)
+    marked[:-1] = same
+    marked[1:] |= same
+    idx = order[marked]
+    idx.sort()
+    return idx
+
+
 def _grid_tie(a: AggregationFunction, b: AggregationFunction,
               lo: np.ndarray, hi: np.ndarray) -> Witness | None:
     """The first grid pair, in index order, whose A and B values are
     exactly equal, accepted through ``make_witness``; None when there is
     none.
 
-    Only an interval whose A value occurs more than once can tie, so one
-    argsort of A marks those, and B is evaluated on them alone (not at all
-    when there are none).  A stable ``lexsort`` of the marked intervals by
-    (A, B) puts each class of equal values in a run in index order; every
-    member of a class of two or more is marked, so the runs, and the
-    smallest pair (m, n) with m < n, a pair of neighbours in its run, are
-    those of sorting the whole grid.
+    Only an interval whose A value occurs more than once can tie, so
+    :func:`_repeated` marks those, and B is evaluated on them alone, in
+    index order (not at all when there are none).  A stable ``lexsort`` of
+    the marked intervals by (A, B) puts each class of equal values in a run
+    in index order; every member of a class of two or more is marked, so
+    the runs, and the smallest pair (m, n) with m < n, a pair of neighbours
+    in its run, are those of sorting the whole grid.
     """
     va = a.values(lo, hi)
-    order = np.argsort(va)
-    same = va[order[:-1]] == va[order[1:]]
-    if not same.any():
+    idx = _repeated(va)
+    if idx.size == 0:
         return None
-    repeated = np.zeros(va.size, dtype=bool)
-    repeated[order[:-1][same]] = repeated[order[1:][same]] = True
-    va, lo, hi = va[repeated], lo[repeated], hi[repeated]
+    va, lo, hi = va[idx], lo[idx], hi[idx]
     vb = b.values(lo, hi)
     order = np.lexsort((vb, va))
     m, n = order[:-1], order[1:]
@@ -685,29 +700,47 @@ def _scan_levels(a: AggregationFunction, b: AggregationFunction,
     return None, direction
 
 
+@functools.lru_cache(maxsize=4)
+def _oracle_layout(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What the oracle's scan at ``resolution`` takes from the resolution
+    alone: the grid ``interval_grid(resolution)`` as (lo, hi), the
+    ``resolution`` cosine-spaced x1, denser near 0 and 1, where the level
+    curves meet the boundary, and the ``resolution`` - 1 interior levels
+    j / ``resolution``.  Built once per resolution; the arrays are
+    read-only, since the last few layouts are shared by every later call.
+    """
+    layout = (*interval_grid(resolution),
+              0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, resolution)),
+              np.arange(1, resolution) / resolution)
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
 def _oracle_witness(a: AggregationFunction, b: AggregationFunction,
                     resolution: int) -> Witness | None:
     """The witness :func:`oracle_search` reports, accepted by
     ``make_witness`` at ``ORACLE_CONFIRM``; None when there is none.
 
-    First the exact ties of the grid (:func:`_grid_tie`), which cover A's
-    levels 0 and 1, where a saturating A's level set is not a curve.  Then
-    the ``resolution`` - 1 interior levels j / ``resolution``, each sampled
-    at ``resolution`` cosine-spaced x1, denser near 0 and 1, where the
-    curves meet the boundary (:func:`_scan_levels`).  Last, where B rises
-    along one of those curves and falls along the next, or the reverse,
-    some level between them has a turn, or equal B at the curve's two
-    ends: the level is bisected, one sampled curve at a time, until a root
-    is accepted, a curve has no single direction or no float is left
-    between the two levels.
+    The grid, the x1 samples and the levels come from
+    :func:`_oracle_layout`, which keeps those of the last few resolutions
+    read-only for the life of the process.  First the exact ties of the
+    grid (:func:`_grid_tie`), which cover A's levels 0 and 1, where a
+    saturating A's level set is not a curve.  Then the ``resolution`` - 1
+    interior levels j / ``resolution``, each sampled at ``resolution``
+    cosine-spaced x1 (:func:`_scan_levels`).  Last, where B rises along one
+    of those curves and falls along the next, or the reverse, some level
+    between them has a turn, or equal B at the curve's two ends: the level
+    is bisected, one sampled curve at a time, until a root is accepted, a
+    curve has no single direction or no float is left between the two
+    levels.
     """
     if resolution < 50:
         raise ValueError("oracle resolution must be at least 50")
-    w = _grid_tie(a, b, *interval_grid(resolution))
+    *grid, x1, levels = _oracle_layout(resolution)
+    w = _grid_tie(a, b, *grid)
     if w is not None:
         return w
-    x1 = 0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, resolution))
-    levels = np.arange(1, resolution) / resolution
     w, direction = _scan_levels(a, b, x1, levels)
     if w is not None:
         return w

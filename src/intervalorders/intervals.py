@@ -6,6 +6,7 @@ this package operates on.  Endpoints are IEEE doubles.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -153,7 +154,32 @@ def _read_text(fh: TextIO, path: str | Path, size: int = -1) -> str:
     try:
         return fh.read(size)
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {_decode_error(path, exc)}") from exc
+
+
+def _decode_error(path: str | Path, exc: UnicodeDecodeError) -> str:
+    """The text of the file's first UTF-8 decoding error, its position
+    counted in bytes from the start of the file, a byte-order mark
+    included.  ``exc``, raised by a text reader, counts it from the start
+    of the reader's chunk, so the file is decoded again, a block at a
+    time; ``exc``'s own text is kept if that finds no error."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    fed = 0
+    with open(path, "rb") as raw:
+        while True:
+            block = raw.read(READ_BLOCK)
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as err:
+                # err counts from the start of the bytes the decoder held back
+                start = fed - len(decoder.getstate()[0]) + err.start
+                span = (f"byte 0x{err.object[err.start]:02x} in position {start}"
+                        if err.end == err.start + 1 else
+                        f"bytes in position {start}-{start + err.end - err.start - 1}")
+                return f"'{err.encoding}' codec can't decode {span}: {err.reason}"
+            if not block:
+                return str(exc)
+            fed += len(block)
 
 
 def _snapped(raw_lo: np.ndarray, raw_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

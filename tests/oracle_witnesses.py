@@ -27,10 +27,11 @@ FIELDS = ("label", "orientation", "resolution",
 RESOLUTIONS = (100, 200)
 
 
-def witness_rows() -> list[list[str]]:
-    """The table's rows, by resolution, then case, then orientation."""
+def witness_rows(resolutions: tuple[int, ...] = RESOLUTIONS) -> list[list[str]]:
+    """The table's rows at ``resolutions``, by resolution, then case, then
+    orientation."""
     rows = []
-    for resolution in RESOLUTIONS:
+    for resolution in resolutions:
         for case in build_battery():
             for orientation, (a, b) in (("ab", (case.a, case.b)), ("ba", (case.b, case.a))):
                 w = _oracle_witness(a, b, resolution)

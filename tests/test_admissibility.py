@@ -57,6 +57,7 @@ from intervalorders.admissibility import (
     WITNESS_GAP,
     _grid_tie,
     _level_roots,
+    _oracle_layout,
     _saturation_verdict,
     _scan_levels,
     _steps,
@@ -821,6 +822,32 @@ class TestOracle:
         assert len(tried) > 3 and tried == sorted(tried)
 
 
+class TestOracleLayout:
+    """The grid, x1 samples and levels the oracle keeps per resolution."""
+
+    def test_witnesses_match_the_pinned_table_across_resolutions(self):
+        with open(Path(__file__).with_name("oracle_witnesses.csv"), newline="") as fh:
+            _, *pinned = csv.reader(fh)
+        want = {tuple(row[:3]): row for row in pinned}
+        _oracle_layout.cache_clear()
+        for resolution in (100, 200, 100):
+            rows = witness_rows((resolution,))
+            assert len(rows) == 188
+            for row in rows:
+                assert row == want[tuple(row[:3])]
+        info = _oracle_layout.cache_info()
+        assert (info.misses, info.hits) == (2, 3 * 188 - 2)
+
+    def test_cached_arrays_are_read_only(self):
+        layout = _oracle_layout(100)
+        assert [arr.size for arr in layout] == [5151, 5151, 100, 99]
+        assert not any(arr.flags.writeable for arr in layout)
+        with pytest.raises(ValueError):
+            layout[0][0] = 0.5
+        assert _oracle_layout(100) is layout
+        assert all(arr.flags.writeable for arr in (*interval_grid(50), *interval_grid(100)))
+
+
 class TestOracleThreshold:
     """K_w against the w=1/2 mean of e^(-x): a collision exists exactly for
     w above e^-1 / (1 + e^-1) = 0.2689."""
@@ -906,6 +933,21 @@ def reference_grid_tie(a, b, lo, hi):
             Interval(float(lo[n[0]]), float(hi[n[0]])))
 
 
+# Builtin aggregators on weights and generators that make many exact grid
+# ties: quasi-linear means, projections K_w, pair means, and strict and
+# nilpotent t-norms and t-conorms
+builtin_aggregators = st.one_of(
+    st.builds(quasi_linear_mean,
+              st.sampled_from([power(2.0), power(0.5), power(-1.0), exponential(1.0),
+                               exponential(-1.0), logarithm(), logit(), negated_log(),
+                               one_minus(), identity()]),
+              st.integers(1, 19).map(lambda i: i / 20)),
+    st.integers(0, 20).map(lambda i: k_mean(i / 20)),
+    st.sampled_from([schur_pair_mean(power(2.0)), schur_pair_mean(power(0.5)),
+                     schur_pair_mean(identity()), tnorm(negated_log()), tnorm(one_minus()),
+                     tconorm(negated_log_complement()), tconorm(identity())]))
+
+
 class TestGridTie:
     """The exact grid ties :func:`_grid_tie` takes before any level curve."""
 
@@ -923,6 +965,13 @@ class TestGridTie:
     ], ids=lambda af: af.name)
     def test_matches_the_all_pairs_scan(self, a, b):
         lo, hi = interval_grid(50)
+        w = _grid_tie(a, b, lo, hi)
+        assert (None if w is None else (w.u, w.x)) == reference_grid_tie(a, b, lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(builtin_aggregators, builtin_aggregators, st.integers(16, 50))
+    def test_matches_the_all_pairs_scan_on_drawn_pairs(self, a, b, resolution):
+        lo, hi = interval_grid(resolution)
         w = _grid_tie(a, b, lo, hi)
         assert (None if w is None else (w.u, w.x)) == reference_grid_tie(a, b, lo, hi)
 
@@ -1167,6 +1216,29 @@ class TestLevelScan:
         curves = [[0.1, 0.5, 0.2, 0.2, 0.2, 0.9, 0.3], [0.7, 0.7, 0.1] + [math.nan] * 4]
         assert level_roots(curves) == [
             (0, 2, 0, 1), (0, 2, 3, 3), (0, 3, 4, 4), (0, 6, 4, 5), (1, 0, 1, 1)]
+
+    def test_a_rootless_table_gives_empty_index_arrays(self):
+        nan = math.nan
+        bs = np.array([[0.1, 0.2, 0.3], [0.9, 0.5, nan], [nan, nan, nan]])
+        roots = _level_roots(bs, _steps(bs))
+        assert len(roots) == 4
+        assert all(r.dtype == np.intp and r.size == 0 for r in roots)
+
+    def test_a_rootless_scan_keeps_each_curves_direction(self, monkeypatch):
+        # B rises along every level curve of A: no root, and direction 1
+        found = []
+
+        def record(bs, steps):
+            found.append(_level_roots(bs, steps))
+            return found[-1]
+
+        monkeypatch.setattr(admissibility, "_level_roots", record)
+        _, _, x1, levels = _oracle_layout(50)
+        w, direction = _scan_levels(root_power_mean(3.0, 0.9), root_power_mean(3.0, 0.4),
+                                    x1, levels)
+        assert w is None and direction.tolist() == [1] * 49
+        (roots,) = found
+        assert all(r.dtype == np.intp and r.size == 0 for r in roots)
 
     def test_a_direction_flip_between_levels_is_bisected(self):
         # B turns along A's level curve only for 0.6181 < c < 0.6224, which

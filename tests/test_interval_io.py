@@ -1,6 +1,7 @@
 """Differential tests of the array readers, the ranked-CSV writer and CLI
 `rank` against the per-row ``Interval`` path in ``interval_io_reference``."""
 
+import codecs
 import contextlib
 import io
 import json
@@ -82,7 +83,9 @@ def plain_row(draw):
     plain = st.sampled_from([repr, "{:e}".format, "{:.17E}".format,
                              lambda x: f"  {x!r}\t", lambda x: f"\xa0{x!r}"])
     lo, hi = sorted((draw(good_value), draw(good_value)))
-    return f"{draw(plain)(lo)},{draw(plain)(hi)}{draw(st.sampled_from(['', ',', ',x']))}"
+    # sorted again as written: "{:e}" keeps 7 digits, which may round lo above hi
+    lo, hi = sorted((draw(plain)(lo), draw(plain)(hi)), key=float)
+    return f"{lo},{hi}{draw(st.sampled_from(['', ',', ',x']))}"
 
 
 BLANK = st.sampled_from(["", "   ", "\t", "\xa0"])
@@ -215,6 +218,40 @@ class TestReadersMatchReference:
     ])
     def test_edge_json(self, payload):
         assert_same_reading(json.dumps(payload), ".json")
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 names its first bad byte by the byte's
+    offset in the file, a byte-order mark counted, as decoding the whole
+    file does; a text reader counts from the start of its read chunk."""
+
+    @pytest.mark.parametrize("name, payload, position", [
+        ("items.csv", b"0.1,0.2\n" * 20_000 + b"\xff", 160_000),
+        ("items.csv", codecs.BOM_UTF8 + b"0.1,0.2\n" * 3 + b"\xff", 27),
+        ("items.json", codecs.BOM_UTF8 + b"[[0.1, 0.2],\xff]", 15),
+        ("items.json", b"[" + b"[0.1, 0.2]," * 10_000 + b"\xff]", 110_001),
+    ])
+    def test_position_counts_from_the_start_of_the_file(self, tmp_path, name, payload, position):
+        path = tmp_path / name
+        path.write_bytes(payload)
+        with pytest.raises(DataError) as err:
+            load_intervals(path)
+        assert str(err.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff "
+                                  f"in position {position}: invalid start byte")
+
+    @pytest.mark.parametrize("tail", [b"\xe2\x82A\n", b"\xe2\x82", b"\xed\xa0\x80\n", b"\xc3"])
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_a_sequence_across_a_read_block_reads_as_in_the_whole_file(self, tmp_path,
+                                                                         tail, suffix):
+        # the bad sequence starts two bytes before the end of a read block
+        payload = codecs.BOM_UTF8 + b" " * (READ_BLOCK - 5) + tail
+        path = tmp_path / f"items{suffix}"
+        path.write_bytes(payload)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            payload.decode("utf-8")
+        with pytest.raises(DataError) as err:
+            load_intervals(path)
+        assert str(err.value) == f"{path}: {whole.value}"
 
 
 def reference_ranked_bytes(order, items: list[Interval], tmp: Path) -> bytes:

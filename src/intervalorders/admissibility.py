@@ -6,9 +6,10 @@ ties" is then a total order refining the componentwise interval order.
 
 The decision engine layers three kinds of evidence, strongest first:
 
-1.  Constructive exclusions.  Pairs that saturate an endpoint (both send
-    [0, x] to 0, or both send [x, 1] to 1) collide immediately; a nilpotent
-    t-norm (t-conorm) is exactly 0 (1) on a square of endpoints, where
+1.  Constructive exclusions, from where each descriptor states that it
+    saturates.  Two conjunctive sides (both send [0, x] to 0) or two
+    disjunctive ones (both send [x, 1] to 1) collide at once; a nilpotent
+    t-norm (t-conorm) is exactly 0 (1) on its ``flat_square``, where
     ``rule_nilpotent`` builds a collision.  They ship a verified witness.
 2.  The weight band of two quasi views.  Off its saturated part, every
     builtin aggregator but K_0, K_1 and the nilpotent t-norms and t-conorms
@@ -51,7 +52,6 @@ import numpy as np
 from .aggregators import (
     AggregationFunction,
     KProjection,
-    QuasiLinear,
     SchurPair,
     TConorm,
     TNorm,
@@ -164,34 +164,20 @@ def quasi_view(af: AggregationFunction) -> tuple[Generator, float] | None:
 
 def _k_weight(af: AggregationFunction) -> float | None:
     """w when A is an endpoint projection K_w, K_0 and K_1 included."""
-    if isinstance(af.descriptor, KProjection):
-        return af.descriptor.w
     view = quasi_view(af)
-    return view[1] if view is not None and view[0].kind == "identity" else None
+    if view is None:
+        return getattr(af.descriptor, "projection_weight", None)
+    return view[1] if view[0].kind == "identity" else None
 
 
 def is_conjunctive(af: AggregationFunction) -> bool:
-    """True when A([0, x]) = 0 for every x (a descriptor-level fact)."""
-    d = af.descriptor
-    if isinstance(d, TNorm):
-        return True
-    if isinstance(d, KProjection):
-        return d.w == 0.0
-    if isinstance(d, QuasiLinear):
-        return math.isinf(d.generator.at_zero)
-    return False
+    """True when A([0, x]) = 0 for every x < 1, as A's descriptor states."""
+    return getattr(af.descriptor, "conjunctive", False)
 
 
 def is_disjunctive(af: AggregationFunction) -> bool:
-    """True when A([x, 1]) = 1 for every x."""
-    d = af.descriptor
-    if isinstance(d, TConorm):
-        return True
-    if isinstance(d, KProjection):
-        return d.w == 1.0
-    if isinstance(d, QuasiLinear):
-        return math.isinf(d.generator.at_one)
-    return False
+    """True when A([x, 1]) = 1 for every x > 0, as A's descriptor states."""
+    return getattr(af.descriptor, "disjunctive", False)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +186,8 @@ def is_disjunctive(af: AggregationFunction) -> bool:
 
 
 def _nilpotent_square(af: AggregationFunction) -> tuple[float, float] | None:
-    """(p, q) with A saturated on [p, q]^2: [0, m] with t(m) = t(0)/2 for a
-    nilpotent t-norm, [m, 1] with s(m) = s(1)/2 for a nilpotent t-conorm;
-    None for every other A."""
-    d = af.descriptor
-    if not isinstance(d, (TNorm, TConorm)) or d.is_strict:
-        return None
-    g = d.generator
-    if isinstance(d, TNorm):
-        return 0.0, bisect_root(g.fn, 0.0, 1.0, 0.5 * g.at_zero).mid
-    return bisect_root(g.fn, 0.0, 1.0, 0.5 * g.at_one).mid, 1.0
+    """(p, q) with A saturated on [p, q]^2: the descriptor's ``flat_square``."""
+    return getattr(af.descriptor, "flat_square", None)
 
 
 def _square_witness(f: Generator, w: float, p: float, q: float) -> tuple[Interval, Interval]:
@@ -221,7 +199,8 @@ def _square_witness(f: Generator, w: float, p: float, q: float) -> tuple[Interva
     low = (1.0 - w) / w * (fc - float(f.fn(p)))
     high = float(f.fn(q)) - fc
     u = Interval(c, c)
-    if abs(low - high) <= 1e-14 * max(1.0, abs(low), abs(high)):
+    # (1-w)/w overflows for w below about 1e-308, and an infinite end ties nothing
+    if math.isfinite(low - high) and abs(low - high) <= 1e-14 * max(1.0, abs(low), abs(high)):
         return u, Interval(p, q)
     if abs(low) < abs(high):
         return u, Interval(p, bisect_root(f.fn, c, q, fc + low).mid)
@@ -367,7 +346,11 @@ def rule_quasi_linear(a: AggregationFunction, b: AggregationFunction) -> Verdict
     if sat is not None:
         return sat
     band = _weight_band(f.kind, f.param, g.kind, g.param)
-    log_rho = math.log1p((w1 - w2) / ((1.0 - w1) * w2))
+    # logit(w1) - logit(w2), by the logits where the log1p quotient leaves (-1, inf)
+    den = (1.0 - w1) * w2
+    q = (w1 - w2) / den if den else math.inf
+    log_rho = (math.log1p(q) if -1.0 < q < math.inf else
+               (math.log(w1) - math.log1p(-w1)) - (math.log(w2) - math.log1p(-w2)))
     ends = () if band is None else (band.lo, band.hi)
     if any(end and abs(log_rho - end) <= band.slack for end in ends):
         return None  # at a float end of the band
@@ -432,21 +415,19 @@ def rule_k0_k1(b: AggregationFunction, k_weight: float) -> Verdict | None:
 
 def rule_nilpotent(a: AggregationFunction, b: AggregationFunction) -> Verdict | None:
     """Never admissible: a nilpotent side is constant on its
-    :func:`_nilpotent_square` (a t-norm's is tried first, so both
+    :func:`_nilpotent_square` (a conjunctive side's is tried first, so both
     orientations agree), where :func:`_square_witness` builds a collision
-    with the other side's quasi view (f, w), validated at 1e-12.  None when
-    no side is nilpotent or the other has no view (K_0, K_1)."""
-    for sat, other in ((a, b), (b, a)) if isinstance(a.descriptor, TNorm) else ((b, a), (a, b)):
-        view = quasi_view(other)
-        if view is None and not isinstance(other.descriptor, TConorm):
-            continue
-        square = _nilpotent_square(sat)
-        if square is None:
+    with the other side's quasi view (f, w), or (s, 1/2) below the square
+    of a nilpotent t-conorm, validated at 1e-12.  None when no side is
+    nilpotent or the other has no view (K_0, K_1)."""
+    for sat, other in ((a, b), (b, a)) if is_conjunctive(a) else ((b, a), (a, b)):
+        square, view = _nilpotent_square(sat), quasi_view(other)
+        top = _nilpotent_square(other) if view is None and is_disjunctive(other) else None
+        if square is None or view is None and top is None:
             continue
         p, q = square
         if view is None:
-            # a nilpotent S is M_{s,1/2} where it is not saturated, on [0, m_s]
-            view, q = (other.descriptor.generator, 0.5), min(q, _nilpotent_square(other)[0])
+            view, q = (other.descriptor.generator, 0.5), min(q, top[0])
         w = make_witness(a, b, *_square_witness(*view, p, q), tol=1e-12)
         return Verdict(Outcome.NOT_ADMISSIBLE, "nilpotent-collision", witness=w)
     return None

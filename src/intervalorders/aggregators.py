@@ -16,12 +16,14 @@ Quasi-arithmetic means use the extended-real convention that -inf dominates
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import Generator, config_float, generator_from_config, identity, validate_generator
+from .generators import (Generator, bisect_root, config_float, generator_from_config, identity,
+                         validate_generator)
 from .intervals import Interval
 
 INF = math.inf
@@ -43,13 +45,6 @@ def _inv_finite(gen: Generator, y) -> np.ndarray:
         return np.where(np.isfinite(y), np.asarray(gen.inv(y), dtype=float), np.nan)
 
 
-def _additive_hi(gen: Generator, lo, target) -> np.ndarray:
-    """x2 with gen(lo) + gen(x2) = gen(target): a t-norm or t-conorm level
-    curve below the generator's cap."""
-    with np.errstate(all="ignore"):
-        return _inv_finite(gen, gen.fn(target) - gen.fn(lo))
-
-
 # Each family's ``solve_hi(lo, target)`` is the closed-form level curve: the
 # x2 with A([lo, x2]) = target, NaN where the formula leaves the generator's
 # finite range.  ``target`` is one value or an array that broadcasts against
@@ -62,12 +57,23 @@ def _additive_hi(gen: Generator, lo, target) -> np.ndarray:
 # mean M_{f,w} of which A is a strictly increasing transform wherever A is
 # not saturated, or None when there is no such mean.  A then has the level
 # sets, and so the collisions, of M_{f,w}.
+#
+# Each family states where it saturates.  ``conjunctive``: A([0, x]) = 0
+# for every x < 1; ``disjunctive``: A([x, 1]) = 1 for every x > 0, as for a
+# quasi-linear mean whose generator is infinite at 0 (at 1).  A nilpotent
+# t-norm (t-conorm) is also 0 (1) on a square [p, q]^2, its ``flat_square``.
+# K_0 and K_1 have no view and state their ``projection_weight``.  A
+# descriptor that states none of these is neither conjunctive nor
+# disjunctive and has no square.
 
 
 @dataclass(frozen=True)
 class QuasiLinear:
     generator: Generator
     weight: float
+
+    conjunctive = property(lambda self: math.isinf(self.generator.at_zero))
+    disjunctive = property(lambda self: math.isinf(self.generator.at_one))
 
     def solve_hi(self, lo, target) -> np.ndarray:
         f, w = self.generator, self.weight
@@ -83,6 +89,10 @@ class QuasiLinear:
 class KProjection:
     w: float
 
+    conjunctive = property(lambda self: self.w == 0.0)
+    disjunctive = property(lambda self: self.w == 1.0)
+    projection_weight = property(lambda self: self.w)
+
     def solve_hi(self, lo, target) -> np.ndarray:
         lo = np.asarray(lo, dtype=float)
         if self.w == 0.0:
@@ -97,6 +107,7 @@ class KProjection:
 @dataclass(frozen=True)
 class SchurPair:
     f: Generator
+    conjunctive = disjunctive = False  # 0.5 f(x) > 0 and 0.5 (f(x) + 1) < 1
 
     def solve_hi(self, lo, target) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -108,37 +119,48 @@ class SchurPair:
 
 
 @dataclass(frozen=True)
-class TNorm:
-    generator: Generator  # strictly decreasing, t(1) = 0
+class _Archimedean:
+    """A t-norm or t-conorm: its generator g is capped at g(0) or g(1)."""
+
+    generator: Generator
+    conjunctive = disjunctive = False
+
+    @property
+    def _cap(self) -> float:
+        return self.generator.at_zero if self.conjunctive else self.generator.at_one
 
     @property
     def is_strict(self) -> bool:
-        return math.isinf(self.generator.at_zero)
+        return math.isinf(self._cap)
 
     def solve_hi(self, lo, target) -> np.ndarray:
-        return _additive_hi(self.generator, lo, target)
+        g = self.generator  # g(lo) + g(x2) = g(target), below the cap
+        with np.errstate(all="ignore"):
+            return _inv_finite(g, g.fn(target) - g.fn(lo))
 
     def quasi_view(self) -> tuple[Generator, float] | None:
-        """A strict T = t^{-1}(2 t(M_{t,1/2})), increasing as a composite of
-        two decreasing maps; None when nilpotent, where T saturates at 0."""
+        """A strict A = g^{-1}(2 g(M_{g,1/2})), increasing as g and g^{-1} run
+        alike; None when nilpotent, where A saturates on a square."""
         return (self.generator, 0.5) if self.is_strict else None
+
+    @functools.cached_property
+    def flat_square(self) -> tuple[float, float] | None:
+        """(p, q) with A saturated on [p, q]^2 when nilpotent: [0, m] for a
+        t-norm, [m, 1] for a t-conorm, g(m) = cap / 2.  Bisected once."""
+        if self.is_strict:
+            return None
+        m = bisect_root(self.generator.fn, 0.0, 1.0, 0.5 * self._cap).mid
+        return (0.0, m) if self.conjunctive else (m, 1.0)
 
 
 @dataclass(frozen=True)
-class TConorm:
-    generator: Generator  # strictly increasing, s(0) = 0
+class TNorm(_Archimedean):
+    conjunctive = True  # generator strictly decreasing, t(1) = 0
 
-    @property
-    def is_strict(self) -> bool:
-        return math.isinf(self.generator.at_one)
 
-    def solve_hi(self, lo, target) -> np.ndarray:
-        return _additive_hi(self.generator, lo, target)
-
-    def quasi_view(self) -> tuple[Generator, float] | None:
-        """A strict S = s^{-1}(2 s(M_{s,1/2})); None when nilpotent, where S
-        saturates at 1."""
-        return (self.generator, 0.5) if self.is_strict else None
+@dataclass(frozen=True)
+class TConorm(_Archimedean):
+    disjunctive = True  # generator strictly increasing, s(0) = 0
 
 
 class AggregationFunction:
@@ -287,6 +309,21 @@ def _validate_tconorm_generator(s: Generator) -> None:
         raise AggregationError(f"{s.name}: a t-conorm generator needs s(1) > 0")
 
 
+def _additive(d: _Archimedean, family: str) -> AggregationFunction:
+    """A = g^{-1}(min(cap, g(u1) + g(u2))), and 0 for a t-norm, 1 for a
+    t-conorm, where a strict g's sum is infinite."""
+    g, cap, saturated = d.generator, d._cap, float(d.disjunctive)
+
+    def values(lo, hi):
+        with np.errstate(all="ignore"):
+            v = np.minimum(np.asarray(g.fn(lo), float) + np.asarray(g.fn(hi), float), cap)
+            finite = np.isfinite(v)
+            core = np.asarray(g.inv(np.where(finite, v, 0.0)), float)
+            return np.where(finite, core, saturated)
+
+    return AggregationFunction(f"{family}({g.name})", d, values)
+
+
 def tnorm(t: Generator) -> AggregationFunction:
     """Archimedean t-norm from its additive generator.
 
@@ -294,17 +331,7 @@ def tnorm(t: Generator) -> AggregationFunction:
     t(0) < inf (e.g. 1-x gives max(u1+u2-1, 0)).
     """
     _validate_tnorm_generator(t)
-    cap = t.at_zero
-
-    def values(lo, hi):
-        with np.errstate(all="ignore"):
-            s = np.asarray(t.fn(lo), float) + np.asarray(t.fn(hi), float)
-            s = np.minimum(s, cap)
-            finite = np.isfinite(s)
-            core = np.asarray(t.inv(np.where(finite, s, 1.0)), float)
-            return np.where(finite, core, 0.0)
-
-    return AggregationFunction(f"tnorm({t.name})", TNorm(t), values)
+    return _additive(TNorm(t), "tnorm")
 
 
 def tconorm(s: Generator) -> AggregationFunction:
@@ -314,17 +341,7 @@ def tconorm(s: Generator) -> AggregationFunction:
     when s(1) < inf (e.g. the identity gives min(u1+u2, 1)).
     """
     _validate_tconorm_generator(s)
-    cap = s.at_one
-
-    def values(lo, hi):
-        with np.errstate(all="ignore"):
-            v = np.asarray(s.fn(lo), float) + np.asarray(s.fn(hi), float)
-            v = np.minimum(v, cap)
-            finite = np.isfinite(v)
-            core = np.asarray(s.inv(np.where(finite, v, 0.0)), float)
-            return np.where(finite, core, 1.0)
-
-    return AggregationFunction(f"tconorm({s.name})", TConorm(s), values)
+    return _additive(TConorm(s), "tconorm")
 
 
 # ---------------------------------------------------------------------------

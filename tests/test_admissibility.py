@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
@@ -861,6 +862,46 @@ class TestOracleThreshold:
         if collides:
             assert make_witness(a, b, *found) is not None
 
+
+
+class TestExtremeWeights:
+    """log rho = logit(w1) - logit(w2) where its log1p quotient rounds to -1
+    (w = 1e-17), divides by zero (5e-324) or overflows (1e-310): log rho is
+    about -39, 744 and 714, inside the band (0, inf) or (-inf, 0), and both
+    orientations give that verdict without a RuntimeWarning."""
+
+    NOTE = "weight ratio inside the band, but no collision in floats was found"
+
+    @pytest.mark.parametrize("a,b", [
+        (quasi_linear_mean(power(2.0), 1e-17), k_mean(0.5)),
+        (root_power_mean(2.0, 0.5), root_power_mean(3.0, 5e-324)),
+        (root_power_mean(2.0, 0.5), root_power_mean(3.0, 1e-310)),
+    ], ids=["w=1e-17 vs K_1/2", "w=5e-324", "w=1e-310"])
+    def test_band_excludes_in_both_orientations(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v = check_pair(x, y, use_oracle=False)
+            assert (v.outcome, v.rule, v.witness, v.note) == (
+                Outcome.NOT_ADMISSIBLE, "weight-band", None, self.NOTE)
+
+    def test_both_tiny_weights_agree(self):
+        a, b = quasi_linear_mean(power(2.0), 1e-17), root_power_mean(3.0, 5e-324)
+        v, back = check_pair(a, b, use_oracle=False), check_pair(b, a, use_oracle=False)
+        assert (v.outcome, v.rule) == (back.outcome, back.rule) == (
+            Outcome.NOT_ADMISSIBLE, "weighted-collision")
+        assert_valid_witness(v, a, b)
+        assert_valid_witness(back, b, a)
+
+    @pytest.mark.parametrize("w", [5e-324, 1e-310, 1e-300])
+    def test_square_witness_where_the_weight_ratio_overflows(self, w):
+        # (1 - w) / w overflows below about 1e-308; the witness is still
+        # u = [c, c] and x = [c, x2] on the Lukasiewicz square [0, 1/2]^2
+        a, b = tnorm(one_minus()), root_power_mean(2.0, w)
+        assert_square_collision(a, b)
+        v = check_pair(a, b, use_oracle=False)
+        assert (v.witness.u, v.witness.x) == (Interval(0.25, 0.25), Interval(0.25, 0.5))
+        assert v.witness.residual_a == v.witness.residual_b == 0.0
 
 
 class TestWeightBandThreshold:

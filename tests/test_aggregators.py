@@ -28,8 +28,15 @@ from intervalorders import (
     tconorm,
     tnorm,
 )
-from intervalorders.admissibility import _bisect_hi, _level_hi
+from intervalorders.admissibility import (
+    _bisect_hi,
+    _level_hi,
+    _nilpotent_square,
+    is_conjunctive,
+    is_disjunctive,
+)
 from intervalorders.aggregators import _infinite_endpoint
+import nilpotent_witnesses
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 weight = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
@@ -509,3 +516,67 @@ class TestQuasiView:
     ], ids=lambda a: a.name)
     def test_no_view_for_nilpotent_and_endpoint_projections(self, af):
         assert af.descriptor.quasi_view() is None
+
+
+# ---------------------------------------------------------------------------
+# Saturation facts against the values
+# ---------------------------------------------------------------------------
+
+# the nine nilpotent generators of tests/nilpotent_witnesses.py: a finite t(0) or s(1)
+NILPOTENT = ([tnorm(t) for t in (make() for make in nilpotent_witnesses.T_GENERATORS)
+              if math.isfinite(t.at_zero)]
+             + [tconorm(s) for s in (make() for make in nilpotent_witnesses.S_GENERATORS)
+                if math.isfinite(s.at_one)])
+# generators infinite at 0 (log, -log, x^-1), at 1 (-log(1-x)), at both
+# ends (logit) and at neither
+SATURATION_GENERATORS = [logarithm(), negated_log(), power(-1.0), negated_log_complement(),
+                         logit(), power(2.0), power(0.5), exponential(-2.0), one_minus(),
+                         identity()]
+saturation_families = st.one_of(
+    st.sampled_from([k_mean(0.0), k_mean(0.5), k_mean(1.0)]),
+    st.builds(quasi_linear_mean, st.sampled_from(SATURATION_GENERATORS), weight),
+    st.sampled_from([schur_pair_mean(f) for f in SCHUR_GENERATORS]),
+    st.sampled_from([tnorm(negated_log()), tconorm(negated_log_complement())]),
+    st.sampled_from(NILPOTENT))
+
+
+class TestSaturationFacts:
+    """What each descriptor states about where A saturates, against A's
+    values."""
+
+    def test_nine_nilpotent_generators(self):
+        assert len(NILPOTENT) == 9
+
+    @settings(max_examples=300, deadline=None)
+    @given(saturation_families, st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=8))
+    def test_stated_edges_match_the_values(self, af, xs):
+        xs = np.array(xs)
+        assert is_conjunctive(af) == bool(np.all(af.values(np.zeros_like(xs), xs) == 0.0))
+        assert is_disjunctive(af) == bool(np.all(af.values(xs, np.ones_like(xs)) == 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(saturation_families)
+    def test_only_nilpotent_sides_state_a_square(self, af):
+        assert (_nilpotent_square(af) is not None) == any(af is n for n in NILPOTENT)
+
+    @pytest.mark.parametrize("af", NILPOTENT, ids=lambda a: a.name)
+    def test_stated_square_is_flat(self, af):
+        p, q = _nilpotent_square(af)
+        level = 0.0 if is_conjunctive(af) else 1.0
+        assert (p, q) == ((0.0, q) if level == 0.0 else (p, 1.0))
+        t = np.linspace(p, q, 33)
+        lo, hi = (m.ravel() for m in np.meshgrid(t, t))
+        lo, hi = lo[lo <= hi], hi[lo <= hi]
+        v = af.values(lo, hi)
+        # the square's inner corner [m, m] is the bisected root m of
+        # g(m) = g(0)/2 (g(1)/2), which can land one ulp outside the flat
+        # region, where A misses its level by an ulp
+        corner = (lo == hi) & (lo == (q if level == 0.0 else p))
+        assert np.all(v[~corner] == level)
+        assert np.all(np.abs(v[corner] - level) <= np.spacing(1.0))
+
+    def test_a_descriptor_that_states_nothing(self):
+        af = AggregationFunction("opaque", object(), root_power_mean(2.0, 0.5).values)
+        assert not is_conjunctive(af)
+        assert not is_disjunctive(af)
+        assert _nilpotent_square(af) is None

@@ -9,10 +9,11 @@ Regenerate the table with
 
     PYTHONPATH=src python3 tests/coverage_sweep.py > tests/coverage_sweep.csv
 
-The oracle columns record the oracle of the source tree on ``PYTHONPATH``;
-the committed table was written by the bucketed-candidate oracle that the
-level-curve scan replaced, so the tests can hold the scan to finding at
-least the collisions it found.
+The oracle columns record the oracle of the source tree on ``PYTHONPATH``.
+The committed table was written by the level-curve scan, which finds a
+collision on 9 pairs more than the bucketed-candidate oracle it replaced,
+so the tests hold the oracle to finding at least the collisions it finds
+today; ``tests/sweep_oracle_witnesses.csv`` pins the witnesses themselves.
 """
 
 from __future__ import annotations

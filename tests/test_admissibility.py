@@ -69,6 +69,7 @@ from coverage_sweep import sweep_pairs
 from oracle_witnesses import FIELDS as WITNESS_FIELDS, witness_rows
 import band_witnesses
 import nilpotent_witnesses
+import sweep_oracle_witnesses
 
 
 def assert_valid_witness(verdict, a, b, tol=1e-9):
@@ -1091,9 +1092,8 @@ def coverage_sweep():
 
 
 class TestCoverageSweep:
-    """The 435 pairs of ``tests/coverage_sweep.py``, against the table
-    written with the bucketed-candidate oracle the level-curve scan
-    replaced."""
+    """The 435 pairs of ``tests/coverage_sweep.py``, against the table its
+    writer writes."""
 
     def test_rules_match_the_table(self, coverage_sweep):
         for (a, b), row in coverage_sweep:
@@ -1127,6 +1127,20 @@ class TestCoverageSweep:
                 assert (again.residual_a, again.residual_b) == (w.residual_a, w.residual_b), (
                     x.name, y.name)
         assert witnesses == 418
+
+    def test_oracle_witnesses_match_the_pinned_table(self, coverage_sweep):
+        # sweep_oracle_witnesses.csv pins the float.hex of every pair's R = 100
+        # witness in both orientations, empty where there is none
+        with open(Path(__file__).with_name("sweep_oracle_witnesses.csv"), newline="") as fh:
+            header, *pinned = csv.reader(fh)
+        assert tuple(header) == sweep_oracle_witnesses.FIELDS
+        rows = sweep_oracle_witnesses.witness_rows()
+        assert len(rows) == len(pinned) == 2 * len(coverage_sweep)
+        for got, want in zip(rows, pinned):
+            assert got == want
+        found = [row[3] != "" for row in rows if row[2] == "ab"]
+        assert found == [row["oracle_100"] == "1" for _, row in coverage_sweep]
+        assert sum(row[3] != "" for row in rows) == 407
 
     @pytest.mark.parametrize("resolution", [100, 200])
     def test_every_collision_found_before_is_found(self, coverage_sweep, resolution):

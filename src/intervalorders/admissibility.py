@@ -490,17 +490,11 @@ def check_pair(a: AggregationFunction, b: AggregationFunction, *,
 # ---------------------------------------------------------------------------
 
 
-def _bisect_hi(a: AggregationFunction, x1s: np.ndarray, target
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _bisect_hi(a: AggregationFunction, x1s: np.ndarray, target) -> np.ndarray:
     """Vector bisection of A([x1, x2]) = target over x2 in [x1, 1]; returns
-    (x2s, bracketed).  ``target`` is one value or one per row of ``x1s``.
-    The fallback of :func:`_level_hi` and its reference."""
-    lo_val = a.values(x1s, x1s)
-    hi_val = a.values(x1s, np.ones_like(x1s))
-    lo_b = np.minimum(lo_val, hi_val) - 1e-13
-    hi_b = np.maximum(lo_val, hi_val) + 1e-13
-    ok = (lo_b <= target) & (target <= hi_b)
-    increasing = hi_val >= lo_val
+    x2s.  ``target`` is one value or one per element of ``x1s``.  The
+    fallback of :func:`_level_hi` and its reference."""
+    increasing = a.values(x1s, np.ones_like(x1s)) >= a.values(x1s, x1s)
     lo_x = x1s.copy()
     hi_x = np.ones_like(x1s)
     for _ in range(60):
@@ -509,78 +503,76 @@ def _bisect_hi(a: AggregationFunction, x1s: np.ndarray, target
         go_up = (v < target) == increasing
         lo_x = np.where(go_up, mid, lo_x)
         hi_x = np.where(go_up, hi_x, mid)
-    return 0.5 * (lo_x + hi_x), ok
+    return 0.5 * (lo_x + hi_x)
 
 
 def _level_hi(a: AggregationFunction, x1s: np.ndarray, target
               ) -> tuple[np.ndarray, np.ndarray]:
-    """The A-level curve A([x1, x2]) = target; returns (x2s, bracketed),
-    shaped like ``x1s`` broadcast against ``target``.  ``target`` is one
-    value, one per element of ``x1s``, or a column of levels, which gives
-    one row of x2s per level.
+    """The A-level curve A([x1, x2]) = target where it has a point; returns
+    (ok, x2s).  ``target`` is one value, one per element of ``x1s``, or a
+    column of levels, which gives one row of ok per level.  ok is true
+    where the level lies between A([x1, x1]) and A([x1, 1]), up to 1e-13,
+    and x2s holds x2 at the true cells of ok alone, in row-major order.
 
-    A([x1, x1]) and A([x1, 1]) are evaluated once per element of ``x1s``,
-    whatever the number of levels, and ``solve_hi`` evaluates its
-    generator on ``x1s`` and on ``target`` apart: only its inverse runs on
-    every (level, x1).  x2 is that closed form clipped to [x1, 1], and x1
-    itself where A([x1, x1]) >= target: on a flat level set that is the
-    lowest solution, the one :func:`_bisect_hi` converges to.  Bracketed
-    points whose closed form is not finite, and every point of a
-    descriptor without ``solve_hi``, are bisected instead.  x2 means
-    nothing where it is not bracketed.
+    A's curve ends are evaluated once per element of ``x1s``, whatever the
+    number of levels.  x2 is the descriptor's closed form ``solve_hi``
+    clipped to [x1, 1], and x1 itself where A([x1, x1]) >= target: on a
+    flat level set that is the lowest solution, the one :func:`_bisect_hi`
+    converges to.  Cells whose closed form is not finite, and every cell of
+    a descriptor without ``solve_hi``, are bisected instead.
     """
     lo_val = a.values(x1s, x1s)
     hi_val = a.values(x1s, np.ones_like(x1s))
     ok = ((np.minimum(lo_val, hi_val) - 1e-13 <= target)
           & (target <= np.maximum(lo_val, hi_val) + 1e-13))
+    x1s, lo_val, target = (np.broadcast_to(v, ok.shape)[ok] for v in (x1s, lo_val, target))
     solve = getattr(a.descriptor, "solve_hi", None)
     x2s = np.full_like(x1s, np.nan) if solve is None else solve(x1s, target)
     x2s = np.where(lo_val >= target, x1s, np.clip(x2s, x1s, 1.0))
-    redo = ok & np.isnan(x2s)
+    redo = np.isnan(x2s)
     if redo.any():
-        x2s[redo] = _bisect_hi(a, np.broadcast_to(x1s, x2s.shape)[redo],
-                               np.broadcast_to(target, x2s.shape)[redo])[0]
-    return x2s, ok
+        x2s[redo] = _bisect_hi(a, x1s[redo], target[redo])
+    return ok, x2s
 
 
-def _steps(bs: np.ndarray) -> np.ndarray:
-    """The steps of B between consecutive samples of each row of ``bs``:
-    1 up and -1 down where B moves by more than ``TURN_TOL`` * max(1, |B|)
-    at either end, else 0 (a NaN hole included)."""
-    lead, trail = bs[:, :-1], bs[:, 1:]
+def _steps(row: np.ndarray, k: np.ndarray, bs: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """B's steps from each cell to the next, the cells at (level ``row``,
+    x1 index ``k``) in row-major order: (adjacent, steps), neighbours
+    sharing a level and consecutive in x1, and a step 1 up and -1 down
+    where B moves between neighbours by more than ``TURN_TOL`` * max(1,
+    |B|) at either end, else 0 (a NaN B included)."""
+    adjacent = (row[:-1] == row[1:]) & (k[:-1] + 1 == k[1:])
+    lead, trail = bs[:-1], bs[1:]
     tol = TURN_TOL * np.maximum(1.0, np.maximum(np.abs(lead), np.abs(trail)))
     d = trail - lead
-    return (d > tol).astype(np.int8) - (d < -tol)
+    steps = ((d > tol).astype(np.int8) - (d < -tol)) * adjacent
+    return adjacent, steps
 
 
-def _level_roots(bs: np.ndarray, steps: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The roots to try along sampled level curves: ``bs`` holds B at the
-    samples of one curve per row, NaN where the curve has no point, and
-    ``steps`` is ``_steps(bs)``.  Returns parallel arrays (row, u, first,
-    last) of sample indices.
+def _level_roots(bs: np.ndarray, adjacent: np.ndarray, steps: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The roots to try along sampled level curves, B at the cells ``bs``
+    and ``_steps`` of them: parallel arrays (u, first, last) of cells.
 
-    Two consecutive samples with exactly equal B are an exact tie: u is the
+    Two neighbouring cells with exactly equal B are an exact tie: u is the
     first, and first == last the second.  A *turn* is a step up followed by
-    a step down, or the reverse.  Of the turning sample's two neighbours, u
+    a step down, or the reverse.  Of the turning cell's two neighbours, u
     is the one whose B is nearer the turning value (the earlier one when
     both are as near); the step on the far side, (first, last), brackets
-    B = B(u).  Roots come by row, then by the index of their earliest
-    sample.
+    B = B(u).  Roots come in the order of their earliest cell, so by level,
+    then by x1.
     """
-    tie_row, tie_k = np.nonzero(bs[:, :-1] == bs[:, 1:])
-    turn_row, turn_k = np.nonzero(steps[:, :-1] * steps[:, 1:] < 0)
-    if tie_row.size == turn_row.size == 0:
-        return (tie_row,) * 4
-    lead, trail = bs[turn_row, turn_k], bs[turn_row, turn_k + 2]
+    tie = np.flatnonzero(adjacent & (bs[:-1] == bs[1:]))
+    turn = np.flatnonzero(steps[:-1] * steps[1:] < 0)
+    lead, trail = bs[turn], bs[turn + 2]
     # the nearer neighbour is the higher one at a peak, the lower at a trough
-    near_lead = np.where(steps[turn_row, turn_k] > 0, lead >= trail, lead <= trail)
-    row = np.concatenate([tie_row, turn_row])
-    u = np.concatenate([tie_k, np.where(near_lead, turn_k, turn_k + 2)])
-    first = np.concatenate([tie_k + 1, np.where(near_lead, turn_k + 1, turn_k)])
-    last = np.concatenate([tie_k + 1, first[tie_k.size:] + 1])
-    order = np.lexsort((np.concatenate([tie_k, turn_k]), row))
-    return row[order], u[order], first[order], last[order]
+    near_lead = np.where(steps[turn] > 0, lead >= trail, lead <= trail)
+    u = np.concatenate([tie, np.where(near_lead, turn, turn + 2)])
+    first = np.concatenate([tie + 1, np.where(near_lead, turn + 1, turn)])
+    last = np.concatenate([tie + 1, first[tie.size:] + 1])
+    order = np.argsort(np.concatenate([tie, turn]), kind="stable")
+    return u[order], first[order], last[order]
 
 
 def _level_curve_witness(a: AggregationFunction, b: AggregationFunction, u: Interval,
@@ -598,11 +590,13 @@ def _level_curve_witness(a: AggregationFunction, b: AggregationFunction, u: Inte
     """
     if x1a != x1b:
         def residual(x1s: np.ndarray) -> np.ndarray:
-            x2s, ok = _level_hi(a, x1s, target_a)
-            return np.where(ok, b.values(x1s, x2s) - target_b, np.nan)
+            ok, x2s = _level_hi(a, x1s, target_a)
+            out = np.full_like(x1s, np.nan)
+            out[ok] = b.values(x1s[ok], x2s) - target_b
+            return out
 
         x1a = bisect_root(residual, x1a, x1b).mid
-        x2s, ok = _level_hi(a, np.array([x1a]), target_a)
+        ok, x2s = _level_hi(a, np.array([x1a]), target_a)
         if not ok[0]:
             return None
         x2 = float(x2s[0])
@@ -632,11 +626,13 @@ def _grid_tie(a: AggregationFunction, b: AggregationFunction,
 
     Only an interval whose A value occurs more than once can tie, so
     :func:`_repeated` marks those, and B is evaluated on them alone, in
-    index order (not at all when there are none).  A stable ``lexsort`` of
-    the marked intervals by (A, B) puts each class of equal values in a run
-    in index order; every member of a class of two or more is marked, so
-    the runs, and the smallest pair (m, n) with m < n, a pair of neighbours
-    in its run, are those of sorting the whole grid.
+    index order (not at all when there are none).  One stable sort of the
+    marked intervals by the complex key A + iB, lexicographic in (A, B),
+    puts each class of equal values in a run in index order (a NaN B,
+    which ties with nothing, sorts last); every member of a class of two
+    or more is marked, so the runs, and the smallest pair (m, n) with
+    m < n, a pair of neighbours in its run, are those of sorting the whole
+    grid.
     """
     va = a.values(lo, hi)
     idx = _repeated(va)
@@ -644,7 +640,7 @@ def _grid_tie(a: AggregationFunction, b: AggregationFunction,
         return None
     va, lo, hi = va[idx], lo[idx], hi[idx]
     vb = b.values(lo, hi)
-    order = np.lexsort((vb, va))
+    order = np.argsort(va + 1j * vb, kind="stable")
     m, n = order[:-1], order[1:]
     gap = np.maximum(np.abs(lo[m] - lo[n]), np.abs(hi[m] - hi[n]))
     tie = np.flatnonzero((va[m] == va[n]) & (vb[m] == vb[n]) & (gap >= WITNESS_GAP))
@@ -659,23 +655,24 @@ def _grid_tie(a: AggregationFunction, b: AggregationFunction,
 
 def _scan_levels(a: AggregationFunction, b: AggregationFunction,
                  x1: np.ndarray, levels: np.ndarray) -> tuple[Witness | None, np.ndarray]:
-    """Sample A's level curves at ``levels`` at the x1 values ``x1``, one
-    row per level: one :func:`_level_hi` call, which evaluates A's curve
-    ends once per x1 for all the levels, and one ``b.values`` call.  Try
-    the curves' roots (:func:`_level_roots`) in order through
+    """Sample A's level curves at ``levels`` at the x1 values ``x1``, on
+    the (level, x1) cells where a curve has a point alone: one
+    :func:`_level_hi` call and one ``b.values`` call.  Try the curves'
+    roots (:func:`_level_roots`) in order through
     :func:`_level_curve_witness`.  Returns the first accepted witness, or
     None, and each curve's direction: 1 where B only rises along it, -1
     where it only falls, else 0."""
-    x2s, ok = _level_hi(a, x1, levels[:, None])
-    bs = np.full(x2s.shape, np.nan)
-    bs[ok] = b.values(np.broadcast_to(x1, x2s.shape)[ok], x2s[ok])
-    steps = _steps(bs)
-    direction = (steps > 0).any(axis=1).astype(np.int8) - (steps < 0).any(axis=1)
-    rows, us, firsts, lasts = _level_roots(bs, steps)
-    for r, k, i, j in zip(rows.tolist(), us.tolist(), firsts.tolist(), lasts.tolist()):
-        u = Interval(float(x1[k]), float(x2s[r, k]))
-        w = _level_curve_witness(a, b, u, float(levels[r]), float(bs[r, k]),
-                                 float(x1[i]), float(x1[j]), float(x2s[r, i]))
+    ok, x2s = _level_hi(a, x1, levels[:, None])
+    row, k = np.nonzero(ok)
+    x1s = x1[k]
+    bs = b.values(x1s, x2s)
+    adjacent, steps = _steps(row, k, bs)
+    moves = [np.bincount(row[:-1][steps == s], minlength=levels.size) > 0 for s in (1, -1)]
+    direction = moves[0].astype(np.int8) - moves[1]
+    for u, i, j in zip(*(v.tolist() for v in _level_roots(bs, adjacent, steps))):
+        w = _level_curve_witness(a, b, Interval(float(x1s[u]), float(x2s[u])),
+                                 float(levels[row[u]]), float(bs[u]),
+                                 float(x1s[i]), float(x1s[j]), float(x2s[i]))
         if w is not None:
             return w, direction
     return None, direction
@@ -708,8 +705,9 @@ def _oracle_witness(a: AggregationFunction, b: AggregationFunction,
     read-only for the life of the process.  First the exact ties of the
     grid (:func:`_grid_tie`), which cover A's levels 0 and 1, where a
     saturating A's level set is not a curve.  Then the ``resolution`` - 1
-    interior levels j / ``resolution``, each sampled at ``resolution``
-    cosine-spaced x1 (:func:`_scan_levels`).  Last, where B rises along one
+    interior levels j / ``resolution``, each sampled at those of the
+    ``resolution`` cosine-spaced x1 where its curve has a point, and there
+    alone (:func:`_scan_levels`).  Last, where B rises along one
     of those curves and falls along the next, or the reverse, some level
     between them has a turn, or equal B at the curve's two ends: the level
     is bisected, one sampled curve at a time, until a root is accepted, a
@@ -746,10 +744,11 @@ def oracle_search(a: AggregationFunction, b: AggregationFunction, *,
 
     The first pair of ``interval_grid(resolution)`` intervals with exactly
     equal A and B values wins; otherwise B is sampled along A's closed-form
-    level curves at ``resolution`` - 1 interior levels, each exact tie or
-    turn of B there is polished by the array-valued :func:`bisect_root`,
-    and the level between two curves along which B runs in opposite
-    directions is bisected (:func:`_oracle_witness`).  Returns the first
+    level curves at ``resolution`` - 1 interior levels, at the cosine-spaced
+    x1 where each curve has a point, each exact tie or turn of B there is
+    polished by the array-valued :func:`bisect_root`, and the level between
+    two curves along which B runs in opposite directions is bisected
+    (:func:`_oracle_witness`).  Returns the first
     pair that ``make_witness`` accepts at ``ORACLE_CONFIRM``, or None.  An
     empty result is evidence at this resolution, not a proof of
     admissibility.

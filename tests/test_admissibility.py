@@ -70,6 +70,7 @@ from oracle_witnesses import FIELDS as WITNESS_FIELDS, witness_rows
 import band_witnesses
 import nilpotent_witnesses
 import sweep_oracle_witnesses
+import level_reference
 
 
 def assert_valid_witness(verdict, a, b, tol=1e-9):
@@ -1033,6 +1034,40 @@ class TestGridTie:
         assert _grid_tie(a, counted, *interval_grid(50)) is None
         assert seen == sizes
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                              st.sampled_from([math.nan, -0.0, 0.0, 0.25, 0.5, 1.0])),
+                    min_size=2, max_size=40))
+    def test_one_complex_sort_gives_the_lexsort_ties(self, values):
+        # _grid_tie sorts by A + iB; a NaN B turns the key's real part NaN
+        # too, and sorts last, but ties with nothing either way
+        va, vb = np.array(values).T
+
+        def tie_pairs(order):
+            m, n = order[:-1], order[1:]
+            tie = (va[m] == va[n]) & (vb[m] == vb[n])
+            return sorted(zip(m[tie].tolist(), n[tie].tolist()))
+
+        assert tie_pairs(np.argsort(va + 1j * vb, kind="stable")) == tie_pairs(
+            np.lexsort((vb, va)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8), st.lists(st.sampled_from([math.nan, -0.0, 0.0, 0.5, 1.0]),
+                                       min_size=1, max_size=7))
+    def test_nan_and_signed_zero_b_values(self, steps, choices):
+        # A quantised to 1/steps of x2 repeats on most of the grid; B is
+        # NaN, -0.0 or 0.0 on many of its intervals
+        a = AggregationFunction("steps", object(), lambda lo, hi: np.round(hi * steps) / steps)
+
+        def values(lo, hi):
+            pick = np.asarray(choices)[np.rint(lo * 70 + hi * 30).astype(int) % len(choices)]
+            return np.where(lo == hi, lo, pick)
+
+        b = AggregationFunction("holey", object(), values)
+        lo, hi = interval_grid(20)
+        w = _grid_tie(a, b, lo, hi)
+        assert (None if w is None else (w.u, w.x)) == reference_grid_tie(a, b, lo, hi)
+
     def test_pairs_closer_than_witness_gap_are_no_tie(self):
         # the geometric mean is 0 on every interval [0, x2]
         a = geometric_mean(0.5)
@@ -1216,9 +1251,25 @@ def reference_level_roots(bs):
     return roots
 
 
+def cell_roots(bs, cells):
+    """:func:`_level_roots` on the ``cells`` of the table ``bs``, as (row,
+    u, first, last) in the table's indices."""
+    row, k = np.nonzero(cells)
+    u, first, last = _level_roots(bs[cells], *_steps(row, k, bs[cells]))
+    assert (row[u] == row[first]).all() and (row[u] == row[last]).all()
+    return list(zip(row[u].tolist(), k[u].tolist(), k[first].tolist(), k[last].tolist()))
+
+
 def level_roots(bs):
+    """The roots of a table of B along level curves, NaN where a curve has
+    no point: the same whether every entry is a cell, NaN B included, or
+    the NaN entries are no cells at all, and the same as the dense scan's."""
     bs = np.array(bs, dtype=float)
-    return list(zip(*(v.tolist() for v in _level_roots(bs, _steps(bs)))))
+    roots = cell_roots(bs, np.ones(bs.shape, dtype=bool))
+    assert cell_roots(bs, ~np.isnan(bs)) == roots
+    dense = level_reference.reference_level_roots(bs, level_reference.reference_steps(bs))
+    assert list(zip(*(v.tolist() for v in dense))) == roots
+    return roots
 
 
 # B along a synthetic level curve: values that make exact ties, steps of
@@ -1272,19 +1323,36 @@ class TestLevelScan:
         assert level_roots(curves) == [
             (0, 2, 0, 1), (0, 2, 3, 3), (0, 3, 4, 4), (0, 6, 4, 5), (1, 0, 1, 1)]
 
+    def test_a_gap_inside_a_level(self):
+        # a missing cell splits a level's run like a NaN hole
+        nan = math.nan
+        assert level_roots([[0.1, 0.5, nan, 0.5, 0.1, 0.5]]) == [(0, 3, 4, 5)]
+        assert level_roots([[0.3, nan, 0.3, 0.3]]) == [(0, 2, 3, 3)]
+
+    def test_cells_of_two_levels_at_consecutive_x1_are_no_neighbours(self):
+        # level 0 ends at x1 index 2 and level 1 starts at index 3: equal B
+        # and a rise then a fall across the two make no root
+        nan = math.nan
+        assert level_roots([[0.1, 0.2, 0.3, nan, nan], [nan, nan, nan, 0.3, 0.1]]) == []
+        assert level_roots([[0.1, 0.2, nan], [nan, nan, 0.1]]) == []
+
     def test_a_rootless_table_gives_empty_index_arrays(self):
         nan = math.nan
         bs = np.array([[0.1, 0.2, 0.3], [0.9, 0.5, nan], [nan, nan, nan]])
-        roots = _level_roots(bs, _steps(bs))
-        assert len(roots) == 4
+        cells = ~np.isnan(bs)
+        roots = _level_roots(bs[cells], *_steps(*np.nonzero(cells), bs[cells]))
+        assert len(roots) == 3
+        assert all(r.dtype == np.intp and r.size == 0 for r in roots)
+        empty = np.zeros(0, dtype=np.intp)
+        roots = _level_roots(np.zeros(0), *_steps(empty, empty, np.zeros(0)))
         assert all(r.dtype == np.intp and r.size == 0 for r in roots)
 
     def test_a_rootless_scan_keeps_each_curves_direction(self, monkeypatch):
         # B rises along every level curve of A: no root, and direction 1
         found = []
 
-        def record(bs, steps):
-            found.append(_level_roots(bs, steps))
+        def record(bs, adjacent, steps):
+            found.append(_level_roots(bs, adjacent, steps))
             return found[-1]
 
         monkeypatch.setattr(admissibility, "_level_roots", record)
@@ -1322,6 +1390,147 @@ class TestLevelScan:
                 peak = bs[r, turn] > bs[r, u]
                 assert (bs[r, u] >= bs[r, 2 * turn - u]) if peak else (bs[r, u] <= bs[r, 2 * turn - u])
                 assert (bs[r, first] - bs[r, u]) * (bs[r, last] - bs[r, u]) <= 0
+
+
+def scans_agree(a, b, x1, levels):
+    """Run the cell scan and the dense reference scan of
+    ``level_reference`` on the same curves: the same witness, bit for bit,
+    the same directions, and the same roots tried in the same order, both
+    up to the first accepted root and, with every root declined, in full.
+    Returns the witness and the number of roots the full scan tries."""
+    accept = admissibility._level_curve_witness
+    runs = []
+    for decide in (accept, lambda *args: None):
+        for scan in (_scan_levels, level_reference.reference_scan_levels):
+            tried = []
+
+            def record(*args):
+                tried.append(args[2:])
+                return decide(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(admissibility, "_level_curve_witness", record)
+                w, direction = scan(a, b, x1, levels)
+            assert direction.dtype == np.int8
+            bits = None if w is None else [float(t).hex() for t in (
+                w.u.lo, w.u.hi, w.x.lo, w.x.hi, w.residual_a, w.residual_b)]
+            runs.append((bits, direction.tolist(), repr(tried)))
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    assert runs[2][0] is None and runs[2][1] == runs[0][1]
+    return (None if runs[0][0] is None else _scan_levels(a, b, x1, levels)[0]), len(tried)
+
+
+def with_values(af, name, values):
+    """``af``'s descriptor, closed form included, on other values."""
+    return AggregationFunction(name, af.descriptor, values)
+
+
+class TestCellScan:
+    """The scan over bracketed cells against the dense (level, x1) scan it
+    replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(builtin_aggregators, builtin_aggregators, st.sampled_from([50, 60, 100]))
+    def test_matches_the_dense_scan_on_drawn_pairs(self, a, b, resolution):
+        _, _, x1, levels = _oracle_layout(resolution)
+        scans_agree(a, b, x1, levels)
+
+    @pytest.mark.parametrize("a, b", [
+        # K_0 has no closed form: every bracketed cell is bisected
+        (k_mean(0.0), exponential_mean(-1.0, 0.5)),
+        (k_mean(0.0), root_power_mean(2.0, 0.3)),
+        # log and logit means: A([0, x2]) = 0, the curves meet x1 = 0
+        (geometric_mean(0.5), exponential_mean(1.0, 0.5)),
+        (logit_mean(0.5), exponential_mean(1.0, 0.5)),
+        (logit_mean(0.3), geometric_mean(0.6)),
+        (k_mean(0.3), exponential_mean(-1.0, 0.5)),
+        (root_power_mean(3.0, 0.9), root_power_mean(3.0, 0.4)),
+    ], ids=lambda af: af.name)
+    @pytest.mark.parametrize("resolution", [50, 60, 100])
+    def test_matches_the_dense_scan(self, a, b, resolution):
+        _, _, x1, levels = _oracle_layout(resolution)
+        scans_agree(a, b, x1, levels)
+        scans_agree(b, a, x1, levels)
+
+    @pytest.mark.parametrize("a, b", [
+        (logit_mean(0.3), geometric_mean(0.6)),
+        (k_mean(0.3), exponential_mean(-1.0, 0.5)),
+        (root_power_mean(3.0, 0.9), root_power_mean(3.0, 0.4)),
+    ], ids=lambda af: af.name)
+    def test_matches_the_dense_scan_without_closed_form(self, a, b):
+        # every bracketed cell of a descriptor without solve_hi is bisected
+        _, _, x1, levels = _oracle_layout(50)
+        scans_agree(_without_closed_form(a), b, x1, levels)
+
+    def test_k0_cells_just_above_their_diagonal_are_bisected(self, monkeypatch):
+        # K_0([x1, x2]) = x1: the level 0.3 is bracketed at x1 within 1e-13
+        # of it, and below 0.3 only bisection has an x2 for it
+        a, b = k_mean(0.0), exponential_mean(-1.0, 0.5)
+        x1 = np.array([0.3 - 1e-13, 0.3 - 5e-14, 0.3, 0.3 + 5e-14, 0.5])
+        levels = np.array([0.3, 0.5])
+        calls = []
+        bisect = admissibility._bisect_hi
+        monkeypatch.setattr(admissibility, "_bisect_hi",
+                            lambda a, x1s, target: calls.append(x1s.size) or bisect(a, x1s, target))
+        _scan_levels(a, b, x1, levels)
+        assert calls == [2]
+        monkeypatch.undo()
+        scans_agree(a, b, x1, levels)
+        scans_agree(b, a, x1, levels)
+
+    def test_levels_without_cells(self):
+        # A([x1, x2]) = (x1 + x2) / 2 >= 0.8 on x1 >= 0.8: no cell below 0.8
+        a, b = k_mean(0.5), exponential_mean(-1.0, 0.5)
+        x1 = np.linspace(0.8, 1.0, 9)
+        levels = np.array([0.1, 0.5, 0.85, 0.9, 0.95])
+        ok, _ = admissibility._level_hi(a, x1, levels[:, None])
+        assert ok.sum(axis=1).tolist()[:2] == [0, 0]
+        w, _ = scans_agree(a, b, x1, levels)
+        assert _scan_levels(a, b, x1, np.array([0.1, 0.2]))[1].tolist() == [0, 0]
+        assert _scan_levels(a, b, x1, np.zeros(0))[1].size == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(builtin_aggregators, builtin_aggregators,
+           st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), st.floats(0.0, 1.0))
+    def test_one_level_at_three_x1(self, a, b, x1, frac):
+        # the call _band_witness makes: [lo, x1, hi] on one level
+        x1 = np.sort(np.array(x1))
+        level = a(Interval(x1[1], x1[1] + frac * (1.0 - x1[1])))
+        scans_agree(a, b, x1, np.array([level]))
+
+    @pytest.mark.parametrize("resolution", [50, 100])
+    def test_nan_b_inside_bracketed_cells(self, resolution):
+        # B is NaN on a band of x2 that crosses every level curve
+        a = k_mean(0.3)
+        for base in (exponential_mean(-1.0, 0.5), root_power_mean(3.0, 0.4), k_mean(0.7)):
+            def values(lo, hi, base=base):
+                return np.where((hi > 0.4) & (hi < 0.6), np.nan, base._values(lo, hi))
+
+            b = with_values(base, f"holey {base.name}", values)
+            _, _, x1, levels = _oracle_layout(resolution)
+            ok, x2s = admissibility._level_hi(a, x1, levels[:, None])
+            assert np.isnan(b.values(x1[np.nonzero(ok)[1]], x2s)).sum() > 50
+            scans_agree(a, b, x1, levels)
+            scans_agree(b, a, x1, levels)
+
+    @pytest.mark.parametrize("b", [exponential_mean(-1.0, 0.5), root_power_mean(3.0, 0.4),
+                                   k_mean(0.3)], ids=lambda af: af.name)
+    def test_a_gap_in_the_bracket_mask_inside_a_level(self, b):
+        # A([x1, 1]) drops to x1 for 0.3 < x1 < 0.35, so levels above x1
+        # lose their cells there, and their runs split in two
+        base = exponential_mean(1.0, 0.5)
+
+        def values(lo, hi):
+            dip = (hi == 1.0) & (lo > 0.3) & (lo < 0.35)
+            return np.where(dip, lo, base._values(lo, hi))
+
+        a = with_values(base, "dipped", values)
+        _, _, x1, levels = _oracle_layout(100)
+        ok, _ = admissibility._level_hi(a, x1, levels[:, None])
+        runs = (np.diff(ok.astype(np.int8), axis=1) == 1).sum(axis=1) + ok[:, 0]
+        assert runs.max() == 2
+        scans_agree(a, b, x1, levels)
+        scans_agree(b, a, x1, levels)
 
 
 class TestOracleMemory:

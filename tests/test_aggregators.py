@@ -37,6 +37,7 @@ from intervalorders.admissibility import (
 )
 from intervalorders.aggregators import _infinite_endpoint
 import nilpotent_witnesses
+from level_reference import reference_level_hi
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 weight = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
@@ -364,14 +365,14 @@ def _round_off_width(af, x1: float, x2: float, target: float) -> float:
 def assert_level_hi_matches_bisection(af, x1: float, target: float) -> float:
     """The closed-form x2 brackets like the bisection and lands within 1e-12
     of it, widened only where A's round-off cannot tell the two apart."""
-    x2, ok = _level_hi(af, np.array([x1]), target)
-    ref, ref_ok = _bisect_hi(af, np.array([x1]), target)
-    assert ok[0] == ref_ok[0]
+    ok, x2 = _level_hi(af, np.array([x1]), target)
+    ref = _bisect_hi(af, np.array([x1]), target)
+    assert x2.size == ok.sum()
     if ok[0]:
         assert x1 <= x2[0] <= 1.0
         slack = 1e-12 + _round_off_width(af, x1, float(ref[0]), target)
         assert abs(x2[0] - ref[0]) <= slack, (af.name, x1, target, x2[0], ref[0])
-    return float(x2[0])
+    return float(x2[0]) if ok[0] else math.nan
 
 
 def _without_closed_form(af):
@@ -391,12 +392,15 @@ class TestLevelCurve:
         x1s = np.array([x1 for x1, _, _ in rows])
         targets = np.array([af(Interval(x1, x1 + t * (1.0 - x1))) if on_curve else t
                             for x1, t, on_curve in rows])
-        for level in (_level_hi, _bisect_hi):
-            x2s, ok = level(af, x1s, targets)
-            for i in range(len(rows)):
-                x2, ok1 = level(af, x1s[i:i + 1], float(targets[i]))
-                assert ok[i] == ok1[0]
-                assert x2s[i:i + 1].tobytes() == x2.tobytes(), (level.__name__, af.name, i)
+        ok, x2s = _level_hi(af, x1s, targets)
+        bisected = _bisect_hi(af, x1s, targets)
+        cell = np.cumsum(ok) - 1
+        for i in range(len(rows)):
+            ok1, x2 = _level_hi(af, x1s[i:i + 1], float(targets[i]))
+            assert ok[i] == ok1[0]
+            assert x2s[cell[i]:cell[i] + 1][:int(ok[i])].tobytes() == x2.tobytes(), (af.name, i)
+            x2 = _bisect_hi(af, x1s[i:i + 1], float(targets[i]))
+            assert bisected[i:i + 1].tobytes() == x2.tobytes(), (af.name, i)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(aggregators, aggregators.map(_without_closed_form)),
@@ -405,14 +409,16 @@ class TestLevelCurve:
     @example(k_mean(0.0), [0.0, 0.3, 1.0], [0.0, 0.3, 0.3 + 5e-14, 0.5])
     def test_a_column_of_levels_matches_the_flat_call(self, af, x1, levels):
         # one row per level, as the oracle's scan asks for them, against
-        # every (level, x1) spelled out
+        # every (level, x1) spelled out, and against the dense table
         x1, levels = np.array(x1), np.array(levels)
-        x2s, ok = _level_hi(af, x1, levels[:, None])
-        flat, flat_ok = _level_hi(af, np.tile(x1, levels.size), np.repeat(levels, x1.size))
-        shape = (levels.size, x1.size)
-        assert x2s.shape == ok.shape == shape
-        assert x2s.tobytes() == flat.reshape(shape).tobytes(), af.name
-        assert ok.tobytes() == flat_ok.reshape(shape).tobytes(), af.name
+        ok, x2s = _level_hi(af, x1, levels[:, None])
+        flat_ok, flat = _level_hi(af, np.tile(x1, levels.size), np.repeat(levels, x1.size))
+        assert ok.shape == (levels.size, x1.size) and x2s.shape == (ok.sum(),)
+        assert x2s.tobytes() == flat.tobytes(), af.name
+        assert ok.ravel().tobytes() == flat_ok.tobytes(), af.name
+        dense, dense_ok = reference_level_hi(af, x1, levels[:, None])
+        assert ok.tobytes() == dense_ok.tobytes(), af.name
+        assert x2s.tobytes() == dense[ok].tobytes(), af.name
 
     @settings(max_examples=400, deadline=None)
     @given(aggregators, first_endpoint, unit)
@@ -453,7 +459,7 @@ class TestLevelCurve:
         assert assert_level_hi_matches_bisection(af, 0.0, 0.0) == 0.0
         for target in (5e-14, 1e-9, 0.3, 1.0):
             assert_level_hi_matches_bisection(af, 0.0, target)
-        assert not _level_hi(af, np.array([0.0]), 0.3)[1][0]
+        assert not _level_hi(af, np.array([0.0]), 0.3)[0][0]
 
     @pytest.mark.parametrize("w", [1e-3, 1e-2, 0.99, 0.999])
     @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.name)
@@ -470,13 +476,13 @@ class TestLevelCurve:
         assert np.isnan(k0.descriptor.solve_hi(np.array([0.3]), 0.3)[0])
         assert assert_level_hi_matches_bisection(k0, 0.3, 0.3) == 0.3
         assert_level_hi_matches_bisection(k0, 0.3, 0.3 + 5e-14)
-        assert not _level_hi(k0, np.array([0.3]), 0.4)[1][0]
+        assert not _level_hi(k0, np.array([0.3]), 0.4)[0][0]
 
     def test_descriptor_without_closed_form_falls_back_to_bisection(self):
         af = root_power_mean(2.0, 0.3)
         plain = AggregationFunction("plain", object(), af._values)
         for x1 in np.linspace(0.3, 0.6, 7):  # A([x1, x1]) <= 0.6 <= A([x1, 1])
-            assert _level_hi(plain, np.array([x1]), 0.6)[1][0]
+            assert _level_hi(plain, np.array([x1]), 0.6)[0][0]
             x2 = assert_level_hi_matches_bisection(plain, float(x1), 0.6)
             assert x2 == pytest.approx(assert_level_hi_matches_bisection(af, float(x1), 0.6),
                                        abs=1e-12)

@@ -507,15 +507,13 @@ def _bisect_hi(a: AggregationFunction, x1s: np.ndarray, target) -> np.ndarray:
 
 
 def _level_hi(a: AggregationFunction, x1s: np.ndarray, target
-              ) -> tuple[np.ndarray, np.ndarray]:
+              ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The A-level curve A([x1, x2]) = target where it has a point; returns
-    (ok, x2s).  ``target`` is one value, one per element of ``x1s``, or a
-    column of levels, which gives one row of ok per level.  ok is true
-    where the level lies between A([x1, x1]) and A([x1, 1]), up to 1e-13,
-    and x2s holds x2 at the true cells of ok alone, in row-major order.
-
-    A's curve ends are evaluated once per element of ``x1s``, whatever the
-    number of levels.  x2 is the descriptor's closed form ``solve_hi``
+    (cells, x2s).  ``target`` is one value, one per element of ``x1s``, or
+    a column of levels, one row of cells per level.  ``cells`` is the
+    ``np.nonzero`` of where the level lies between A([x1, x1]) and
+    A([x1, 1]), up to 1e-13, each evaluated once per x1, and x2s holds x2
+    there alone.  x2 is the descriptor's closed form ``solve_hi``
     clipped to [x1, 1], and x1 itself where A([x1, x1]) >= target: on a
     flat level set that is the lowest solution, the one :func:`_bisect_hi`
     converges to.  Cells whose closed form is not finite, and every cell of
@@ -525,14 +523,16 @@ def _level_hi(a: AggregationFunction, x1s: np.ndarray, target
     hi_val = a.values(x1s, np.ones_like(x1s))
     ok = ((np.minimum(lo_val, hi_val) - 1e-13 <= target)
           & (target <= np.maximum(lo_val, hi_val) + 1e-13))
-    x1s, lo_val, target = (np.broadcast_to(v, ok.shape)[ok] for v in (x1s, lo_val, target))
+    cells = np.nonzero(ok)
+    x1s, lo_val = x1s[cells[-1]], lo_val[cells[-1]]
+    target = np.broadcast_to(target, ok.shape)[cells] if np.ndim(target) else target
     solve = getattr(a.descriptor, "solve_hi", None)
     x2s = np.full_like(x1s, np.nan) if solve is None else solve(x1s, target)
     x2s = np.where(lo_val >= target, x1s, np.clip(x2s, x1s, 1.0))
     redo = np.isnan(x2s)
     if redo.any():
-        x2s[redo] = _bisect_hi(a, x1s[redo], target[redo])
-    return ok, x2s
+        x2s[redo] = _bisect_hi(a, x1s[redo], np.broadcast_to(target, x2s.shape)[redo])
+    return cells, x2s
 
 
 def _steps(row: np.ndarray, k: np.ndarray, bs: np.ndarray
@@ -590,14 +590,14 @@ def _level_curve_witness(a: AggregationFunction, b: AggregationFunction, u: Inte
     """
     if x1a != x1b:
         def residual(x1s: np.ndarray) -> np.ndarray:
-            ok, x2s = _level_hi(a, x1s, target_a)
+            cells, x2s = _level_hi(a, x1s, target_a)
             out = np.full_like(x1s, np.nan)
-            out[ok] = b.values(x1s[ok], x2s) - target_b
+            out[cells] = b.values(x1s[cells], x2s) - target_b
             return out
 
         x1a = bisect_root(residual, x1a, x1b).mid
-        ok, x2s = _level_hi(a, np.array([x1a]), target_a)
-        if not ok[0]:
+        _, x2s = _level_hi(a, np.array([x1a]), target_a)
+        if x2s.size == 0:
             return None
         x2 = float(x2s[0])
     return make_witness(a, b, u, Interval(x1a, x2), ORACLE_CONFIRM)
@@ -662,8 +662,7 @@ def _scan_levels(a: AggregationFunction, b: AggregationFunction,
     :func:`_level_curve_witness`.  Returns the first accepted witness, or
     None, and each curve's direction: 1 where B only rises along it, -1
     where it only falls, else 0."""
-    ok, x2s = _level_hi(a, x1, levels[:, None])
-    row, k = np.nonzero(ok)
+    (row, k), x2s = _level_hi(a, x1, levels[:, None])
     x1s = x1[k]
     bs = b.values(x1s, x2s)
     adjacent, steps = _steps(row, k, bs)

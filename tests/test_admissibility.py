@@ -1483,8 +1483,8 @@ class TestCellScan:
         a, b = k_mean(0.5), exponential_mean(-1.0, 0.5)
         x1 = np.linspace(0.8, 1.0, 9)
         levels = np.array([0.1, 0.5, 0.85, 0.9, 0.95])
-        ok, _ = admissibility._level_hi(a, x1, levels[:, None])
-        assert ok.sum(axis=1).tolist()[:2] == [0, 0]
+        (row, _), _ = admissibility._level_hi(a, x1, levels[:, None])
+        assert np.bincount(row, minlength=levels.size).tolist()[:2] == [0, 0]
         w, _ = scans_agree(a, b, x1, levels)
         assert _scan_levels(a, b, x1, np.array([0.1, 0.2]))[1].tolist() == [0, 0]
         assert _scan_levels(a, b, x1, np.zeros(0))[1].size == 0
@@ -1508,8 +1508,8 @@ class TestCellScan:
 
             b = with_values(base, f"holey {base.name}", values)
             _, _, x1, levels = _oracle_layout(resolution)
-            ok, x2s = admissibility._level_hi(a, x1, levels[:, None])
-            assert np.isnan(b.values(x1[np.nonzero(ok)[1]], x2s)).sum() > 50
+            (_, k), x2s = admissibility._level_hi(a, x1, levels[:, None])
+            assert np.isnan(b.values(x1[k], x2s)).sum() > 50
             scans_agree(a, b, x1, levels)
             scans_agree(b, a, x1, levels)
 
@@ -1526,9 +1526,10 @@ class TestCellScan:
 
         a = with_values(base, "dipped", values)
         _, _, x1, levels = _oracle_layout(100)
-        ok, _ = admissibility._level_hi(a, x1, levels[:, None])
-        runs = (np.diff(ok.astype(np.int8), axis=1) == 1).sum(axis=1) + ok[:, 0]
-        assert runs.max() == 2
+        (row, k), _ = admissibility._level_hi(a, x1, levels[:, None])
+        # a run starts at each cell that does not follow its neighbour
+        starts = np.r_[True, (row[1:] != row[:-1]) | (k[1:] != k[:-1] + 1)]
+        assert np.bincount(row[starts]).max() == 2
         scans_agree(a, b, x1, levels)
         scans_agree(b, a, x1, levels)
 

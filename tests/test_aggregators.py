@@ -362,10 +362,18 @@ def _round_off_width(af, x1: float, x2: float, target: float) -> float:
     return 8.0 * float(np.spacing(max(abs(target), 1e-300))) / slope if slope > 0 else 0.0
 
 
+def level_hi(af, x1s, target):
+    """``_level_hi`` with its cells spelled out as a table: (ok, x2s)."""
+    cells, x2s = _level_hi(af, x1s, target)
+    ok = np.zeros(np.broadcast_shapes(np.shape(x1s), np.shape(target)), dtype=bool)
+    ok[cells] = True
+    return ok, x2s
+
+
 def assert_level_hi_matches_bisection(af, x1: float, target: float) -> float:
     """The closed-form x2 brackets like the bisection and lands within 1e-12
     of it, widened only where A's round-off cannot tell the two apart."""
-    ok, x2 = _level_hi(af, np.array([x1]), target)
+    ok, x2 = level_hi(af, np.array([x1]), target)
     ref = _bisect_hi(af, np.array([x1]), target)
     assert x2.size == ok.sum()
     if ok[0]:
@@ -392,11 +400,11 @@ class TestLevelCurve:
         x1s = np.array([x1 for x1, _, _ in rows])
         targets = np.array([af(Interval(x1, x1 + t * (1.0 - x1))) if on_curve else t
                             for x1, t, on_curve in rows])
-        ok, x2s = _level_hi(af, x1s, targets)
+        ok, x2s = level_hi(af, x1s, targets)
         bisected = _bisect_hi(af, x1s, targets)
         cell = np.cumsum(ok) - 1
         for i in range(len(rows)):
-            ok1, x2 = _level_hi(af, x1s[i:i + 1], float(targets[i]))
+            ok1, x2 = level_hi(af, x1s[i:i + 1], float(targets[i]))
             assert ok[i] == ok1[0]
             assert x2s[cell[i]:cell[i] + 1][:int(ok[i])].tobytes() == x2.tobytes(), (af.name, i)
             x2 = _bisect_hi(af, x1s[i:i + 1], float(targets[i]))
@@ -411,8 +419,8 @@ class TestLevelCurve:
         # one row per level, as the oracle's scan asks for them, against
         # every (level, x1) spelled out, and against the dense table
         x1, levels = np.array(x1), np.array(levels)
-        ok, x2s = _level_hi(af, x1, levels[:, None])
-        flat_ok, flat = _level_hi(af, np.tile(x1, levels.size), np.repeat(levels, x1.size))
+        ok, x2s = level_hi(af, x1, levels[:, None])
+        flat_ok, flat = level_hi(af, np.tile(x1, levels.size), np.repeat(levels, x1.size))
         assert ok.shape == (levels.size, x1.size) and x2s.shape == (ok.sum(),)
         assert x2s.tobytes() == flat.tobytes(), af.name
         assert ok.ravel().tobytes() == flat_ok.tobytes(), af.name
@@ -459,7 +467,7 @@ class TestLevelCurve:
         assert assert_level_hi_matches_bisection(af, 0.0, 0.0) == 0.0
         for target in (5e-14, 1e-9, 0.3, 1.0):
             assert_level_hi_matches_bisection(af, 0.0, target)
-        assert not _level_hi(af, np.array([0.0]), 0.3)[0][0]
+        assert not level_hi(af, np.array([0.0]), 0.3)[0][0]
 
     @pytest.mark.parametrize("w", [1e-3, 1e-2, 0.99, 0.999])
     @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.name)
@@ -476,13 +484,13 @@ class TestLevelCurve:
         assert np.isnan(k0.descriptor.solve_hi(np.array([0.3]), 0.3)[0])
         assert assert_level_hi_matches_bisection(k0, 0.3, 0.3) == 0.3
         assert_level_hi_matches_bisection(k0, 0.3, 0.3 + 5e-14)
-        assert not _level_hi(k0, np.array([0.3]), 0.4)[0][0]
+        assert not level_hi(k0, np.array([0.3]), 0.4)[0][0]
 
     def test_descriptor_without_closed_form_falls_back_to_bisection(self):
         af = root_power_mean(2.0, 0.3)
         plain = AggregationFunction("plain", object(), af._values)
         for x1 in np.linspace(0.3, 0.6, 7):  # A([x1, x1]) <= 0.6 <= A([x1, 1])
-            assert _level_hi(plain, np.array([x1]), 0.6)[0][0]
+            assert level_hi(plain, np.array([x1]), 0.6)[0][0]
             x2 = assert_level_hi_matches_bisection(plain, float(x1), 0.6)
             assert x2 == pytest.approx(assert_level_hi_matches_bisection(af, float(x1), 0.6),
                                        abs=1e-12)

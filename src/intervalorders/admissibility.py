@@ -655,8 +655,8 @@ def _grid_tie(a: AggregationFunction, b: AggregationFunction,
 
 def _scan_levels(a: AggregationFunction, b: AggregationFunction,
                  x1: np.ndarray, levels: np.ndarray) -> tuple[Witness | None, np.ndarray]:
-    """Sample A's level curves at ``levels`` at the x1 values ``x1``, on
-    the (level, x1) cells where a curve has a point alone: one
+    """Sample A's level curves at ``levels`` at the x1 values ``x1``, only
+    on the (level, x1) cells where a curve has a point: one
     :func:`_level_hi` call and one ``b.values`` call.  Try the curves'
     roots (:func:`_level_roots`) in order through
     :func:`_level_curve_witness`.  Returns the first accepted witness, or

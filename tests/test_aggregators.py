@@ -376,6 +376,7 @@ def assert_level_hi_matches_bisection(af, x1: float, target: float) -> float:
     ok, x2 = level_hi(af, np.array([x1]), target)
     ref = _bisect_hi(af, np.array([x1]), target)
     assert x2.size == ok.sum()
+    assert ok[0] == reference_level_hi(af, np.array([x1]), target)[1][0]
     if ok[0]:
         assert x1 <= x2[0] <= 1.0
         slack = 1e-12 + _round_off_width(af, x1, float(ref[0]), target)

@@ -34,7 +34,7 @@ for exps in [(2.0, 0.5), (1.0, 3.0), (-1.0, 1.0)]:
     a, b = root_power_mean(exps[0], 0.5), root_power_mean(exps[1], 0.5)
     shape = composite(power(exps[0]), power(exps[1])).shape
     v = check_pair(a, b)
-    print(f"exponents {exps}: composite {shape.convexity.value:18s} -> {v.outcome.value}")
+    print(f"exponents {exps}: composite {shape.value:18s} -> {v.outcome.value}")
 
 print("\n== a mixed-shape composite collides ==")
 v = check_pair(logit_mean(0.5), exponential_mean(1.0, 0.5))

@@ -38,7 +38,7 @@ print(f"  bounded sum           {bounded_sum(z):.4f}   (= min(1.1, 1))")
 
 print("\n== strict + strict: decided by the generator composite ==")
 shape = composite(negated_log(), negated_log_complement()).shape
-print("conorm-over-norm composite is", shape.convexity.value)
+print("conorm-over-norm composite is", shape.value)
 v = check_pair(product, prob_sum)
 print("product with probabilistic sum:", v.outcome.value, f"(rule: {v.rule})")
 

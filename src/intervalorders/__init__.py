@@ -59,7 +59,6 @@ from .generators import (
     GeneratorError,
     ScanOutcome,
     ScanResult,
-    ShapeInfo,
     collision_gap,
     collision_scan,
     composite,

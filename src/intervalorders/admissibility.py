@@ -464,8 +464,9 @@ def check_pair(a: AggregationFunction, b: AggregationFunction, *,
 
     Rule verdicts come first (trying both orientations), the oracle last.  A
     NOT_ADMISSIBLE verdict carries a verified witness whenever one could be
-    constructed; an UNKNOWN verdict after an empty oracle scan records which
-    resolution was exhausted.
+    constructed; an UNKNOWN verdict after the oracle records which
+    resolution was scanned and, when the scan's witness failed ``tol``, its
+    larger residual.
     """
     v = _rules_once(a, b)
     if v is None:
@@ -476,12 +477,14 @@ def check_pair(a: AggregationFunction, b: AggregationFunction, *,
         return v
     if use_oracle:
         w = _oracle_witness(a, b, resolution)
-        if w is not None and w.within(tol):
+        if w is None:
+            found = f"no collision found at resolution {resolution}"
+        elif w.within(tol):
             return Verdict(Outcome.NOT_ADMISSIBLE, "oracle", witness=w)
-        return Verdict(
-            Outcome.UNKNOWN, "oracle",
-            note=f"no collision found at resolution {resolution} (evidence, not proof)",
-        )
+        else:
+            found = (f"collision at resolution {resolution} rejected: residual "
+                     f"{max(w.residual_a, w.residual_b)!r} above tol {tol!r}")
+        return Verdict(Outcome.UNKNOWN, "oracle", note=f"{found} (evidence, not proof)")
     return Verdict(Outcome.UNKNOWN, "rules", note="no criterion matched; oracle disabled")
 
 

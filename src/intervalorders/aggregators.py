@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import (Generator, bisect_root, config_float, generator_from_config, identity,
-                         validate_generator)
+from .generators import (Generator, bisect_root, config_float, exponential, generator_from_config,
+                         identity, logarithm, logit, power, validate_generator)
 from .intervals import Interval
 
 INF = math.inf
@@ -39,10 +39,9 @@ class AggregationError(ValueError):
 
 
 def _inv_finite(gen: Generator, y) -> np.ndarray:
-    """gen^{-1}(y), NaN where y is not finite."""
-    with np.errstate(all="ignore"):
-        y = np.asarray(y, dtype=float)
-        return np.where(np.isfinite(y), np.asarray(gen.inv(y), dtype=float), np.nan)
+    """gen^{-1}(y), NaN where y is not finite; callers hold np.errstate."""
+    y = np.asarray(y, dtype=float)
+    return np.where(np.isfinite(y), np.asarray(gen.inv(y), dtype=float), np.nan)
 
 
 # Each family's ``solve_hi(lo, target)`` is the closed-form level curve: the
@@ -198,18 +197,6 @@ class AggregationFunction:
 # ---------------------------------------------------------------------------
 
 
-def _infinite_endpoint(gen: Generator, sign: int) -> float:
-    """The x in {0,1} whose generator value is the given signed infinity."""
-    target = INF if sign > 0 else -INF
-    if gen.at_zero == target:
-        return 0.0
-    if gen.at_one == target:
-        return 1.0
-    # unreachable for validated generators: infinite mixes only arise from
-    # infinite endpoint values
-    raise AggregationError(f"{gen.name}: no endpoint maps to {target}")
-
-
 def quasi_linear_mean(gen: Generator, weight: float) -> AggregationFunction:
     """Weighted quasi-arithmetic mean f^{-1}((1-w) f(u1) + w f(u2)).
 
@@ -222,8 +209,9 @@ def quasi_linear_mean(gen: Generator, weight: float) -> AggregationFunction:
     if not 0.0 < w < 1.0:
         raise AggregationError(f"quasi-linear weight must lie in (0,1), got {w!r}")
     validate_generator(gen)
-    neg_end = _infinite_endpoint(gen, -1) if (gen.at_zero == -INF or gen.at_one == -INF) else None
-    pos_end = _infinite_endpoint(gen, +1) if (gen.at_zero == INF or gen.at_one == INF) else None
+    # the x in {0, 1} where the generator is -inf (+inf), if any
+    neg_end = 0.0 if gen.at_zero == -INF else 1.0 if gen.at_one == -INF else None
+    pos_end = 0.0 if gen.at_zero == INF else 1.0 if gen.at_one == INF else None
 
     def values(lo, hi):
         with np.errstate(all="ignore"):
@@ -351,30 +339,22 @@ def tconorm(s: Generator) -> AggregationFunction:
 
 def root_power_mean(gamma: float, w: float) -> AggregationFunction:
     """((1-w) u1^gamma + w u2^gamma)^(1/gamma)."""
-    from .generators import power
-
     return quasi_linear_mean(power(gamma), w)
 
 
 def exponential_mean(gamma: float, w: float) -> AggregationFunction:
     """log((1-w) e^(gamma u1) + w e^(gamma u2)) / gamma."""
-    from .generators import exponential
-
     return quasi_linear_mean(exponential(gamma), w)
 
 
 def geometric_mean(w: float) -> AggregationFunction:
     """u1^(1-w) u2^w, the log-generated mean; 0 on intervals touching 0."""
-    from .generators import logarithm
-
     return quasi_linear_mean(logarithm(), w)
 
 
 def logit_mean(w: float) -> AggregationFunction:
     """The logit-generated mean; under 0/0 = 0 it equals
     u1^(1-w) u2^w / (u1^(1-w) u2^w + (1-u1)^(1-w) (1-u2)^w)."""
-    from .generators import logit
-
     return quasi_linear_mean(logit(), w)
 
 

@@ -16,6 +16,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
+from .admissibility import Outcome, check_pair
 from .aggregators import (
     AggregationFunction,
     KProjection,
@@ -294,7 +295,6 @@ class SchurClass(Enum):
     STRICTLY_SCHUR_CONCAVE = "strictly_schur_concave"
     SCHUR_CONCAVE = "schur_concave"
     NEITHER = "neither"
-    UNKNOWN = "unknown"
 
     @property
     def implies_convex(self) -> bool:
@@ -309,21 +309,20 @@ class SchurClass(Enum):
         return self in (SchurClass.STRICTLY_SCHUR_CONVEX, SchurClass.STRICTLY_SCHUR_CONCAVE)
 
 
+# A pair mean's Schur class by the convexity of its f; an affine f is
+# constant along diagonals, Schur-convex and Schur-concave at once but never
+# strictly, and gets the convex label.  MIXED and UNKNOWN have no entry.
+_PAIR_MEAN_SCHUR = {
+    Convexity.STRICTLY_CONVEX: SchurClass.STRICTLY_SCHUR_CONVEX,
+    Convexity.STRICTLY_CONCAVE: SchurClass.STRICTLY_SCHUR_CONCAVE,
+    Convexity.AFFINE: SchurClass.SCHUR_CONVEX,
+}
+
+
 def _closed_form_schur(af: AggregationFunction) -> SchurClass | None:
     d = af.descriptor
     if isinstance(d, SchurPair):
-        shape = registry_composite_shape(identity(), d.f)
-        if shape is None:
-            return None
-        if shape.convexity is Convexity.STRICTLY_CONVEX:
-            return SchurClass.STRICTLY_SCHUR_CONVEX
-        if shape.convexity is Convexity.STRICTLY_CONCAVE:
-            return SchurClass.STRICTLY_SCHUR_CONCAVE
-        if shape.convexity is Convexity.AFFINE:
-            # constant along diagonals: Schur-convex and Schur-concave at
-            # once, but never strictly; report the convex label
-            return SchurClass.SCHUR_CONVEX
-        return None
+        return _PAIR_MEAN_SCHUR.get(registry_composite_shape(identity(), d.f))
     if isinstance(d, KProjection):
         # along u1 + u2 = const the projection is (1-w)*sum + (2w-1)*u2
         if d.w > 0.5:
@@ -352,8 +351,6 @@ def schur_classify(af: AggregationFunction, resolution: int = 100) -> SchurClass
     for sigma in np.linspace(0.02, 1.98, resolution):
         hi_lo = 0.5 * sigma
         hi_hi = min(1.0, sigma)
-        if hi_hi - hi_lo < 1e-9:
-            continue
         his = np.linspace(hi_lo, hi_hi, resolution)
         los = sigma - his
         vals = af.values(los, his)
@@ -386,8 +383,6 @@ def midpoint_order_coincidence(b: AggregationFunction, resolution: int = 100
     they return the grid report of ``orders_coincide`` against that target.
     Any other class determines no target and raises.
     """
-    from .admissibility import Outcome, check_pair
-
     a = k_mean(0.5)
     verdict = check_pair(a, b)
     if verdict.outcome is Outcome.NOT_ADMISSIBLE:
@@ -453,14 +448,14 @@ def projection_disagreement_witness(f: Generator, alpha: float, beta: float
     if alpha == beta:
         raise ValueError("the projection order requires alpha != beta")
     shape = registry_composite_shape(identity(), f)
-    if shape is None or not f.increasing:
+    if shape is Convexity.UNKNOWN or not f.increasing:
         raise ValueError(f"{f.name}: need an increasing bijection with certified shape")
     if abs(f.at_zero) > 1e-12 or abs(f.at_one - 1.0) > 1e-12:
         raise ValueError(f"{f.name}: need f(0) = 0 and f(1) = 1")
 
-    if shape.convexity is Convexity.STRICTLY_CONVEX and alpha <= 0.5:
+    if shape is Convexity.STRICTLY_CONVEX and alpha <= 0.5:
         return _convex_disagreement(f, alpha)
-    if shape.convexity is Convexity.STRICTLY_CONCAVE and alpha >= 0.5:
+    if shape is Convexity.STRICTLY_CONCAVE and alpha >= 0.5:
         u, x = _convex_disagreement(_reflect_generator(f), 1.0 - alpha)
         # reflect back: orders reverse, so the pair swaps roles
         return (
@@ -468,7 +463,7 @@ def projection_disagreement_witness(f: Generator, alpha: float, beta: float
             Interval(1.0 - u.hi, 1.0 - u.lo),
         )
     raise ValueError(
-        f"{f.name}: shape {shape.convexity.value} does not support "
+        f"{f.name}: shape {shape.value} does not support "
         f"alpha={alpha:g} (strictly convex needs alpha <= 0.5, strictly "
         "concave alpha >= 0.5)"
     )

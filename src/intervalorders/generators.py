@@ -89,11 +89,6 @@ class Convexity(Enum):
 
 
 @dataclass(frozen=True)
-class ShapeInfo:
-    convexity: Convexity
-
-
-@dataclass(frozen=True)
 class Generator:
     """A strictly monotone continuous map [0,1] -> extended reals.
 
@@ -473,43 +468,27 @@ def _weight_band(f_kind: str | None, f_param, g_kind: str | None, g_param) -> We
     return WeightBand(min(0.0, float(d[lo])), max(0.0, float(d[hi])), at[lo], at[hi], slack, coeffs)
 
 
-def registry_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
+def registry_composite_shape(f: Generator, g: Generator) -> Convexity:
     """Exact convexity class of g o f^{-1} on f((0,1)) for builtin pairs.
 
-    Returns None when either generator lacks a registry row.  This is the
+    UNKNOWN when either generator lacks a registry row.  This is the
     package's only source of a convexity class.
     """
     signs = _n_signs(f.kind, f.param, g.kind, g.param)
     if signs is None:
-        return None
+        return Convexity.UNKNOWN
     if not signs:
-        return ShapeInfo(Convexity.AFFINE)
+        return Convexity.AFFINE
     if len(signs) == 2:
-        return ShapeInfo(Convexity.MIXED)
+        return Convexity.MIXED
     # sign(h'') = sign(g') * sign(N)
     convex = (1 in signs) == g.increasing
-    return ShapeInfo(Convexity.STRICTLY_CONVEX if convex else Convexity.STRICTLY_CONCAVE)
+    return Convexity.STRICTLY_CONVEX if convex else Convexity.STRICTLY_CONCAVE
 
 
 # ---------------------------------------------------------------------------
 # Sampling helpers
 # ---------------------------------------------------------------------------
-
-
-def sample_open_interval(lo: float, hi: float, n: int) -> np.ndarray:
-    """n interior points of (lo, hi); infinite endpoints are reached through
-    fixed smooth bijections from (0,1)."""
-    if not lo < hi:
-        raise ValueError(f"degenerate interval ({lo!r}, {hi!r})")
-    t = (np.arange(n) + 0.5) / n
-    lo_f, hi_f = math.isfinite(lo), math.isfinite(hi)
-    if lo_f and hi_f:
-        return lo + (hi - lo) * t
-    if lo_f:
-        return lo + t / (1.0 - t)
-    if hi_f:
-        return hi - (1.0 - t) / t
-    return np.tan(np.pi * (t - 0.5))
 
 
 @np.errstate(all="ignore")
@@ -534,7 +513,7 @@ class Composite:
 
     fn: Callable
     domain: tuple[float, float]
-    shape: ShapeInfo
+    shape: Convexity
     f: Generator
     g: Generator
 
@@ -551,10 +530,7 @@ def composite(f: Generator, g: Generator) -> Composite:
     def fn(y):
         return g.fn(f.inv(np.asarray(y, dtype=float)))
 
-    shape = registry_composite_shape(f, g)
-    if shape is None:
-        shape = ShapeInfo(Convexity.UNKNOWN)
-    return Composite(fn=fn, domain=f.range_open(), shape=shape, f=f, g=g)
+    return Composite(fn=fn, domain=f.range_open(), shape=registry_composite_shape(f, g), f=f, g=g)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +664,20 @@ class ScanResult:
 
 
 def _domain_samples(domain: tuple[float, float], n: int) -> np.ndarray:
+    """n points of a finite domain, ends included; n interior points of one
+    with an infinite end, reached through fixed smooth bijections from (0,1)."""
     lo, hi = domain
-    if math.isfinite(lo) and math.isfinite(hi):
+    lo_f, hi_f = math.isfinite(lo), math.isfinite(hi)
+    if lo_f and hi_f:
         return np.linspace(lo, hi, n)
-    return sample_open_interval(lo, hi, n)
+    if not lo < hi:
+        raise ValueError(f"degenerate interval ({lo!r}, {hi!r})")
+    t = (np.arange(n) + 0.5) / n
+    if lo_f:
+        return lo + t / (1.0 - t)
+    if hi_f:
+        return hi - (1.0 - t) / t
+    return np.tan(np.pi * (t - 0.5))
 
 
 def _pairs_of(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .admissibility import Outcome, check_pair
 from .aggregators import AggregationFunction, aggregator_from_config, k_mean
 from .generators import config_float
 from .intervals import Interval, interval_grid
@@ -63,8 +64,6 @@ class GeneratedPairOrder:
         self.b = b
         self.verdict = None
         if verify_admissible:
-            from .admissibility import Outcome, check_pair
-
             verdict = check_pair(a, b, resolution=VERIFY_RESOLUTION)
             self.verdict = verdict
             if verdict.outcome is Outcome.NOT_ADMISSIBLE:

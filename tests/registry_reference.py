@@ -5,14 +5,14 @@ of N = R_g - R_f in exact rational arithmetic: float coefficients, a
 relative size under ``COEFF_TOL`` counted as zero, the quadratic root
 formula, and roots within ``ROOT_EDGE`` of 0 or 1 not counted as interior.
 Away from degenerate parameters the exact registry must give the same
-``ShapeInfo``.
+``Convexity``.
 """
 
 from __future__ import annotations
 
 import math
 
-from intervalorders.generators import Convexity, Generator, ShapeInfo
+from intervalorders.generators import Convexity, Generator
 
 COEFF_TOL = 1e-12
 ROOT_EDGE = 1e-9
@@ -72,17 +72,16 @@ def _quadratic_sign_on_unit(c0: float, c1: float, c2: float) -> str:
     return "zero"
 
 
-def reference_composite_shape(f: Generator, g: Generator) -> ShapeInfo | None:
+def reference_composite_shape(f: Generator, g: Generator) -> Convexity:
     cf = _r_coeffs(f)
     cg = _r_coeffs(g)
     if cf is None or cg is None:
-        return None
+        return Convexity.UNKNOWN
     pattern = _quadratic_sign_on_unit(*(a - b for a, b in zip(cg, cf)))
     if pattern == "zero":
-        return ShapeInfo(Convexity.AFFINE)
+        return Convexity.AFFINE
     if pattern == "mixed":
-        return ShapeInfo(Convexity.MIXED)
+        return Convexity.MIXED
     dir_g = 1.0 if g.increasing else -1.0
     signed = dir_g if pattern == "pos" else -dir_g
-    conv = Convexity.STRICTLY_CONVEX if signed > 0 else Convexity.STRICTLY_CONCAVE
-    return ShapeInfo(conv)
+    return Convexity.STRICTLY_CONVEX if signed > 0 else Convexity.STRICTLY_CONCAVE

@@ -589,14 +589,33 @@ class TestCheckPair:
         assert v.rule == "pair-mean-shape"
 
     def test_unknown_pair_reports_oracle_evidence(self):
-        # no closed-form criterion covers this weight order; the oracle comes
+        # demo 02's band-edge pair: logit(w) is -1, an end of the weight
+        # band, within float error, so no rule decides it; the oracle comes
         # back empty at the given resolution and says so
-        v = check_pair(k_mean(0.5), exponential_mean(3.0, 0.3), resolution=80)
-        assert v.outcome in (Outcome.UNKNOWN, Outcome.NOT_ADMISSIBLE)
-        if v.outcome is Outcome.UNKNOWN:
-            assert "resolution" in v.note
-        else:
-            assert_valid_witness(v, k_mean(0.5), exponential_mean(3.0, 0.3))
+        v = check_pair(k_mean(0.2689414213699951), exponential_mean(-1.0, 0.5), resolution=120)
+        assert (v.outcome, v.rule, v.witness) == (Outcome.UNKNOWN, "oracle", None)
+        assert v.note == "no collision found at resolution 120 (evidence, not proof)"
+
+    @staticmethod
+    def opaque(af):
+        """``af`` behind a descriptor no rule reads: only the oracle decides."""
+        return AggregationFunction(af.name, object(), af._values)
+
+    def test_oracle_witness_decides_a_pair_no_rule_reads(self):
+        for a, b in ((logit_mean(0.5), exponential_mean(1.0, 0.5)), (k_mean(0.5), k_mean(0.5))):
+            v = check_pair(self.opaque(a), self.opaque(b), resolution=60)
+            assert (v.outcome, v.rule, v.note) == (Outcome.NOT_ADMISSIBLE, "oracle", "")
+            assert_valid_witness(v, a, b)
+
+    def test_oracle_witness_rejected_by_tol_names_its_residual(self):
+        # the oracle's witness has residual_a = 2^-53, above tol = 1e-16:
+        # the verdict stays UNKNOWN, and its note does not claim that no
+        # collision was found
+        a, b = self.opaque(logit_mean(0.5)), self.opaque(exponential_mean(1.0, 0.5))
+        v = check_pair(a, b, resolution=60, tol=1e-16)
+        assert (v.outcome, v.rule, v.witness) == (Outcome.UNKNOWN, "oracle", None)
+        assert v.note == ("collision at resolution 60 rejected: residual "
+                          "1.1102230246251565e-16 above tol 1e-16 (evidence, not proof)")
 
     def test_descriptor_without_quasi_view_is_left_to_the_oracle(self):
         class Opaque:  # a user family that states no quasi view
@@ -700,7 +719,7 @@ class TestBatteryRules:
         views = [(quasi_view(c.a), quasi_view(c.b)) for c in build_battery()]
         pairs = [(qa[0], qb[0]) for qa, qb in views if qa is not None and qb is not None]
         assert pairs
-        assert all(registry_composite_shape(f, g) is not None for f, g in pairs)
+        assert all(registry_composite_shape(f, g) is not Convexity.UNKNOWN for f, g in pairs)
 
     def test_verdicts_match_the_pinned_table(self, battery_verdicts):
         # battery_verdicts.csv holds one row per case and orientation (ab is
@@ -824,6 +843,34 @@ class TestOracle:
         assert oracle_search(a, b, resolution=60) is None
         assert len(tried) > 3 and tried == sorted(tried)
 
+    def test_a_root_whose_bisection_leaves_the_level_curve_is_declined(self, monkeypatch):
+        # B has a trough along each level curve of A = hi; on the dipped A,
+        # A([x1, 1]) is 1/100 for x1 within 1e-9 of m, the first midpoint
+        # of the first root's bisection, so the level 0.02 has no point
+        # there, that root is declined and the scan goes on
+        b = AggregationFunction("trough", object(), lambda lo, hi: hi - 0.2 * lo * (hi - lo))
+        accept, tried = admissibility._level_curve_witness, []
+
+        def record(*args):
+            w = accept(*args)
+            tried.append((args[3], args[5], args[6], w))
+            return w
+
+        monkeypatch.setattr(admissibility, "_level_curve_witness", record)
+        monkeypatch.setattr(admissibility, "_grid_tie", lambda *args: None)
+        plain = AggregationFunction("hi", object(), lambda lo, hi: hi + 0.0 * lo)
+        assert oracle_search(plain, b, resolution=50) is not None
+        (level, x1a, x1b, w), = tried
+        assert level == 0.02 and w is not None
+        m = 0.5 * (x1a + x1b)
+        dipped = AggregationFunction(
+            "hi-dip", object(), lambda lo, hi: np.where(np.abs(lo - m) < 1e-9, 0.01 * hi, hi))
+        assert admissibility._level_hi(dipped, np.array([m]), level)[1].size == 0
+        tried.clear()
+        found = oracle_search(dipped, b, resolution=50)
+        assert tried[0] == (level, x1a, x1b, None) and tried[-1][0] > level
+        assert found is not None and make_witness(dipped, b, *found, ORACLE_CONFIRM) is not None
+
 
 class TestOracleLayout:
     """The grid, x1 samples and levels the oracle keeps per resolution."""
@@ -936,6 +983,19 @@ class TestWeightBandThreshold:
 class TestBandWitnesses:
     """Collisions that only the weight band finds, built along a level curve
     of A."""
+
+    def test_an_end_with_l_infinite_at_x2_only_keeps_x1_at_the_midpoint(self):
+        # for K_w against the mean of -log(1-x), L = -log(1-x): the band is
+        # (0, inf), its upper end at (0, 1), where L(0) = 0 and L(1) = inf,
+        # so the turn is bisected on the segment from [c, c] to [c, 1]
+        f, g = identity(), negated_log_complement()
+        band = _weight_band(f.kind, f.param, g.kind, g.param)
+        assert (band.lo, band.hi, band.hi_at) == (0.0, math.inf, (0.0, 1.0))
+        assert band.log_q([0.0, 1.0]).tolist() == [0.0, math.inf]
+        a, b = k_mean(0.7), quasi_linear_mean(g, 0.3)
+        log_rho = math.log(0.7 / 0.3) - math.log(0.3 / 0.7)
+        w = admissibility._band_witness(a, b, band, log_rho)
+        assert w is not None and make_witness(a, b, w.u, w.x, ORACLE_CONFIRM) is not None
 
     def test_witnesses_match_the_pinned_table(self):
         # band_witnesses.csv pins the float.hex of the witness of four pairs
@@ -1115,6 +1175,15 @@ class TestLevelBisection:
         assert 10 / 50 < mids[-1] < 11 / 50
         assert math.nextafter(mids[-1], 1.0) == 11 / 50
         assert len(mids) < 60
+
+    def test_it_closes_on_the_lower_level_when_curves_run_like_the_upper(self, monkeypatch):
+        # every bisected curve falls like the upper one, so the upper end
+        # moves down to the float just above the lower level
+        first = [1] * 10 + [-1] * 39
+        mids = self.scan(monkeypatch, first, lambda mid: -1)
+        assert mids == sorted(mids, reverse=True) and mids[0] == 0.5 * (10 / 50 + 11 / 50)
+        assert math.nextafter(mids[-1], 0.0) == 10 / 50
+        assert len(mids) == 49
 
 
 @pytest.fixture(scope="module")
@@ -1621,7 +1690,7 @@ def table_realisers(convexity, rising, f_increasing):
     rules."""
     return [(f, g) for f in TABLE_GENERATORS for g in TABLE_GENERATORS
             if f.increasing == f_increasing and (f.increasing == g.increasing) == rising
-            and registry_composite_shape(f, g).convexity is convexity
+            and registry_composite_shape(f, g) is convexity
             and not (math.isinf(f.at_zero) and math.isinf(g.at_zero))
             and not (math.isinf(f.at_one) and math.isinf(g.at_one))]
 

@@ -35,7 +35,6 @@ from intervalorders.admissibility import (
     is_conjunctive,
     is_disjunctive,
 )
-from intervalorders.aggregators import _infinite_endpoint
 import nilpotent_witnesses
 from level_reference import reference_level_hi
 
@@ -164,8 +163,8 @@ def reference_quasi_values(gen, w, lo, hi):
     """M_{f,w} on endpoint arrays with every masking pass on every call: the
     formula ``quasi_linear_mean`` evaluated before it skipped the passes
     that cannot change its result."""
-    neg_end = _infinite_endpoint(gen, -1) if -math.inf in (gen.at_zero, gen.at_one) else None
-    pos_end = _infinite_endpoint(gen, +1) if math.inf in (gen.at_zero, gen.at_one) else None
+    ends = {gen.at_zero: 0.0, gen.at_one: 1.0}  # the x in {0, 1} at each generator end
+    neg_end, pos_end = ends.get(-math.inf), ends.get(math.inf)
     with np.errstate(all="ignore"):
         a = np.asarray(gen.fn(lo), dtype=float)
         b = np.asarray(gen.fn(hi), dtype=float)

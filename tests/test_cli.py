@@ -58,6 +58,17 @@ class TestCheckPair:
         assert out["outcome"] == "not_admissible"
         assert out["witness"]["residual_a"] <= 1e-9
 
+    def test_undecided_pair_prints_the_oracle_note(self, tmp_path, capsys):
+        # demo 02's band-edge pair, which no rule decides
+        cfg = write_json(tmp_path / "cfg.json", {"pair": {
+            "a": {"family": "k", "w": 0.2689414213699951},
+            "b": {"family": "quasi_linear", "generator": {"kind": "exponential", "gamma": -1.0},
+                  "weight": 0.5}}})
+        assert main(["check-pair", "--config", cfg, "--resolution", "120"]) == 0
+        assert capsys.readouterr().out == json.dumps({
+            "note": "no collision found at resolution 120 (evidence, not proof)",
+            "outcome": "unknown", "rule": "oracle", "witness": None}, indent=2) + "\n"
+
     def test_output_file(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", PAIR_CONFIG)
         target = tmp_path / "verdict.json"

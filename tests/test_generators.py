@@ -12,7 +12,6 @@ from intervalorders import (
     Generator,
     GeneratorError,
     ScanOutcome,
-    ShapeInfo,
     build_battery,
     collision_gap,
     collision_scan,
@@ -291,15 +290,13 @@ class TestRegistryShapes:
         ids=[f"{f.name}->{g.name}" for f, g, _, _ in EXPECTED_SHAPES],
     )
     def test_expected_classification(self, f, g, conv, inc):
-        shape = registry_composite_shape(f, g)
-        assert shape is not None
-        assert shape.convexity is conv
+        assert registry_composite_shape(f, g) is conv
         # the composite's direction is structural
         assert (f.increasing == g.increasing) is inc
 
     def test_generator_shape_of_power(self):
         def shape(f):
-            return registry_composite_shape(identity(), f).convexity
+            return registry_composite_shape(identity(), f)
 
         assert shape(power(2.0)) is Convexity.STRICTLY_CONVEX
         assert shape(power(0.5)) is Convexity.STRICTLY_CONCAVE
@@ -314,7 +311,7 @@ class TestRegistryShapes:
             at_zero=0.0,
             at_one=1.0,
         )
-        assert registry_composite_shape(custom, identity()) is None
+        assert registry_composite_shape(custom, identity()) is Convexity.UNKNOWN
 
 
 # Builtin generators for the differential test against the float reference:
@@ -404,7 +401,7 @@ class TestExactRegistry:
         ids=[f"{_label(f)}->{_label(g)}" for f, g, _, _ in NEAR_DEGENERATE],
     )
     def test_near_degenerate_parameters(self, f, g, conv, inc):
-        assert registry_composite_shape(f, g) == ShapeInfo(conv)
+        assert registry_composite_shape(f, g) is conv
         assert (f.increasing == g.increasing) is inc
 
     @settings(max_examples=400, deadline=None)
@@ -418,7 +415,7 @@ class TestExactRegistry:
             Convexity.MIXED: {1, -1},
             Convexity.STRICTLY_CONVEX: {along_g},
             Convexity.STRICTLY_CONCAVE: {-along_g},
-        }[shape.convexity]
+        }[shape]
         for x in xs:
             n = _exact_r(g, x) - _exact_r(f, x)
             assert n == 0 or (1 if n > 0 else -1) in allowed
@@ -473,7 +470,7 @@ class TestComposite:
         comp = composite(power(2.0), power(0.5))
         ys = np.linspace(0.05, 0.95, 11)
         assert np.allclose(comp(ys), ys**0.25, atol=1e-12)
-        assert comp.shape.convexity is Convexity.STRICTLY_CONCAVE
+        assert comp.shape is Convexity.STRICTLY_CONCAVE
         assert comp.domain == (0.0, 1.0)
         # concavity confirmed by independent second differences
         d = 1e-4
@@ -482,12 +479,12 @@ class TestComposite:
 
     def test_identity_composite_affine(self):
         comp = composite(identity(), identity())
-        assert comp.shape.convexity is Convexity.AFFINE
+        assert comp.shape is Convexity.AFFINE
 
     def test_log_exponential_domain(self):
         comp = composite(logarithm(), exponential(-1.0))
         assert comp.domain == (-math.inf, 0.0)
-        assert comp.shape.convexity is Convexity.STRICTLY_CONCAVE
+        assert comp.shape is Convexity.STRICTLY_CONCAVE
         ys = np.array([-3.0, -1.0, -0.1])
         assert np.allclose(comp(ys), np.exp(-np.exp(ys)), atol=1e-12)
 
@@ -514,7 +511,7 @@ class TestComposite:
         comp = composite(custom, identity())
         # y^(1/3) is strictly concave on (0,1), but without a registry row
         # no shape is claimed
-        assert comp.shape.convexity is Convexity.UNKNOWN
+        assert comp.shape is Convexity.UNKNOWN
 
 
 REGISTRY_PAIRS = [
@@ -546,8 +543,8 @@ class TestCompositeWithoutRegistryRow:
         # claimed
         registered = composite(f, g)
         bare = composite(without_kind(f), without_kind(g))
-        assert registered.shape.convexity is not Convexity.UNKNOWN
-        assert bare.shape == ShapeInfo(Convexity.UNKNOWN)
+        assert registered.shape is not Convexity.UNKNOWN
+        assert bare.shape is Convexity.UNKNOWN
         assert bare.domain == registered.domain
         ys = f.fn(np.linspace(0.05, 0.95, 19))
         np.testing.assert_array_equal(bare.fn(ys), registered.fn(ys))
@@ -563,7 +560,7 @@ class TestCompositeWithoutRegistryRow:
             at_one=0.0,
         )
         comp = composite(flip, identity())
-        assert comp.shape == ShapeInfo(Convexity.UNKNOWN)
+        assert comp.shape is Convexity.UNKNOWN
         np.testing.assert_allclose(comp.fn([0.25, 0.5]), [0.75, 0.5])
 
 
@@ -647,6 +644,11 @@ class TestCollisionScan:
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):
             collision_scan(lambda x: x, (0.0, 1.0), 0.5, 0.5, 8)
+
+    @pytest.mark.parametrize("domain", [(0.0, -math.inf), (math.inf, 0.0), (math.inf, -math.inf)])
+    def test_rejects_a_reversed_domain_with_an_infinite_end(self, domain):
+        with pytest.raises(ValueError, match="degenerate interval"):
+            collision_scan(np.exp, domain, 0.5, 0.5, 16)
 
     def test_find_collision_refines_to_near_zero(self):
         loc = find_collision(lambda x: np.sqrt(np.asarray(x)), (1.0, 2.0), 0.45, 0.5, 24)

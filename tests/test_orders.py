@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from intervalorders import (
+    AggregationFunction,
     AlphaBetaOrder,
     GeneratedPairOrder,
     Interval,
@@ -125,6 +126,15 @@ class TestRefinement:
         degenerate = GeneratedPairOrder(k_mean(0.5), k_mean(0.5), verify_admissible=False)
         assert refines_interval_order(degenerate, 25)
         assert compare(degenerate, Interval(0.3, 0.7), Interval(0.2, 0.8)) is Ordering.EQUAL
+
+    def test_a_non_monotone_first_stage_does_not_refine(self):
+        # A falls in lo below hi = 1/2: [0, 0.5] lies below [0.45, 0.5]
+        # componentwise, yet A ranks it above
+        dip = AggregationFunction("dip", object(),
+                                  lambda lo, hi: np.where(hi > 0.5, hi, hi * (1 - lo)))
+        order = GeneratedPairOrder(dip, k_mean(1.0), verify_admissible=False)
+        assert compare(order, Interval(0.0, 0.5), Interval(0.45, 0.5)) is Ordering.GREATER
+        assert not refines_interval_order(order, 20)
 
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):

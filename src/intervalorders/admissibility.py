@@ -81,6 +81,8 @@ TURN_TOL = 1e-12
 # of [COLLISION_MARGIN, 1 - COLLISION_MARGIN].
 COLLISION_POINTS = 33
 COLLISION_MARGIN = 0.02
+_COLLISION_XS = np.linspace(COLLISION_MARGIN, 1.0 - COLLISION_MARGIN, COLLISION_POINTS)
+_COLLISION_XS.flags.writeable = False
 
 
 class Outcome(Enum):
@@ -249,8 +251,7 @@ def _collision_witness(h: Composite, w1: float, w2: float,
     f = h.f
     v1 = w1 if f.increasing else 1.0 - w1
     v2 = w2 if f.increasing else 1.0 - w2
-    ts = np.sort(np.asarray(
-        f.fn(np.linspace(COLLISION_MARGIN, 1.0 - COLLISION_MARGIN, COLLISION_POINTS)), float))
+    ts = np.sort(np.asarray(f.fn(_COLLISION_XS), float))
     lo, hi = _pairs_of(ts)
     order = np.lexsort((lo, -(hi - lo)))
     for x0, t1, t2 in collision_candidates(h.fn, lo[order], hi[order], v1, v2, 48):
@@ -457,6 +458,12 @@ def _rules_once(a: AggregationFunction, b: AggregationFunction) -> Verdict | Non
     return rule_quasi_linear(a, b)
 
 
+def _rejected_witness_note(w: Witness, resolution: int, tol: float) -> str:
+    """The note on an oracle witness that ``tol`` rejects: its larger residual."""
+    return (f"collision at resolution {resolution} rejected: residual "
+            f"{max(w.residual_a, w.residual_b)!r} above tol {tol!r} (evidence, not proof)")
+
+
 def check_pair(a: AggregationFunction, b: AggregationFunction, *,
                resolution: int = 200, tol: float = WITNESS_TOL,
                use_oracle: bool = True) -> Verdict:
@@ -478,13 +485,12 @@ def check_pair(a: AggregationFunction, b: AggregationFunction, *,
     if use_oracle:
         w = _oracle_witness(a, b, resolution)
         if w is None:
-            found = f"no collision found at resolution {resolution}"
+            note = f"no collision found at resolution {resolution} (evidence, not proof)"
         elif w.within(tol):
             return Verdict(Outcome.NOT_ADMISSIBLE, "oracle", witness=w)
         else:
-            found = (f"collision at resolution {resolution} rejected: residual "
-                     f"{max(w.residual_a, w.residual_b)!r} above tol {tol!r}")
-        return Verdict(Outcome.UNKNOWN, "oracle", note=f"{found} (evidence, not proof)")
+            note = _rejected_witness_note(w, resolution, tol)
+        return Verdict(Outcome.UNKNOWN, "oracle", note=note)
     return Verdict(Outcome.UNKNOWN, "rules", note="no criterion matched; oracle disabled")
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import (Generator, bisect_root, config_float, exponential, generator_from_config,
-                         identity, logarithm, logit, power, validate_generator)
+from .generators import (Generator, _expr, bisect_root, config_float, exponential,
+                         generator_from_config, identity, logarithm, logit, power,
+                         validate_generator)
 from .intervals import Interval
 
 INF = math.inf
@@ -41,7 +42,7 @@ class AggregationError(ValueError):
 def _inv_finite(gen: Generator, y) -> np.ndarray:
     """gen^{-1}(y), NaN where y is not finite; callers hold np.errstate."""
     y = np.asarray(y, dtype=float)
-    return np.where(np.isfinite(y), np.asarray(gen.inv(y), dtype=float), np.nan)
+    return np.where(np.isfinite(y), np.asarray(_expr(gen.inv)(y), dtype=float), np.nan)
 
 
 # Each family's ``solve_hi(lo, target)`` is the closed-form level curve: the
@@ -76,8 +77,9 @@ class QuasiLinear:
 
     def solve_hi(self, lo, target) -> np.ndarray:
         f, w = self.generator, self.weight
+        fn = _expr(f.fn)
         with np.errstate(all="ignore"):
-            return _inv_finite(f, (f.fn(target) - (1.0 - w) * f.fn(lo)) / w)
+            return _inv_finite(f, (fn(target) - (1.0 - w) * fn(lo)) / w)
 
     def quasi_view(self) -> tuple[Generator, float]:
         """The mean itself: A = M_{f,w}."""
@@ -110,7 +112,7 @@ class SchurPair:
 
     def solve_hi(self, lo, target) -> np.ndarray:
         with np.errstate(all="ignore"):
-            return _inv_finite(self.f, 2.0 * target - self.f.fn(lo))
+            return _inv_finite(self.f, 2.0 * target - _expr(self.f.fn)(lo))
 
     def quasi_view(self) -> tuple[Generator, float]:
         """0.5 (f(u1) + f(u2)) = f(M_{f,1/2}), and f is increasing."""
@@ -134,8 +136,9 @@ class _Archimedean:
 
     def solve_hi(self, lo, target) -> np.ndarray:
         g = self.generator  # g(lo) + g(x2) = g(target), below the cap
+        fn = _expr(g.fn)
         with np.errstate(all="ignore"):
-            return _inv_finite(g, g.fn(target) - g.fn(lo))
+            return _inv_finite(g, fn(target) - fn(lo))
 
     def quasi_view(self) -> tuple[Generator, float] | None:
         """A strict A = g^{-1}(2 g(M_{g,1/2})), increasing as g and g^{-1} run
@@ -182,8 +185,7 @@ class AggregationFunction:
     def values(self, lo, hi) -> np.ndarray:
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        out = self._values(lo, hi)
-        return np.clip(out, 0.0, 1.0)
+        return self._values(lo, hi).clip(0.0, 1.0)
 
     def __call__(self, z: Interval) -> float:
         return float(self.values(np.array([z.lo]), np.array([z.hi]))[0])
@@ -212,23 +214,24 @@ def quasi_linear_mean(gen: Generator, weight: float) -> AggregationFunction:
     # the x in {0, 1} where the generator is -inf (+inf), if any
     neg_end = 0.0 if gen.at_zero == -INF else 1.0 if gen.at_one == -INF else None
     pos_end = 0.0 if gen.at_zero == INF else 1.0 if gen.at_one == INF else None
+    fn, inv = _expr(gen.fn), _expr(gen.inv)
 
     def values(lo, hi):
         with np.errstate(all="ignore"):
-            a = np.asarray(gen.fn(lo), dtype=float)
-            b = np.asarray(gen.fn(hi), dtype=float)
+            a = np.asarray(fn(lo), dtype=float)
+            b = np.asarray(fn(hi), dtype=float)
             s = (1.0 - w) * a + w * b
             if neg_end is not None:
                 # -inf dominates +inf; without a -inf end, an s that would be
                 # -inf here is -inf or NaN already, and both give 0
-                s = np.where(np.isneginf(a) | np.isneginf(b), -INF, s)
+                s = np.where((a == -INF) | (b == -INF), -INF, s)
             finite = np.isfinite(s)
             if finite.all():
-                return np.asarray(gen.inv(s), dtype=float)
-            core = np.asarray(gen.inv(np.where(finite, s, 0.5)), dtype=float)
+                return np.asarray(inv(s), dtype=float)
+            core = np.asarray(inv(np.where(finite, s, 0.5)), dtype=float)
             out = np.where(finite, core, 0.0)
             if neg_end is not None:
-                out = np.where(np.isneginf(s), neg_end, out)
+                out = np.where(s == -INF, neg_end, out)
             if pos_end is not None:
                 out = np.where(np.isposinf(s), pos_end, out)
         return out
@@ -265,9 +268,11 @@ def schur_pair_mean(f: Generator) -> AggregationFunction:
             f"({f.at_zero!r}, {f.at_one!r})"
         )
 
+    fn = _expr(f.fn)
+
     def values(lo, hi):
         with np.errstate(all="ignore"):
-            return 0.5 * (np.asarray(f.fn(lo), float) + np.asarray(f.fn(hi), float))
+            return 0.5 * (np.asarray(fn(lo), float) + np.asarray(fn(hi), float))
 
     return AggregationFunction(f"pair_mean({f.name})", SchurPair(f), values)
 
@@ -301,12 +306,13 @@ def _additive(d: _Archimedean, family: str) -> AggregationFunction:
     """A = g^{-1}(min(cap, g(u1) + g(u2))), and 0 for a t-norm, 1 for a
     t-conorm, where a strict g's sum is infinite."""
     g, cap, saturated = d.generator, d._cap, float(d.disjunctive)
+    fn, inv = _expr(g.fn), _expr(g.inv)
 
     def values(lo, hi):
         with np.errstate(all="ignore"):
-            v = np.minimum(np.asarray(g.fn(lo), float) + np.asarray(g.fn(hi), float), cap)
+            v = np.minimum(np.asarray(fn(lo), float) + np.asarray(fn(hi), float), cap)
             finite = np.isfinite(v)
-            core = np.asarray(g.inv(np.where(finite, v, 0.0)), float)
+            core = np.asarray(inv(np.where(finite, v, 0.0)), float)
             return np.where(finite, core, saturated)
 
     return AggregationFunction(f"{family}({g.name})", d, values)

@@ -10,13 +10,14 @@ input/output error.  Identical config and input give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .admissibility import _oracle_witness, check_pair, oracle_search
+from .admissibility import _oracle_witness, _rejected_witness_note, check_pair, oracle_search
 from .aggregators import AggregationError, aggregator_from_config
 from .battery import format_battery_table, run_battery
 from .coincidence import orders_coincide
@@ -116,8 +117,10 @@ def _cmd_find_counterexample(rc: RunConfig) -> int:
     w = _oracle_witness(a, b, rc.resolution)
     if w is None:
         payload = {"witness": None, "note": f"none at resolution {rc.resolution}"}
+    elif w.within(rc.tol):
+        payload = {"witness": w.to_json_dict()}
     else:
-        payload = {"witness": w.to_json_dict() if w.within(rc.tol) else None}
+        payload = {"witness": None, "note": _rejected_witness_note(w, rc.resolution, rc.tol)}
     _emit(json.dumps(payload, sort_keys=True, indent=2), rc.output_path)
     return 0
 
@@ -171,7 +174,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="intervalorders",
         description="Total orders on unit subintervals from aggregation-function pairs",

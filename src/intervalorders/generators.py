@@ -59,6 +59,18 @@ h.  ``find_collision`` takes the first candidate and the admissibility rules
 validate candidates as witnesses; ``collision_scan`` runs the same block
 pass and reports whether G keeps one sign instead.  ``collision_gap``
 evaluates G at one point; the search itself evaluates G on arrays only.
+
+Error state
+-----------
+Generators are infinite at some ends and are evaluated off (0,1), so their
+numpy expressions divide by zero, overflow and make NaN on purpose.  The
+public callables never warn: a builtin's ``fn`` and ``inv``, each
+``Composite.fn``, ``collision_gap`` and ``bisect_root`` hold
+``np.errstate(all="ignore")`` themselves.  A kernel enters that state once
+per call and, inside it, calls a builtin's array expression, the ``expr``
+of its ``fn`` or ``inv`` (``_expr``), not the public callable: the values
+of each aggregation family, their ``solve_hi``, the composite and the
+collision-gap block pass.
 """
 
 from __future__ import annotations
@@ -161,11 +173,20 @@ def validate_generator(gen: Generator) -> None:
 
 
 def _wrap(fn):
-    @np.errstate(all="ignore")
-    def wrapped(x):
+    """A builtin's public callable, which holds the error state, with the
+    array expression it evaluates as its ``expr``."""
+    def expr(x):
         return fn(np.asarray(x, dtype=float))
 
+    wrapped = np.errstate(all="ignore")(expr)
+    wrapped.expr = expr
     return wrapped
+
+
+def _expr(fn: Callable) -> Callable:
+    """A builtin generator's ``fn`` or ``inv`` without its error state, and
+    any other callable as it is: for kernels that hold ``np.errstate``."""
+    return getattr(fn, "expr", fn)
 
 
 def power(gamma: float) -> Generator:
@@ -227,16 +248,13 @@ def logarithm() -> Generator:
 
 def _logit(x: np.ndarray):
     # scipy.special.logit's formulas: log(x/(1-x)) loses precision near 1/2,
-    # where log1p(s) - log1p(-s) with s = 2(x - 1/2) keeps it; each is
-    # evaluated on its own elements only; [()] gives a 0-d input a numpy
+    # where log1p(s) - log1p(-s) with s = 2(x - 1/2) keeps it; both are
+    # evaluated on every element and np.where keeps each element's own, so
+    # the other one's NaN or inf is dropped; [()] gives a 0-d input a numpy
     # scalar back, as a ufunc does
-    out = np.empty_like(x)
-    near_half = (x >= 0.3) & (x <= 0.65)
-    s = 2.0 * (x[near_half] - 0.5)
-    out[near_half] = np.log1p(s) - np.log1p(-s)
-    far = x[~near_half]
-    out[~near_half] = np.log(far / (1.0 - far))
-    return out[()]
+    s = 2.0 * (x - 0.5)
+    return np.where((x >= 0.3) & (x <= 0.65), np.log1p(s) - np.log1p(-s),
+                    np.log(x / (1.0 - x)))[()]
 
 
 def logit() -> Generator:
@@ -491,8 +509,9 @@ def registry_composite_shape(f: Generator, g: Generator) -> Convexity:
 # ---------------------------------------------------------------------------
 
 
-@np.errstate(all="ignore")
 def _call_vectorized(fn, xs: np.ndarray) -> np.ndarray:
+    """fn(xs) as a float array, or fn called on each float of xs when it
+    does not map arrays; callers hold np.errstate."""
     try:
         out = np.asarray(fn(xs), dtype=float)
         if out.shape == xs.shape:
@@ -527,8 +546,11 @@ def composite(f: Generator, g: Generator) -> Composite:
     validate_generator(f)
     validate_generator(g)
 
+    f_inv, g_fn = _expr(f.inv), _expr(g.fn)
+
     def fn(y):
-        return g.fn(f.inv(np.asarray(y, dtype=float)))
+        with np.errstate(all="ignore"):
+            return g_fn(f_inv(np.asarray(y, dtype=float)))
 
     return Composite(fn=fn, domain=f.range_open(), shape=registry_composite_shape(f, g), f=f, g=g)
 
@@ -637,7 +659,8 @@ def collision_gap(x: float, t1: float, t2: float, v1: float, v2: float, h) -> fl
     if not 0.0 <= x <= (t2 - t1) * (1.0 + 1e-12):
         raise ValueError(f"deformation x={x!r} outside [0, t2-t1]")
     x = np.float64(min(float(x), t2 - t1))
-    return float(_gap(h, x, t1, t2, v1, v2, float(h(t1)), float(h(t2))))
+    with np.errstate(all="ignore"):
+        return float(_gap(h, x, t1, t2, v1, v2, float(h(t1)), float(h(t2))))
 
 
 def _gap(h, x, t1, t2, v1: float, v2: float, h1, h2):
@@ -667,11 +690,11 @@ def _domain_samples(domain: tuple[float, float], n: int) -> np.ndarray:
     """n points of a finite domain, ends included; n interior points of one
     with an infinite end, reached through fixed smooth bijections from (0,1)."""
     lo, hi = domain
+    if not lo < hi:
+        raise ValueError(f"degenerate interval ({lo!r}, {hi!r})")
     lo_f, hi_f = math.isfinite(lo), math.isfinite(hi)
     if lo_f and hi_f:
         return np.linspace(lo, hi, n)
-    if not lo < hi:
-        raise ValueError(f"degenerate interval ({lo!r}, {hi!r})")
     t = (np.arange(n) + 0.5) / n
     if lo_f:
         return lo + t / (1.0 - t)
@@ -680,10 +703,19 @@ def _domain_samples(domain: tuple[float, float], n: int) -> np.ndarray:
     return np.tan(np.pi * (t - 0.5))
 
 
+@functools.lru_cache(maxsize=4)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per n and read-only."""
+    ij = np.triu_indices(n, 1)
+    for arr in ij:
+        arr.flags.writeable = False
+    return ij
+
+
 def _pairs_of(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair (ts[i], ts[j]) with i < j, in the order of
     ``itertools.combinations``, as two arrays of lower and upper ends."""
-    i, j = np.triu_indices(len(ts), 1)
+    i, j = _pair_indices(len(ts))
     return ts[i], ts[j]
 
 
@@ -783,7 +815,8 @@ def collision_candidates(h, t1, t2, v1: float, v2: float, n_x: int):
         return t1, t2, np.where(t2 > t1, u, np.nan)
 
     lmb = bisect_root(lambda lmb: along(lmb)[2], 0.0, 1.0).mid
-    t1, t2, u = (float(v[0]) for v in along(np.array([lmb])))
+    with np.errstate(all="ignore"):
+        t1, t2, u = (float(v[0]) for v in along(np.array([lmb])))
     if math.isfinite(u) and t2 > t1:
         yield t2 - t1, t1, t2
 

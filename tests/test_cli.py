@@ -160,6 +160,50 @@ class TestFindCounterexample:
         assert out["witness"] is None
         assert "none at resolution 100" in out["note"]
 
+    def test_witness_rejected_by_tol_prints_its_residual(self, tmp_path, capsys):
+        # the oracle's witness has residual_a 1.67e-16, above tol = 1e-16
+        cfg = write_json(tmp_path / "cfg.json", {"pair": {
+            "a": {"family": "quasi_linear", "generator": {"kind": "logit"}, "weight": 0.5},
+            "b": {"family": "quasi_linear", "generator": {"kind": "exponential", "gamma": -1.0},
+                  "weight": 0.5}}})
+        assert main(["find-counterexample", "--config", cfg, "--resolution", "60",
+                     "--tol", "1e-16"]) == 0
+        assert capsys.readouterr().out == json.dumps({
+            "note": "collision at resolution 60 rejected: residual 1.6653345369377348e-16 "
+                    "above tol 1e-16 (evidence, not proof)",
+            "witness": None}, indent=2) + "\n"
+
+
+class TestParser:
+    ARGVS = [[], ["--help"], ["rank", "--help"], ["battery", "--help"], ["bogus"],
+             ["rank", "--resolution", "x"], ["check-pair", "--cross-check"]]
+
+    @staticmethod
+    def exit_text(parser, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    def test_main_builds_its_parser_once(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", PAIR_CONFIG)
+        built = cli.build_parser()
+        outs = []
+        for _ in range(2):
+            assert main(["check-pair", "--config", cfg]) == 0
+            outs.append(capsys.readouterr().out)
+        assert cli.build_parser() is built
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_a_reused_parser_prints_what_a_fresh_one_does(self, argv, capsys):
+        fresh = self.exit_text(cli.build_parser.__wrapped__(), argv, capsys)
+        for _ in range(2):
+            assert self.exit_text(cli.build_parser(), argv, capsys) == fresh
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr() == fresh[1:]
+
 
 class TestCoincide:
     CONFIG = {

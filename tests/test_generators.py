@@ -31,6 +31,7 @@ from intervalorders import (
 )
 from intervalorders.admissibility import quasi_view
 from bisect_reference import reference_bisect_root
+from logit_reference import reference_logit
 from intervalorders.generators import BISECT_DEPTH, _n_signs, _weight_band, bisect_root
 from registry_reference import reference_composite_shape
 
@@ -212,19 +213,9 @@ class TestLogitMatchesScipy:
         self.check(ys, inverse=True)
 
 
-def reference_logit(x):
-    """logit with both formulas evaluated on every element, as
-    ``generators._logit`` did before it split them."""
-    with np.errstate(all="ignore"):
-        x = np.asarray(x, dtype=float)
-        s = 2.0 * (x - 0.5)
-        near_half = (x >= 0.3) & (x <= 0.65)
-        return np.where(near_half, np.log1p(s) - np.log1p(-s), np.log(x / (1.0 - x)))[()]
-
-
 class TestLogitBranches:
-    """Each formula of logit is evaluated on its own elements only; the bits
-    stay those of evaluating both everywhere."""
+    """logit evaluates both formulas everywhere and keeps each element's own;
+    the bits stay those of evaluating each on its own elements only."""
 
     EDGES = [0.3, 0.65, 0.0, 1.0, math.nan, -0.0, 0.5, 5e-324, 1.0 - 2.0**-53,
              *(math.nextafter(v, d) for v in (0.3, 0.65) for d in (0.0, 1.0))]
@@ -244,9 +235,64 @@ class TestLogitBranches:
         self.assert_same_bits(np.array([]))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=48))
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGES), st.floats()),
+                    min_size=1, max_size=48))
     def test_draws(self, xs):
         self.assert_same_bits(np.array(xs))
+        self.assert_same_bits(xs[0])
+
+
+FN_EDGES = [0.0, -0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0**-53, -1.0, 2.0,
+            math.inf, -math.inf, math.nan]
+INV_EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, 750.0, -750.0, 1e308, -1e308,
+             math.inf, -math.inf, math.nan]
+
+
+def _quiet(call, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call(x)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+class TestErrorState:
+    """Each builtin's public ``fn`` and ``inv`` and each composite's ``fn``
+    hold numpy's error state themselves: no RuntimeWarning on any edge
+    input, and a numpy scalar back for a scalar.  A kernel that holds the
+    error state calls a builtin's ``expr`` instead, which gives the same
+    bits."""
+
+    @pytest.mark.parametrize("gen", ALL_BUILTINS, ids=lambda g: g.name)
+    def test_public_callables_never_warn(self, gen):
+        for call, edges in ((gen.fn, FN_EDGES), (gen.inv, INV_EDGES)):
+            _quiet(call, np.array(edges))
+            for x in edges:
+                assert type(_quiet(call, x)) is np.float64
+
+    @pytest.mark.parametrize("f", ALL_BUILTINS, ids=lambda g: g.name)
+    def test_composites_never_warn(self, f):
+        edges = [f.at_zero, f.at_one, *INV_EDGES]
+        for g in ALL_BUILTINS:
+            h = composite(f, g)
+            _quiet(h.fn, np.array(edges))
+            for y in edges:
+                assert type(_quiet(h.fn, y)) is np.float64
+
+    def test_collision_gap_never_warns(self):
+        # log(0) divides by zero at t1 = 0, and the gap is infinite
+        assert _quiet(lambda h: collision_gap(0.5, 0.0, 1.0, 0.5, 0.5, h), np.log) == math.inf
+
+    @pytest.mark.parametrize("gen", ALL_BUILTINS, ids=lambda g: g.name)
+    def test_the_expression_gives_the_public_bits(self, gen):
+        for call, edges in ((gen.fn, FN_EDGES), (gen.inv, INV_EDGES)):
+            with np.errstate(all="ignore"):
+                for x in (np.array(edges), *(np.asarray(v) for v in edges), *edges):
+                    want, got = call(x), call.expr(x)
+                    assert type(got) is type(want)
+                    assert np.array_equal(_bits(got), _bits(want))
 
 
 EXPECTED_SHAPES = [
@@ -645,10 +691,13 @@ class TestCollisionScan:
         with pytest.raises(ValueError):
             collision_scan(lambda x: x, (0.0, 1.0), 0.5, 0.5, 8)
 
-    @pytest.mark.parametrize("domain", [(0.0, -math.inf), (math.inf, 0.0), (math.inf, -math.inf)])
-    def test_rejects_a_reversed_domain_with_an_infinite_end(self, domain):
+    @pytest.mark.parametrize("domain", [(0.0, -math.inf), (math.inf, 0.0), (math.inf, -math.inf),
+                                        (0.5, 0.5), (1.0, 0.0)])
+    def test_rejects_an_empty_or_reversed_domain(self, domain):
         with pytest.raises(ValueError, match="degenerate interval"):
             collision_scan(np.exp, domain, 0.5, 0.5, 16)
+        with pytest.raises(ValueError, match="degenerate interval"):
+            find_collision(np.exp, domain, 0.5, 0.5, 16)
 
     def test_find_collision_refines_to_near_zero(self):
         loc = find_collision(lambda x: np.sqrt(np.asarray(x)), (1.0, 2.0), 0.45, 0.5, 24)

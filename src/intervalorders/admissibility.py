@@ -347,10 +347,12 @@ def rule_quasi_linear(a: AggregationFunction, b: AggregationFunction) -> Verdict
     if sat is not None:
         return sat
     band = _weight_band(f.kind, f.param, g.kind, g.param)
-    # logit(w1) - logit(w2), by the logits where the log1p quotient leaves (-1, inf)
-    den = (1.0 - w1) * w2
-    q = (w1 - w2) / den if den else math.inf
-    log_rho = (math.log1p(q) if -1.0 < q < math.inf else
+    # logit(w1) - logit(w2) = ±log1p of a non-negative quotient, the larger
+    # weight on top; by the logits where the quotient is infinite
+    big, small, sign = (w1, w2, 1.0) if w1 >= w2 else (w2, w1, -1.0)
+    den = (1.0 - big) * small
+    q = (big - small) / den if den else math.inf
+    log_rho = (sign * math.log1p(q) if q < math.inf else
                (math.log(w1) - math.log1p(-w1)) - (math.log(w2) - math.log1p(-w2)))
     ends = () if band is None else (band.lo, band.hi)
     if any(end and abs(log_rho - end) <= band.slack for end in ends):

@@ -176,11 +176,10 @@ class AggregationFunction:
         self.name = name
         self.descriptor = descriptor
         self._values = values_fn
-        lo = self.values(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        if abs(float(lo[0])) > 1e-12 or abs(float(lo[1]) - 1.0) > 1e-12:
+        a0, a1 = (float(v) for v in self.values(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+        if abs(a0) > 1e-12 or abs(a1 - 1.0) > 1e-12:
             raise AggregationError(
-                f"{name}: boundary conditions failed: A([0,0])={lo[0]!r}, A([1,1])={lo[1]!r}"
-            )
+                f"{name}: boundary conditions failed: A([0,0])={a0!r}, A([1,1])={a1!r}")
 
     def values(self, lo, hi) -> np.ndarray:
         lo = np.asarray(lo, dtype=float)

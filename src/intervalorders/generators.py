@@ -120,9 +120,6 @@ class Generator:
     kind: str | None = None
     param: float | None = None
 
-    def __call__(self, x):
-        return self.fn(x)
-
     def range_open(self) -> tuple[float, float]:
         """The open interval f((0,1)), endpoints possibly infinite."""
         a, b = self.at_zero, self.at_one

@@ -68,9 +68,6 @@ class Interval:
     def as_tuple(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    def __iter__(self):
-        return iter((self.lo, self.hi))
-
     def __str__(self) -> str:
         return f"[{self.lo:g}, {self.hi:g}]"
 

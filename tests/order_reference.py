@@ -13,6 +13,10 @@ package.
 first stage from one sort: one ``lexsort`` per stage, then a stable sort of
 the keys for the ranking.  The package must match it bit for bit, near-tie
 chains included.
+
+``reference_refines_interval_order`` is ``refines_interval_order`` as it was
+before it checked unit grid steps only: it compares every componentwise
+dominated pair of grid intervals, 256 rows at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from intervalorders import CoincidenceReport, DisagreementWitness, Interval, Ordering
 from intervalorders.coincidence import _alpha_notes
 from intervalorders.intervals import interval_grid
-from intervalorders.orders import TIE_TOL, OrderSpecError
+from intervalorders.orders import TIE_TOL, OrderSpecError, tie_classes
 
 
 def reference_compare(order, u: Interval, x: Interval) -> Ordering:
@@ -137,3 +141,14 @@ def reference_tie_classes(order, lo, hi) -> np.ndarray:
 
 def reference_rank_indices(order, lo, hi) -> np.ndarray:
     return np.argsort(reference_tie_classes(order, lo, hi), kind="stable")
+
+
+def reference_refines_interval_order(order, resolution: int) -> bool:
+    lo, hi = interval_grid(resolution)
+    keys = tie_classes(order, lo, hi)
+    for start in range(0, lo.size, 256):
+        rows = slice(start, start + 256)
+        dominated = (lo[rows, None] <= lo[None, :]) & (hi[rows, None] <= hi[None, :])
+        if np.any(dominated & (keys[rows, None] > keys[None, :])):
+            return False
+    return True

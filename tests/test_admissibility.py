@@ -4,7 +4,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 from intervalorders import (
     AggregationError,
     AggregationFunction,
+    GeneratedPairOrder,
     Interval,
+    OrderSpecError,
     Outcome,
     QuasiLinear,
     SchurPair,
@@ -980,6 +982,55 @@ class TestWeightBandThreshold:
             assert (v.outcome, v.rule) == (Outcome.UNKNOWN, "rules")
 
 
+def exact_log_rho(w1: float, w2: float) -> Decimal:
+    """logit(w1) - logit(w2) in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(w1) / (1 - Decimal(w1))).ln() - (Decimal(w2) / (1 - Decimal(w2))).ln()
+
+
+class TestOrientationsAgree:
+    """check_pair(a, b) and check_pair(b, a) give one outcome.  On K_{1e-8}
+    against the w = 0.99 mean of e^(gamma x) the band is (gamma, 0), and
+    60-digit log rho is -23.0158005840869544."""
+
+    @pytest.mark.parametrize("a, b", [
+        (k_mean(1e-8), exponential_mean(-23.01580065, 0.99)),
+        (exponential_mean(-23.01580065, 0.99), k_mean(1e-8)),
+    ], ids=["K first", "K second"])
+    def test_inside_the_band_by_more_than_slack(self, a, b):
+        # log rho lies 6.6e-8 inside the band, the slack is 2.3e-8
+        v = check_pair(a, b)
+        assert (v.outcome, v.rule) == (Outcome.NOT_ADMISSIBLE, "weight-band")
+        with pytest.raises(OrderSpecError):
+            GeneratedPairOrder(a, b)
+
+    def test_within_slack_of_the_band_end(self):
+        # log rho lies 1.6e-8 inside the band, within slack: both
+        # orientations leave it to the oracle, or to UNKNOWN without it
+        a, b = k_mean(1e-8), exponential_mean(-23.0158006, 0.99)
+        v, back = check_pair(a, b, use_oracle=False), check_pair(b, a, use_oracle=False)
+        assert (v.outcome, v.rule) == (back.outcome, back.rule) == (Outcome.UNKNOWN, "rules")
+
+    weights = st.sampled_from([1e-8, 1e-4, 0.01, 0.99, 1 - 1e-4, 1 - 1e-8]) | st.floats(0.02, 0.98)
+    sides = st.builds(quasi_linear_mean, builtin_generators, weights) | st.builds(k_mean, weights)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sides, sides)
+    def test_both_orientations_give_one_outcome(self, a, b):
+        # the rules decide a pair whose log rho lies more than twice the slack
+        # from each float end of its band; an end at 0 is decided exactly
+        (f, w1), (g, w2) = quasi_view(a), quasi_view(b)
+        log_rho = exact_log_rho(w1, w2)
+        for band, x in ((_weight_band(f.kind, f.param, g.kind, g.param), log_rho),
+                        (_weight_band(g.kind, g.param, f.kind, f.param), -log_rho)):
+            for end in () if band is None else (band.lo, band.hi):
+                if end and math.isfinite(end):
+                    assume(abs(x - Decimal(end)) > 2 * band.slack)
+        v, back = check_pair(a, b, use_oracle=False), check_pair(b, a, use_oracle=False)
+        assert v.outcome is back.outcome, (v, back)
+
+
 class TestBandWitnesses:
     """Collisions that only the weight band finds, built along a level curve
     of A."""
@@ -1728,6 +1779,8 @@ class TestWeightOrderDiagnostic:
 
     def test_saturating_pair_never_qualifies(self):
         assert admissible_for_all_weight_orders(logarithm(), logarithm()) is False
+        # both infinite at 1
+        assert admissible_for_all_weight_orders(negated_log_complement(), logit()) is False
 
     def test_mixed_composite_never_qualifies(self):
         assert admissible_for_all_weight_orders(logit(), exponential(1.0)) is False

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from intervalorders import (
     AggregationError,
     AggregationFunction,
+    Generator,
     Interval,
     aggregator_from_config,
     exponential,
@@ -77,6 +78,11 @@ class TestContract:
         d_hi = vals[:, 1:] - vals[:, :-1]
         ok_hi = valid[:, 1:] & valid[:, :-1]
         assert np.all(d_hi[ok_hi] >= -1e-12)
+
+    def test_rejects_wrong_boundary_values(self):
+        with pytest.raises(AggregationError) as err:
+            AggregationFunction("shifted", object(), lambda lo, hi: 0.25 * (lo + hi) + 0.25)
+        assert str(err.value) == "shifted: boundary conditions failed: A([0,0])=0.25, A([1,1])=0.75"
 
     @pytest.mark.parametrize("af", REPRESENTATIVES, ids=lambda a: a.name)
     def test_values_inside_unit_range(self, af):
@@ -301,6 +307,22 @@ class TestArchimedean:
             tnorm(identity())
         with pytest.raises(AggregationError):
             tconorm(negated_log())
+
+    def test_rejects_a_generator_that_declares_its_far_end_non_positive(self):
+        # strictly monotone on (0,1) with the right value at the near end,
+        # but declared 0 at the far end as well
+        down = Generator(name="down", fn=lambda x: 1.0 - np.asarray(x, float),
+                         inv=lambda y: 1.0 - np.asarray(y, float),
+                         increasing=False, at_zero=0.0, at_one=0.0)
+        up = Generator(name="up", fn=lambda x: np.asarray(x, float),
+                       inv=lambda y: np.asarray(y, float),
+                       increasing=True, at_zero=0.0, at_one=0.0)
+        with pytest.raises(AggregationError) as err:
+            tnorm(down)
+        assert str(err.value) == "down: a t-norm generator needs t(0) > 0"
+        with pytest.raises(AggregationError) as err:
+            tconorm(up)
+        assert str(err.value) == "up: a t-conorm generator needs s(1) > 0"
 
 
 class TestConfig:

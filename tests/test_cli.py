@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from intervalorders import Outcome, build_battery, cli
+from intervalorders import Outcome, Verdict, build_battery, cli
 from intervalorders.aggregators import AggregationError, aggregator_from_config
+from intervalorders.battery import BatteryRow, format_battery_table
 from intervalorders.cli import RunConfig, main
 from intervalorders.coincidence import orders_coincide
 from intervalorders.generators import GeneratorError, generator_from_config
@@ -501,6 +502,19 @@ sys.exit(code)
 """
 
 
+def run_config(tmp_path, command: str, text: str, needs_input: bool) -> int:
+    """``main``'s exit code on the config text, with an interval file as
+    --input when ``needs_input``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg)]
+    if needs_input:
+        data = tmp_path / "items.csv"
+        data.write_text("0.1,0.2\n")
+        argv += ["--input", str(data)]
+    return main(argv)
+
+
 class TestBadConfigValues:
     """A config value of the wrong type, or out of range, is one configuration
     error line and exit 1: no traceback, no silent truncation, no numbered
@@ -513,15 +527,7 @@ class TestBadConfigValues:
 
     @pytest.mark.parametrize("case", list(BAD_CONFIGS))
     def test_exits_1_with_one_line(self, tmp_path, capsys, case):
-        command, text, needs_input = BAD_CONFIGS[case]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        argv = [command, "--config", str(cfg)]
-        if needs_input:
-            data = tmp_path / "items.csv"
-            data.write_text("0.1,0.2\n")
-            argv += ["--input", str(data)]
-        assert main(argv) == 1
+        assert run_config(tmp_path, *BAD_CONFIGS[case]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         self.assert_one_config_error(captured.err)
@@ -572,6 +578,74 @@ class TestBadConfigValues:
             assert main(["coincide", "--config", cfg, "--resolution", "50"]) == 0
         assert collected == [False, False, True]
         assert dump.exists()
+
+
+AB_ORDER = '{"kind": "alpha_beta", "alpha": 0.5, "beta": 1.0}'
+# command, config text, whether it needs --input, and the stderr line after
+# "configuration error: " ($CFG is the config's path)
+CONFIG_ERROR_LINES = {
+    "invalid-json": ("check-pair", "{", False, "$CFG: invalid JSON: Expecting property name "
+                     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    "not-an-object": ("check-pair", "[1]", False, "$CFG: config must be a JSON object"),
+    "no-pair": ("check-pair", "{}", False,
+                "config needs a 'pair' object with 'a' and 'b' aggregator specs"),
+    "rank-without-input": ("rank", '{"order": %s}' % AB_ORDER, False,
+                           "rank requires --input with an interval list"),
+    "one-order": ("coincide", '{"orders": [%s]}' % AB_ORDER, False,
+                  "config needs an 'orders' array with exactly two order specs"),
+    "aggregator-not-a-mapping": ("check-pair", pair_text("3"), False,
+                                 "aggregator spec must be a mapping with a 'family' key, got 3"),
+    "schur-pair-without-f": ("check-pair", pair_text('{"family": "schur_pair"}'), False,
+                             "family 'schur_pair' requires an 'f' generator spec"),
+    "tnorm-without-generator": ("check-pair", pair_text('{"family": "tnorm"}'), False,
+                                "family 'tnorm' requires a 'generator'"),
+    "tconorm-without-generator": ("check-pair", pair_text('{"family": "tconorm"}'), False,
+                                  "family 'tconorm' requires a 'generator'"),
+    "tnorm-generator-nonzero-at-1": ("check-pair", pair_text(
+        '{"family": "tnorm", "generator": {"kind": "exponential", "gamma": -1}}'), False,
+        "exponential(-1): a t-norm generator needs t(1) = 0"),
+    "tconorm-generator-nonzero-at-0": ("check-pair", pair_text(
+        '{"family": "tconorm", "generator": {"kind": "exponential", "gamma": 1}}'), False,
+        "exponential(1): a t-conorm generator needs s(0) = 0"),
+    "generator-not-a-mapping": ("check-pair", pair_text('{"family": "tnorm", "generator": 3}'),
+                                False, "generator spec must be a mapping with a 'kind' key, got 3"),
+    "power-0": ("check-pair", pair_text(
+        '{"family": "schur_pair", "f": {"kind": "power", "gamma": 0}}'), False,
+        "power generator needs a nonzero exponent"),
+    "exponential-0": ("check-pair", pair_text(
+        '{"family": "quasi_linear", "generator": {"kind": "exponential", "gamma": 0}, '
+        '"weight": 0.5}'), False, "exponential generator needs a nonzero rate"),
+    "order-not-a-mapping": ("rank", '{"order": 3}', True,
+                            "order spec must be a mapping with a 'kind' key, got 3"),
+    "alpha-beta-without-beta": ("rank", '{"order": {"kind": "alpha_beta", "alpha": 0.5}}', True,
+                                "alpha_beta order requires 'alpha' and 'beta'"),
+    "pair-order-without-b": ("rank", '{"order": {"kind": "pair", "a": %s}}' % K_03, True,
+                             "pair order requires 'a' and 'b' aggregator specs"),
+}
+
+
+class TestConfigErrorLines:
+    """Each configuration error prints exactly one pinned line and exits 1."""
+
+    @pytest.mark.parametrize("case", list(CONFIG_ERROR_LINES))
+    def test_line(self, tmp_path, capsys, case):
+        *config, line = CONFIG_ERROR_LINES[case]
+        assert run_config(tmp_path, *config) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        cfg = tmp_path / "cfg.json"
+        assert captured.err == f"configuration error: {line.replace('$CFG', str(cfg))}\n"
+
+
+class TestBatteryMismatch:
+    def test_a_disagreeing_case_exits_1_naming_it(self, capsys, monkeypatch):
+        case = build_battery()[0]
+        row = BatteryRow(case, Verdict(Outcome.UNKNOWN, "rules"))
+        monkeypatch.setattr(cli, "run_battery", lambda resolution: [row])
+        assert main(["battery"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == format_battery_table([row]) + "\n"
+        assert captured.err == f"verdict mismatch: {case.label}\n"
 
 
 class TestSettings:

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from intervalorders import (
+    AggregationFunction,
     AlphaBetaOrder,
     GeneratedPairOrder,
     Interval,
     Ordering,
     SchurClass,
     compare,
+    exponential,
     exponential_mean,
     identity,
     k_alpha_crossover,
@@ -102,6 +104,10 @@ class TestCrossover:
 
 
 class TestOrdersCoincide:
+    def test_rejects_resolution_below_50(self):
+        with pytest.raises(ValueError, match="^resolution must be at least 50$"):
+            orders_coincide(AlphaBetaOrder(0.0, 1.0), AlphaBetaOrder(1.0, 0.0), resolution=49)
+
     def test_disagreement_below_first_threshold(self):
         rep = orders_coincide(square_sqrt_order(), AlphaBetaOrder(0.70, 1.0),
                               resolution=60, candidates=[(PAIR_U1, PAIR_X1)])
@@ -502,6 +508,10 @@ class TestSchurClassify:
         assert cls is SchurClass.SCHUR_CONCAVE
         assert not cls.is_strict  # the scan never certifies strictness
 
+    def test_rejects_resolution_below_50(self):
+        with pytest.raises(ValueError, match="^resolution must be at least 50$"):
+            schur_classify(k_mean(0.3), resolution=49)
+
     def test_skewed_exponential_mean_is_neither(self):
         # along a fixed endpoint sum this mean rises then falls
         assert schur_classify(exponential_mean(3.0, 0.3)) is SchurClass.NEITHER
@@ -553,6 +563,17 @@ class TestMidpointCoincidence:
         with pytest.raises(ValueError):
             midpoint_order_coincidence(logit_mean(0.5), resolution=60)
 
+    def test_rejects_a_class_that_determines_no_projection(self):
+        # one-to-one on each diagonal lo + hi = c, so the oracle finds no
+        # collision with the midpoint, but Schur-convex for c < 1 and
+        # Schur-concave from c = 1 on
+        b = AggregationFunction("kinked", object(), lambda lo, hi: 0.5 * (lo + hi) + np.where(
+            lo + hi < 1.0, 0.1, -0.1) * (hi - lo))
+        with pytest.raises(ValueError) as err:
+            midpoint_order_coincidence(b, resolution=60)
+        assert str(err.value) == ("kinked: Schur classification neither does not determine "
+                                  "a reference projection order")
+
 
 class TestProjectionDisagreement:
     def _verify(self, u, x, alpha, beta, f_gamma, g_gamma):
@@ -579,6 +600,20 @@ class TestProjectionDisagreement:
     def test_rejects_equal_weights(self):
         with pytest.raises(ValueError):
             projection_disagreement_witness(power(2.0), 0.5, 0.5)
+
+    @pytest.mark.parametrize("f, alpha, message", [
+        (power(2.0), -0.1, "projection weights must lie in [0,1]"),
+        (power(-1.0), 0.3, "power(-1): need an increasing bijection with certified shape"),
+        (exponential(1.0), 0.3, "exponential(1): need f(0) = 0 and f(1) = 1"),
+        # strictly concave in the registry, affine in floats: the f-sums tie
+        (power(math.nextafter(1.0, 0.0)), 0.5,
+         "reflected(power(1)): convexity margin failed on the base pair (got "),
+        (power(1.0 + 1e-9), 0.5, "power(1): disagreement margins too small (f-sum "),
+    ], ids=["weight outside", "decreasing", "not onto [0,1]", "base tie", "small margins"])
+    def test_rejects(self, f, alpha, message):
+        with pytest.raises(ValueError) as err:
+            projection_disagreement_witness(f, alpha, 1.0)
+        assert str(err.value).startswith(message)
 
     def test_rejects_shape_weight_mismatch(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,17 @@ class TestBuiltins:
         with pytest.raises(GeneratorError):
             validate_generator(bad)
 
+    @pytest.mark.parametrize("fn, increasing, message", [
+        (lambda x: np.where(x < 0.5, np.inf, x), True, "values must be finite on (0,1)"),
+        (lambda x: x, False, "not strictly decreasing on the sample grid"),
+    ], ids=["infinite inside", "rises but declared decreasing"])
+    def test_validation_message(self, fn, increasing, message):
+        bad = Generator(name="bad", fn=fn, inv=fn, increasing=increasing,
+                        at_zero=0.0, at_one=1.0)
+        with pytest.raises(GeneratorError) as err:
+            validate_generator(bad)
+        assert str(err.value) == f"bad: {message}"
+
     def test_validation_rejects_bad_inverse(self):
         bad = Generator(
             name="skewed",
@@ -632,6 +643,11 @@ class TestCollisionGap:
             collision_gap(0.9, 0.0, 0.5, 0.5, 0.5, lambda x: x)
         with pytest.raises(ValueError):
             collision_gap(0.1, 0.5, 0.2, 0.5, 0.5, lambda x: x)
+
+    @pytest.mark.parametrize("v1, v2", [(0.0, 0.5), (0.5, 1.0)])
+    def test_rejects_weights_outside_the_open_unit_interval(self, v1, v2):
+        with pytest.raises(ValueError, match=r"^weights v1, v2 must lie in \(0,1\)$"):
+            collision_gap(0.1, 0.0, 0.5, v1, v2, lambda x: x)
 
     def test_strictly_convex_equal_weights_negative_everywhere(self):
         ts = np.linspace(0.0, 1.0, 12)

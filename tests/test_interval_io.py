@@ -253,6 +253,13 @@ class TestNotUtf8:
             load_intervals(path)
         assert str(err.value) == f"{path}: {whole.value}"
 
+    def test_a_file_that_decodes_on_the_second_read_keeps_the_readers_text(self, tmp_path):
+        # the file changed between the reader's error and the second read
+        path = tmp_path / "items.csv"
+        path.write_bytes(b"0.1,0.2\n")
+        exc = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+        assert intervals._decode_error(path, exc) == str(exc)
+
 
 def reference_ranked_bytes(order, items: list[Interval], tmp: Path) -> bytes:
     lo = np.array([z.lo for z in items], dtype=float)

@@ -40,6 +40,7 @@ from order_reference import (
     reference_compare,
     reference_rank,
     reference_rank_indices,
+    reference_refines_interval_order,
     reference_sign_matrix,
     reference_tie_classes,
 )
@@ -62,6 +63,11 @@ class TestAlphaBetaSpec:
     def test_rejects_out_of_range(self):
         with pytest.raises(OrderSpecError):
             AlphaBetaOrder(-0.1, 1.0)
+
+    def test_repr_names_the_weights_and_the_pair(self):
+        assert repr(AlphaBetaOrder(0.5, 1.0)) == "AlphaBetaOrder(0.5, 1)"
+        assert repr(example_pair_order()) == (
+            "GeneratedPairOrder(pair_mean(power(2)), pair_mean(power(0.5)))")
 
 
 class TestCompare:
@@ -139,6 +145,34 @@ class TestRefinement:
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):
             refines_interval_order(AlphaBetaOrder(0.5, 1.0), 10)
+
+    @staticmethod
+    def differential_orders():
+        dip = AggregationFunction("dip", object(),
+                                  lambda lo, hi: np.where(hi > 0.5, hi, hi * (1 - lo)))
+        falls_in_hi = AggregationFunction("falls-in-hi", object(), lambda lo, hi: lo * (2 - hi))
+        sags = AggregationFunction("sags", object(), lambda lo, hi: np.where(
+            (lo > 0.6) & (lo < 0.7), 0.5 * hi, 0.5 * (lo + hi)))
+        return [
+            AlphaBetaOrder(0.5, 1.0), AlphaBetaOrder(1.0, 0.0), AlphaBetaOrder(0.0, 0.3),
+            example_pair_order(),
+            GeneratedPairOrder(k_mean(0.5), k_mean(0.5), verify_admissible=False),
+            GeneratedPairOrder(dip, k_mean(1.0), verify_admissible=False),
+            GeneratedPairOrder(k_mean(0.0), falls_in_hi, verify_admissible=False),
+            GeneratedPairOrder(sags, k_mean(0.0), verify_admissible=False),
+            GeneratedPairOrder(tnorm(negated_log()), tconorm(negated_log_complement()),
+                               verify_admissible=False),
+        ]
+
+    @pytest.mark.parametrize("resolution", [20, 21, 37, 50])
+    def test_unit_steps_agree_with_every_dominated_pair(self, resolution):
+        answers = []
+        for order in self.differential_orders():
+            got = refines_interval_order(order, resolution)
+            assert got == reference_refines_interval_order(order, resolution), (order, resolution)
+            answers.append(got)
+        # the differential covers both answers
+        assert True in answers and False in answers
 
 
 class TestOrderLaws:
